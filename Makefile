@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: check build test race vet staticcheck bench bench-store bench-obs bench-obs-dist bench-wal bench-compat bench-dist fuzz-regress race-recovery fuzz chaos BENCH_6.json BENCH_8.json BENCH_9.json BENCH_10.json
+.PHONY: check build test race flake vet staticcheck bench benchmark bench-store bench-obs bench-obs-dist bench-wal bench-compat bench-dist fuzz-regress race-recovery fuzz chaos BENCH_6.json BENCH_8.json BENCH_9.json BENCH_10.json
 
 # The full gate: what CI (and every PR) must pass. `race` runs the
 # whole suite (including the recovery and crash-point tests) under the
-# race detector; fuzz-regress replays the checked-in fuzz seed corpus
-# in regression mode (no fuzzing engine, just the corpus).
-check: vet staticcheck build race fuzz-regress
+# race detector; flake repeats the concurrent ADT tests; fuzz-regress
+# replays the checked-in fuzz seed corpus in regression mode (no
+# fuzzing engine, just the corpus).
+check: vet staticcheck build race flake fuzz-regress
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +34,12 @@ test:
 # timeout on slower machines; raise it rather than trim coverage.
 race:
 	$(GO) test -race -timeout 25m ./...
+
+# The ADT suite twenty times under the race detector: methods declared
+# commuting must never deadlock on their leaf accesses (the concurrent
+# tests assert Deadlocks == 0), and one run in two used to.
+flake:
+	$(GO) test -race -count=20 ./adts
 
 # Focused, -short-gated race run of the journaling/recovery surface —
 # the quick iteration loop when touching engine commit/abort paths or
@@ -62,14 +69,22 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The physical-storage-path comparison: sharded object store +
-# partitioned buffer pool vs the single-shard/global-mutex baselines
-# (each benchmark runs both configurations as sub-benchmarks), plus
-# the engine-level parallel method benchmark over the same sweep.
+# The repository's one benchmark (benchmark/README.md): the four
+# BENCHMARK.json workloads, end-to-end metrics, 14 s measured each.
+# The only basis for a performance claim.
+benchmark:
+	for w in std-direct hot-durable cluster-2pc read-scan; do \
+		$(GO) run ./benchmark -workload $$w || exit 1; \
+	done
+
+# The physical-storage-path micro-benchmarks: the object store and the
+# buffer pool at their default layout and at one shard / one partition
+# (sub-benchmarks sharded|partitioned and global), plus the
+# engine-level parallel method benchmark on the default layout.
 # Meaningful at GOMAXPROCS >= 4; -cpu forces it on smaller machines.
 bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkStoreParallel|BenchmarkPool(Fetch|Evict)Parallel' -benchmem -cpu 4 ./internal/objstore ./internal/storage
-	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallelStore' -benchmem -cpu 4 .
+	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
 
 # The observability cost contract: the disjoint-atom transaction cycle
 # with no Obs / disabled Obs / enabled Obs (and the tracer's analogue),

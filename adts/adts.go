@@ -202,13 +202,15 @@ func queueMethods() []*oodb.Method {
 				if err != nil {
 					return val.NullV, err
 				}
-				tail, err := ctx.Get(tailAtom)
+				// One commuting Add draws the ticket: a Get-then-Put pair
+				// would have two concurrent Enqueues both hold R and both
+				// request W — an upgrade deadlock between methods the
+				// matrix declares commuting.
+				next, err := ctx.Add(tailAtom, 1)
 				if err != nil {
 					return val.NullV, err
 				}
-				if err := ctx.Put(tailAtom, val.OfInt(tail.Int()+1)); err != nil {
-					return val.NullV, err
-				}
+				ticket := val.OfInt(next.Int() - 1)
 				cell, err := ctx.NewAtomic(args[0])
 				if err != nil {
 					return val.NullV, err
@@ -217,10 +219,10 @@ func queueMethods() []*oodb.Method {
 				if err != nil {
 					return val.NullV, err
 				}
-				if err := ctx.Insert(items, val.OfInt(tail.Int()), cell); err != nil {
+				if err := ctx.Insert(items, ticket, cell); err != nil {
 					return val.NullV, err
 				}
-				return val.OfInt(tail.Int()), nil
+				return ticket, nil
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
 				c := compat.Inv(inv.Object, QUnenqueue, result)
@@ -323,11 +325,11 @@ func counterMethods() []*oodb.Method {
 			if err != nil {
 				return val.NullV, err
 			}
-			cur, err := ctx.Get(nAtom)
-			if err != nil {
-				return val.NullV, err
-			}
-			return val.NullV, ctx.Put(nAtom, val.OfInt(cur.Int()+sign*args[0].Int()))
+			// A single commuting Add, not Get-then-Put: Inc/Dec are
+			// declared commuting, so their leaf accesses must commute
+			// too (two R holders both upgrading to W deadlock).
+			_, err = ctx.Add(nAtom, sign*args[0].Int())
+			return val.NullV, err
 		}
 	}
 	return []*oodb.Method{
@@ -370,6 +372,18 @@ func accountMethods() []*oodb.Method {
 		b, err := ctx.Get(bAtom)
 		return bAtom, b, err
 	}
+	// addBalance is the blind commuting leaf of Deposit/Undeposit (and
+	// of Withdraw once an escrow reservation guarantees the floor): one
+	// Add, no observing Get, so concurrent commuting methods never
+	// upgrade-deadlock on the balance atom.
+	addBalance := func(ctx *oodb.Ctx, recv oid.OID, delta int64) (val.V, error) {
+		bAtom, err := ctx.Component(recv, "Balance")
+		if err != nil {
+			return val.NullV, err
+		}
+		_, err = ctx.Add(bAtom, delta)
+		return val.NullV, err
+	}
 	return []*oodb.Method{
 		{
 			Name: ADeposit,
@@ -377,19 +391,7 @@ func accountMethods() []*oodb.Method {
 				if len(args) != 1 || args[0].Int() < 0 {
 					return val.NullV, fmt.Errorf("adts: Deposit wants (amount ≥ 0)")
 				}
-				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					bAtom, err := ctx.Component(recv, "Balance")
-					if err != nil {
-						return val.NullV, err
-					}
-					_, err = ctx.Add(bAtom, args[0].Int())
-					return val.NullV, err
-				}
-				bAtom, b, err := balanceOf(ctx, recv)
-				if err != nil {
-					return val.NullV, err
-				}
-				return val.NullV, ctx.Put(bAtom, val.OfInt(b.Int()+args[0].Int()))
+				return addBalance(ctx, recv, args[0].Int())
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
 				c := compat.Inv(inv.Object, AUndeposit, inv.Args[0])
@@ -402,19 +404,7 @@ func accountMethods() []*oodb.Method {
 			// exactly the funds its forward Deposit added.
 			Name: AUndeposit,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
-				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					bAtom, err := ctx.Component(recv, "Balance")
-					if err != nil {
-						return val.NullV, err
-					}
-					_, err = ctx.Add(bAtom, -args[0].Int())
-					return val.NullV, err
-				}
-				bAtom, b, err := balanceOf(ctx, recv)
-				if err != nil {
-					return val.NullV, err
-				}
-				return val.NullV, ctx.Put(bAtom, val.OfInt(b.Int()-args[0].Int()))
+				return addBalance(ctx, recv, -args[0].Int())
 			},
 		},
 		{
@@ -424,15 +414,8 @@ func accountMethods() []*oodb.Method {
 					return val.NullV, fmt.Errorf("adts: Withdraw wants (amount ≥ 0)")
 				}
 				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					// The escrow reservation already guarantees the floor;
-					// the body is one blind commutative Add with no
-					// observing Get.
-					bAtom, err := ctx.Component(recv, "Balance")
-					if err != nil {
-						return val.NullV, err
-					}
-					_, err = ctx.Add(bAtom, -args[0].Int())
-					return val.NullV, err
+					// The escrow reservation already guarantees the floor.
+					return addBalance(ctx, recv, -args[0].Int())
 				}
 				bAtom, b, err := balanceOf(ctx, recv)
 				if err != nil {

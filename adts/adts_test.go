@@ -193,8 +193,8 @@ func TestCounterConcurrentUpdates(t *testing.T) {
 		t.Errorf("counter = %d, want 0", v.Int())
 	}
 	_ = tx.Commit()
-	if st := db.Engine().Stats(); st.RootWaits != 0 {
-		t.Errorf("commuting counter updates blocked: %d", st.RootWaits)
+	if st := db.Engine().Stats(); st.RootWaits != 0 || st.Deadlocks != 0 {
+		t.Errorf("commuting counter updates blocked: rootwaits=%d deadlocks=%d", st.RootWaits, st.Deadlocks)
 	}
 }
 
@@ -287,8 +287,8 @@ func TestConcurrentDepositsCommute(t *testing.T) {
 	if b.Int() != 100 {
 		t.Errorf("balance = %d, want 100", b.Int())
 	}
-	if st := db.Engine().Stats(); st.RootWaits != 0 {
-		t.Errorf("deposits blocked at top level: %d", st.RootWaits)
+	if st := db.Engine().Stats(); st.RootWaits != 0 || st.Deadlocks != 0 {
+		t.Errorf("deposits blocked: rootwaits=%d deadlocks=%d", st.RootWaits, st.Deadlocks)
 	}
 }
 

@@ -47,7 +47,7 @@ func benchWorkload(b *testing.B, cfg workload.Config) {
 func BenchmarkE1(b *testing.B) {
 	for _, p := range core.Protocols() {
 		b.Run(p.String(), func(b *testing.B) {
-			benchWorkload(b, workload.Config{Protocol: p, Items: 4, Clients: 8, Seed: 42})
+			benchWorkload(b, workload.Config{Options: oodb.Options{Protocol: p}, Items: 4, Clients: 8, Seed: 42})
 		})
 	}
 }
@@ -58,7 +58,7 @@ func BenchmarkE2(b *testing.B) {
 	for _, items := range []int{2, 8, 32} {
 		for _, p := range []core.ProtocolKind{core.Semantic, core.TwoPLObject} {
 			b.Run(fmt.Sprintf("%s/items=%d", p, items), func(b *testing.B) {
-				benchWorkload(b, workload.Config{Protocol: p, Items: items, Clients: 8, Seed: 42})
+				benchWorkload(b, workload.Config{Options: oodb.Options{Protocol: p}, Items: items, Clients: 8, Seed: 42})
 			})
 		}
 	}
@@ -74,7 +74,7 @@ func BenchmarkE3(b *testing.B) {
 	for name, mix := range mixes {
 		for _, p := range []core.ProtocolKind{core.Semantic, core.TwoPLObject} {
 			b.Run(fmt.Sprintf("%s/%s", p, name), func(b *testing.B) {
-				benchWorkload(b, workload.Config{Protocol: p, Items: 4, Clients: 8, Seed: 42, Mix: mix})
+				benchWorkload(b, workload.Config{Options: oodb.Options{Protocol: p}, Items: 4, Clients: 8, Seed: 42, Mix: mix})
 			})
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkE3(b *testing.B) {
 func BenchmarkE4(b *testing.B) {
 	for _, p := range []core.ProtocolKind{core.Semantic, core.TwoPLObject, core.TwoPLPage} {
 		b.Run(p.String(), func(b *testing.B) {
-			benchWorkload(b, workload.Config{Protocol: p, Items: 4, Clients: 8, Seed: 42,
+			benchWorkload(b, workload.Config{Options: oodb.Options{Protocol: p}, Items: 4, Clients: 8, Seed: 42,
 				Mix: workload.BypassOnlyMix()})
 		})
 	}
@@ -100,7 +100,7 @@ func BenchmarkE5(b *testing.B) {
 			name = "relief-off"
 		}
 		b.Run(name, func(b *testing.B) {
-			benchWorkload(b, workload.Config{Protocol: core.Semantic, NoAncestorRelief: off,
+			benchWorkload(b, workload.Config{Options: oodb.Options{Protocol: core.Semantic, NoAncestorRelief: off},
 				Items: 4, Clients: 8, Seed: 42, Mix: workload.ReadHeavyMix()})
 		})
 	}
@@ -110,7 +110,7 @@ func BenchmarkE5(b *testing.B) {
 func BenchmarkE6(b *testing.B) {
 	for _, p := range []core.ProtocolKind{core.Semantic, core.TwoPLObject} {
 		b.Run(p.String(), func(b *testing.B) {
-			benchWorkload(b, workload.Config{Protocol: p, Items: 32, Clients: 8, Seed: 42, ZipfS: 1.4})
+			benchWorkload(b, workload.Config{Options: oodb.Options{Protocol: p}, Items: 32, Clients: 8, Seed: 42, ZipfS: 1.4})
 		})
 	}
 }
@@ -172,44 +172,39 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 
 // BenchmarkLockAcquireReleaseParallel — the lock-table scaling
 // benchmark: concurrent begin/lock/commit cycles on disjoint atoms,
-// where the only shared state is the lock table itself. Compares the
-// striped table against the global-mutex reference table; the striped
-// table should scale with GOMAXPROCS while the global one serialises.
+// where the only shared state is the lock table itself, so it should
+// scale with GOMAXPROCS.
 func BenchmarkLockAcquireReleaseParallel(b *testing.B) {
-	for _, k := range semcc.LockTables() {
-		b.Run(k.String(), func(b *testing.B) {
-			db := oodb.Open(oodb.Options{Protocol: core.Semantic, LockTable: k})
-			const nAtoms = 512
-			atoms := make([]semcc.OID, nAtoms)
-			for i := range atoms {
-				a, err := db.Store().NewAtomic(semcc.Int(0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				atoms[i] = a
-			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Each worker owns a distinct atom: no protocol-level
-				// conflicts, only lock-table contention.
-				a := atoms[int(next.Add(1)-1)%nAtoms]
-				var i int64
-				for pb.Next() {
-					tx := db.Begin()
-					if err := tx.Put(a, semcc.Int(i)); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
+	db := oodb.Open(oodb.Options{Protocol: core.Semantic})
+	const nAtoms = 512
+	atoms := make([]semcc.OID, nAtoms)
+	for i := range atoms {
+		a, err := db.Store().NewAtomic(semcc.Int(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		atoms[i] = a
 	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Each worker owns a distinct atom: no protocol-level
+		// conflicts, only lock-table contention.
+		a := atoms[int(next.Add(1)-1)%nAtoms]
+		var i int64
+		for pb.Next() {
+			tx := db.Begin()
+			if err := tx.Put(a, semcc.Int(i)); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkTracerOverheadParallel — the tracing-disabled overhead
@@ -308,93 +303,37 @@ func BenchmarkObsOverheadParallel(b *testing.B) {
 // BenchmarkMethodInvocationParallel — parallel variant of
 // BenchmarkMethodInvocation over disjoint objects: each worker drives
 // method invocations (Counter.Inc: method lock + leaf write) on its own
-// counter, under both lock-table implementations.
+// counter.
 func BenchmarkMethodInvocationParallel(b *testing.B) {
-	for _, k := range semcc.LockTables() {
-		b.Run(k.String(), func(b *testing.B) {
-			db := oodb.Open(oodb.Options{Protocol: core.Semantic, LockTable: k})
-			if err := adts.RegisterTypes(db); err != nil {
-				b.Fatal(err)
-			}
-			const nCtrs = 256
-			ctrs := make([]semcc.OID, nCtrs)
-			for i := range ctrs {
-				c, err := adts.NewCounter(db, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctrs[i] = c
-			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				c := ctrs[int(next.Add(1)-1)%nCtrs]
-				for pb.Next() {
-					tx := db.Begin()
-					if _, err := tx.Call(c, adts.CInc, semcc.Int(1)); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
+	db := oodb.Open(oodb.Options{Protocol: core.Semantic})
+	if err := adts.RegisterTypes(db); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkMethodInvocationParallelStore — the same disjoint-object
-// parallel method workload as BenchmarkMethodInvocationParallel, but
-// sweeping the physical storage path: sharded object store +
-// partitioned buffer pool (default) against the single-shard store +
-// global pool baseline. The lock table is striped in both runs, so the
-// gap isolates the storage-layer serialisation points.
-func BenchmarkMethodInvocationParallelStore(b *testing.B) {
-	configs := []struct {
-		name   string
-		shards int
-		pool   semcc.PoolKind
-	}{
-		{"sharded", 0, semcc.PoolPartitioned},
-		{"global", 1, semcc.PoolGlobal},
+	const nCtrs = 256
+	ctrs := make([]semcc.OID, nCtrs)
+	for i := range ctrs {
+		c, err := adts.NewCounter(db, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctrs[i] = c
 	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			db := oodb.Open(oodb.Options{
-				Protocol: core.Semantic, StoreShards: cfg.shards, PoolKind: cfg.pool,
-			})
-			if err := adts.RegisterTypes(db); err != nil {
-				b.Fatal(err)
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := ctrs[int(next.Add(1)-1)%nCtrs]
+		for pb.Next() {
+			tx := db.Begin()
+			if _, err := tx.Call(c, adts.CInc, semcc.Int(1)); err != nil {
+				b.Error(err)
+				return
 			}
-			const nCtrs = 256
-			ctrs := make([]semcc.OID, nCtrs)
-			for i := range ctrs {
-				c, err := adts.NewCounter(db, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctrs[i] = c
+			if err := tx.Commit(); err != nil {
+				b.Error(err)
+				return
 			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				c := ctrs[int(next.Add(1)-1)%nCtrs]
-				for pb.Next() {
-					tx := db.Begin()
-					if _, err := tx.Call(c, adts.CInc, semcc.Int(1)); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkMethodInvocationParallelWAL — the same disjoint-object

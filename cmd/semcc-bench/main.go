@@ -8,9 +8,6 @@
 //	semcc-bench                    # all experiments, full parameter sweeps
 //	semcc-bench -exp E1            # one experiment
 //	semcc-bench -quick             # reduced sweeps (used in CI)
-//	semcc-bench -lockmgr=global    # run on the single-mutex lock table
-//	semcc-bench -store=global      # run on the single-shard object store
-//	semcc-bench -pool=global       # run on the single-mutex buffer pool
 //	semcc-bench -wal=group         # attach a group-commit journal to
 //	                               # every experiment point (-wal=sync,
 //	                               # group or async; default none)
@@ -61,7 +58,7 @@ import (
 	"semcc/internal/core/trace"
 	"semcc/internal/harness"
 	"semcc/internal/obs"
-	"semcc/internal/storage"
+	"semcc/internal/oodb"
 	"semcc/internal/wal"
 	"semcc/internal/workload"
 )
@@ -69,10 +66,6 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id (E1..E10); empty runs all")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	lockmgr := flag.String("lockmgr", "striped", "lock table implementation: striped or global")
-	store := flag.String("store", "sharded", "object store layout: sharded or global (single shard)")
-	storeShards := flag.Int("storeshards", 0, "with -store=sharded: shard count override (0 = default)")
-	pool := flag.String("pool", "partitioned", "buffer pool implementation: partitioned or global")
 	compatFlag := flag.String("compat", "static", "compatibility regime: static (matrix only) or escrow (state-dependent admission)")
 	nodes := flag.Int("nodes", 0, "node count: 0 runs one engine directly; N >= 1 shards every experiment point over an N-node cluster behind the 2PC coordinator")
 	walMode := flag.String("wal", "none", "journal attached to every experiment point: none, sync, group or async")
@@ -80,7 +73,7 @@ func main() {
 	walDelay := flag.Duration("waldelay", 0, "with -wal=group|async: max age of an unflushed record (0 = default)")
 	hot := flag.Bool("hot", false, "run the contention profiler instead of the experiment tables")
 	traceN := flag.Int("trace", 0, "with -hot: also print the last N trace events")
-	asJSON := flag.Bool("json", false, "with -hot: the expvar-style JSON snapshot; with -exp E7: the durability sweep as JSON")
+	asJSON := flag.Bool("json", false, "with -hot: the expvar-style JSON snapshot; with -exp E7|E8|E9|E10: the sweep as its checked-in BENCH_*.json document")
 	topK := flag.Int("topk", 10, "with -hot: number of hottest objects to report")
 	items := flag.Int("items", 4, "with -hot: number of items (contention falls as it grows)")
 	mpl := flag.Int("mpl", 16, "with -hot: multiprogramming level")
@@ -107,50 +100,36 @@ func main() {
 		exps = []*harness.Experiment{e}
 	}
 
-	lt, err := core.ParseLockTable(*lockmgr)
-	if err != nil {
+	// base is the one value the flags configure; every experiment
+	// point derives from it (harness.Base).
+	var base harness.Base
+	var err error
+	if base.Compat, err = compat.ParseMode(*compatFlag); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	harness.SetLockTable(lt)
-
-	shards := *storeShards
-	switch *store {
-	case "sharded", "":
-		// shards 0 keeps the sharded default (or the explicit override).
-	case "global":
-		shards = 1
-	default:
-		fmt.Fprintf(os.Stderr, "unknown object store layout %q (want sharded or global)\n", *store)
-		os.Exit(2)
-	}
-	pk, err := storage.ParsePoolKind(*pool)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	harness.SetStoreConfig(shards, pk)
-
-	cm, err := compat.ParseMode(*compatFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	harness.SetCompat(cm)
-
 	if *nodes < 0 {
 		fmt.Fprintf(os.Stderr, "invalid -nodes %d (want 0 for direct or a positive cluster size)\n", *nodes)
 		os.Exit(2)
 	}
-	harness.SetNodes(*nodes)
-
+	base.Nodes = *nodes
 	if *walMode != "" && *walMode != "none" {
 		m, err := wal.ParseMode(*walMode)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		harness.SetWAL(&wal.Config{Mode: m, MaxBatch: *walBatch, MaxDelay: *walDelay})
+		base.WAL = &wal.Config{Mode: m, MaxBatch: *walBatch, MaxDelay: *walDelay}
+	}
+
+	// -json outside -hot selects an experiment's checked-in document;
+	// refuse it where there is none rather than print tables instead.
+	sweepJSON := jsonSweeps[*exp]
+	if *asJSON && !*hot && *traceN == 0 && sweepJSON == nil {
+		fmt.Fprintf(os.Stderr, "semcc-bench: -json needs -hot or an experiment with a JSON form (-exp E7, E8, E9 or E10); got -exp %q\n", *exp)
+		fmt.Fprintln(os.Stderr, "usage: semcc-bench -exp E7|E8|E9|E10 [-quick] -json   # the BENCH_*.json document")
+		fmt.Fprintln(os.Stderr, "       semcc-bench -hot [-trace N] -json               # the contention-profile snapshot")
+		os.Exit(2)
 	}
 
 	var served *obs.Obs
@@ -170,7 +149,7 @@ func main() {
 			SlowLog:  os.Stderr,
 		})
 		served.SetEnabled(true)
-		harness.SetObs(served)
+		base.Obs = served
 		var srv *obs.Server
 		if *nodes >= 1 {
 			// Merged cluster endpoint: the shared Obs becomes the
@@ -183,7 +162,7 @@ func main() {
 			merged.Add(served)
 			var mu sync.Mutex
 			nodeParts := map[int]*obs.Obs{}
-			harness.SetNodeObs(func(i int) *obs.Obs {
+			base.NodeObs = func(i int) *obs.Obs {
 				mu.Lock()
 				defer mu.Unlock()
 				o := nodeParts[i]
@@ -194,7 +173,7 @@ func main() {
 					merged.Add(o, obs.L("node", strconv.Itoa(i)))
 				}
 				return o
-			})
+			}
 			srv, err = merged.Serve(*serve)
 		} else {
 			srv, err = served.Serve(*serve)
@@ -208,7 +187,7 @@ func main() {
 	}
 
 	if *hot || *traceN > 0 {
-		if err := runHot(lt, shards, pk, *items, *mpl, *topK, *traceN, *quick, *asJSON, served); err != nil {
+		if err := runHot(*items, *mpl, *topK, *traceN, *quick, *asJSON, served); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -219,35 +198,8 @@ func main() {
 		return
 	}
 
-	if *asJSON && *exp == "E7" {
-		out, err := harness.WALSweepJSON(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	if *asJSON && *exp == "E8" {
-		out, err := harness.CompatSweepJSON(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	if *asJSON && *exp == "E9" {
-		out, err := harness.DistSweepJSON(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	if *asJSON && *exp == "E10" {
-		out, err := harness.ObsDistSweepJSON(*quick)
+	if *asJSON {
+		out, err := sweepJSON(base, *quick)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -257,7 +209,7 @@ func main() {
 	}
 
 	for _, e := range exps {
-		tables, err := e.Run(*quick)
+		tables, err := e.Run(base, *quick)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
@@ -272,11 +224,20 @@ func main() {
 	}
 }
 
+// jsonSweeps maps the experiments that have a checked-in JSON document
+// (BENCH_6/8/9/10.json) to the sweep that renders it.
+var jsonSweeps = map[string]func(harness.Base, bool) ([]byte, error){
+	"E7":  harness.WALSweepJSON,
+	"E8":  harness.CompatSweepJSON,
+	"E9":  harness.DistSweepJSON,
+	"E10": harness.ObsDistSweepJSON,
+}
+
 // runHot executes one contended workload point per protocol with the
 // tracer enabled and prints each protocol's contention profile: the
 // topK hottest objects, the per-case wait-time histograms, and the
 // Fig. 9 case-mix ratio.
-func runHot(lt core.LockTableKind, shards int, pk storage.PoolKind, items, mpl, topK, traceN int, quick, asJSON bool, o *obs.Obs) error {
+func runHot(items, mpl, topK, traceN int, quick, asJSON bool, o *obs.Obs) error {
 	txPer := 300
 	if quick {
 		txPer = 100
@@ -285,9 +246,8 @@ func runHot(lt core.LockTableKind, shards int, pk storage.PoolKind, items, mpl, 
 		tr := trace.New(trace.Config{Protocol: p.String()})
 		tr.SetEnabled(true)
 		m, err := workload.Run(workload.Config{
-			Protocol: p, Items: items, Clients: mpl, TxPerClient: txPer,
-			Seed: 42, LockTable: lt, StoreShards: shards, PoolKind: pk,
-			Validate: true, Tracer: tr, Obs: o,
+			Options: oodb.Options{Protocol: p, Tracer: tr, Obs: o},
+			Items:   items, Clients: mpl, TxPerClient: txPer, Seed: 42, Validate: true,
 		})
 		if err != nil {
 			return fmt.Errorf("hot %s: %w", p, err)

@@ -17,7 +17,8 @@ import (
 
 func main() {
 	for _, p := range []semcc.Protocol{semcc.Semantic, semcc.TwoPLObject} {
-		db := oodb.Open(oodb.Options{Protocol: p})
+		opts := oodb.Options{Protocol: p}
+		db := oodb.Open(opts)
 		app, err := orderentry.Setup(db, orderentry.Config{
 			Items: 4, OrdersPerItem: 600, InitialQOH: 5000, Price: 10, OrderQuantity: 1,
 		})
@@ -25,7 +26,7 @@ func main() {
 			log.Fatal(err)
 		}
 		m, err := workload.RunOn(app, workload.Config{
-			Protocol: p, Items: 4, Clients: 8, TxPerClient: 200, Seed: 7,
+			Options: opts, Items: 4, Clients: 8, TxPerClient: 200, Seed: 7,
 			OrdersPerItem: 600, InitialQOH: 5000, Validate: true,
 		})
 		if err != nil {

@@ -123,7 +123,7 @@ type Hooks struct {
 	// OnBlock fires when a lock request starts waiting, with the
 	// waits-for set.
 	//
-	// Contract (stable under both lock-table implementations): the
+	// Contract (independent of the lock table's shard count): the
 	// callback runs with no lock-table shard mutex and no other
 	// engine lock held, so it may freely call back into the engine
 	// (ProbeConflicts, DumpLocks, Stats). The waits slice is a
@@ -163,12 +163,6 @@ type Config struct {
 	// for the holder's top-level commit. Ablation knob for the
 	// experiments; never enable in production use.
 	NoAncestorRelief bool
-	// LockTable selects the lock-table implementation: striped
-	// (default) or the single-mutex reference table.
-	LockTable LockTableKind
-	// LockShards overrides the striped table's shard count; 0 selects
-	// GOMAXPROCS×8. Ignored by the global table.
-	LockShards int
 	// Journal, when set, receives write-ahead-log records for restart
 	// recovery (see internal/wal).
 	Journal Journal
@@ -255,13 +249,6 @@ func New(cfg Config) *Engine {
 	if cfg.Table == nil {
 		panic("core: Config.Table is required")
 	}
-	var tbl locktable.Table[*lock]
-	switch cfg.LockTable {
-	case LockTableGlobal:
-		tbl = locktable.NewGlobal[*lock]()
-	default:
-		tbl = locktable.NewStriped[*lock](cfg.LockShards)
-	}
 	stats := &Stats{}
 	clk := clock.Or(cfg.Clock)
 	var esc *escrowTable
@@ -283,7 +270,7 @@ func New(cfg Config) *Engine {
 		pageOf:   cfg.PageOf,
 		noRelief: cfg.NoAncestorRelief,
 		hooks:    cfg.Hooks,
-		tbl:      tbl,
+		tbl:      locktable.New[*lock](0),
 		wfg:      waitgraph.New(),
 		stats:    stats,
 		tr:       cfg.Tracer,

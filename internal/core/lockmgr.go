@@ -90,9 +90,9 @@ func (l *lock) String() string {
 // lockHead is the engine's per-object lock list instantiation.
 type lockHead = locktable.Head[*lock]
 
-// lockMgr implements LockManager over a locktable.Table. The same
-// protocol code runs on both table implementations; only the locking
-// granularity differs (see internal/core/locktable).
+// lockMgr implements LockManager over a locktable.Table; the protocol
+// code never depends on how many shards the table has (see
+// internal/core/locktable).
 type lockMgr struct {
 	kind     ProtocolKind
 	table    compat.Table
@@ -107,7 +107,7 @@ type lockMgr struct {
 	esc    *escrowTable
 	escTab compat.EscrowTable
 
-	tbl   locktable.Table[*lock]
+	tbl   *locktable.Table[*lock]
 	wfg   *waitgraph.Graph
 	stats *Stats
 	tr    *trace.Tracer
@@ -277,6 +277,18 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 				granted = true
 				return
 			}
+			if l.escrowed {
+				// Going to park on a static conflict while holding a
+				// reservation would pin the interval against a base the
+				// conflicting writer is about to change, and would let a
+				// request that cannot be granted consume interval capacity
+				// other requests could use. Drop it; the retry re-reserves
+				// atomically with the next grant attempt. Done here, under
+				// the shard mutex, because conflict tests of concurrent
+				// requests read l.escrowed under it.
+				m.escRelease(t)
+				l.escrowed = false
+			}
 			if first {
 				h.Queue = append(h.Queue, l)
 				l.queued = true
@@ -311,16 +323,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 				}
 			}
 			return nil
-		}
-		if l.escrowed {
-			// Going to park on a static conflict while holding a
-			// reservation would pin the interval against a base the
-			// conflicting writer is about to change, and would let a
-			// request that cannot be granted consume interval capacity
-			// other requests could use. Drop it; the retry re-reserves
-			// atomically with the next grant attempt.
-			m.escRelease(t)
-			l.escrowed = false
 		}
 		if first {
 			first = false

@@ -6,16 +6,33 @@ import (
 	"testing"
 
 	"semcc/internal/compat"
+	"semcc/internal/core/locktable"
 )
+
+// lockTableLayouts are the shard counts the lock-manager contracts are
+// pinned at: one shard (every object behind one global mutex) and the
+// engine's GOMAXPROCS-derived default (0).
+var lockTableLayouts = []struct {
+	name   string
+	shards int
+}{{"striped", 0}, {"global", 1}}
+
+// newEngineWithShards is New with the lock table's shard count pinned;
+// the table is swapped before the engine is used.
+func newEngineWithShards(cfg Config, shards int) *Engine {
+	e := New(cfg)
+	e.lm.(*lockMgr).tbl = locktable.New[*lock](shards)
+	return e
+}
 
 // TestFCFSGrantOrderStress verifies paper §4.2's FCFS rule under many
 // concurrent waiters: requests blocked on the same object are granted
-// in enqueue order, on both lock-table implementations. Run with
+// in enqueue order, at both lock-table layouts. Run with
 // -race; the test also exercises the cross-tree state reads of the
 // sharded conflict test.
 func TestFCFSGrantOrderStress(t *testing.T) {
-	for _, kind := range LockTables() {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, layout := range lockTableLayouts {
+		t.Run(layout.name, func(t *testing.T) {
 			const n = 24
 			o := obj()
 
@@ -46,7 +63,7 @@ func TestFCFSGrantOrderStress(t *testing.T) {
 					close(ch)
 				}
 			}}
-			e := New(Config{Kind: Semantic, Table: newTestTable(), LockTable: kind, Hooks: hooks})
+			e := newEngineWithShards(Config{Kind: Semantic, Table: newTestTable(), Hooks: hooks}, layout.shards)
 			e.SetExec(func(parent *Tx, inv compat.Invocation) error { return nil })
 
 			// Holder: a retained "C" lock ("C" conflicts with itself),
@@ -146,8 +163,8 @@ func TestLockStringRendersBothTags(t *testing.T) {
 // must not self-deadlock — and the waits argument is the consistent
 // waits-for snapshot of the blocking request.
 func TestOnBlockContract(t *testing.T) {
-	for _, kind := range LockTables() {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, layout := range lockTableLayouts {
+		t.Run(layout.name, func(t *testing.T) {
 			o := obj()
 			var (
 				e       *Engine
@@ -172,7 +189,7 @@ func TestOnBlockContract(t *testing.T) {
 				probeIn = e.ProbeConflicts(probeR, compat.Inv(o, "C"))
 				close(fired)
 			}}
-			e = New(Config{Kind: Semantic, Table: newTestTable(), LockTable: kind, Hooks: hooks})
+			e = newEngineWithShards(Config{Kind: Semantic, Table: newTestTable(), Hooks: hooks}, layout.shards)
 			e.SetExec(func(parent *Tx, inv compat.Invocation) error { return nil })
 			probeR = e.BeginRoot()
 

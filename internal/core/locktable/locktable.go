@@ -1,20 +1,17 @@
-// Package locktable provides the lock-head tables backing the
-// engine's lock manager: a per-object Head (granted locks plus a FCFS
-// wait queue) and two Table implementations that serialise access to
-// heads at different granularities.
+// Package locktable provides the lock-head table backing the engine's
+// lock manager: a per-object Head (granted locks plus a FCFS wait
+// queue) and the Table that serialises access to heads.
 //
-//   - The global table guards every head with one mutex. It is the
-//     pre-sharding reference implementation, kept as an ablation
-//     baseline for the benchmarks.
-//   - The striped table hashes objects over N independently locked
-//     shards (N defaults to GOMAXPROCS×8, rounded up to a power of
-//     two), so lock traffic on non-conflicting objects never contends.
+// The table hashes objects over N independently locked shards (N is
+// GOMAXPROCS×8, rounded up to a power of two), so lock traffic on
+// non-conflicting objects never contends.
 //
 // The paper's protocol (Figs. 8 and 9) only ever inspects one object's
 // lock list per request, which is exactly the invariant that makes
 // striping safe: a single object's protocol state — its granted list,
 // its FCFS queue — always lives in a single shard, so the per-object
-// semantics are identical under both tables.
+// semantics do not depend on the shard count (a one-shard table is the
+// global-mutex layout the package's tests pin alongside the default).
 //
 // The lock entry type L is owned by the caller (the engine's lock
 // manager); it must be comparable so entries can be removed by
@@ -31,7 +28,7 @@ import (
 // Head is the per-object lock list: granted locks plus a FCFS queue of
 // waiting requests (paper §4.2 requires FCFS grant order). A Head is
 // only ever accessed under its table's With/Range, which hold the
-// shard (or global) mutex for the duration of the callback.
+// shard mutex for the duration of the callback.
 type Head[L comparable] struct {
 	Obj     oid.OID
 	Granted []L
@@ -68,69 +65,26 @@ func (h *Head[L]) RemoveQueued(l L) bool {
 func (h *Head[L]) Empty() bool { return len(h.Granted) == 0 && len(h.Queue) == 0 }
 
 // Table maps objects to their lock heads and serialises access to
-// them. Implementations differ only in locking granularity.
-type Table[L comparable] interface {
-	// With runs f with exclusive access to obj's head, creating the
-	// head if absent and evicting it afterwards if f left it empty.
-	// f must not call back into the table (the shard mutex is held).
-	With(obj oid.OID, f func(h *Head[L]))
-	// Range visits every live head, one shard at a time, for
-	// diagnostics. Heads in different shards are not a consistent
-	// cut.
-	Range(f func(h *Head[L]))
-	// Shards returns the number of independently locked shards.
-	Shards() int
-	// ShardOf returns the index of the shard owning obj.
-	ShardOf(obj oid.OID) int
+// them, one mutex per shard.
+type Table[L comparable] struct {
+	shards []shard[L]
+	mask   uint64
 }
 
-// NewGlobal returns the single-mutex reference table.
-func NewGlobal[L comparable]() Table[L] {
-	return &global[L]{heads: make(map[oid.OID]*Head[L])}
-}
-
-type global[L comparable] struct {
-	mu    sync.Mutex
-	heads map[oid.OID]*Head[L]
-}
-
-func (g *global[L]) With(obj oid.OID, f func(h *Head[L])) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h, ok := g.heads[obj]
-	if !ok {
-		h = &Head[L]{Obj: obj}
-		g.heads[obj] = h
-	}
-	f(h)
-	if h.Empty() {
-		delete(g.heads, obj)
-	}
-}
-
-func (g *global[L]) Range(f func(h *Head[L])) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, h := range g.heads {
-		f(h)
-	}
-}
-
-func (g *global[L]) Shards() int            { return 1 }
-func (g *global[L]) ShardOf(_ oid.OID) int  { return 0 }
-
-// NewStriped returns a table with n independently locked shards; n <= 0
-// selects GOMAXPROCS×8. n is rounded up to a power of two.
-func NewStriped[L comparable](n int) Table[L] {
+// New returns a table with n independently locked shards, rounded up
+// to a power of two; n <= 0 selects GOMAXPROCS×8. The engine always
+// passes 0: the count is a parameter only so tests can pin the
+// one-shard layout.
+func New[L comparable](n int) *Table[L] {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0) * 8
 	}
 	n = ceilPow2(n)
-	s := &striped[L]{shards: make([]shard[L], n), mask: uint64(n - 1)}
-	for i := range s.shards {
-		s.shards[i].heads = make(map[oid.OID]*Head[L])
+	t := &Table[L]{shards: make([]shard[L], n), mask: uint64(n - 1)}
+	for i := range t.shards {
+		t.shards[i].heads = make(map[oid.OID]*Head[L])
 	}
-	return s
+	return t
 }
 
 type shard[L comparable] struct {
@@ -141,13 +95,11 @@ type shard[L comparable] struct {
 	_ [40]byte
 }
 
-type striped[L comparable] struct {
-	shards []shard[L]
-	mask   uint64
-}
-
-func (s *striped[L]) With(obj oid.OID, f func(h *Head[L])) {
-	sh := &s.shards[hash(obj)&s.mask]
+// With runs f with exclusive access to obj's head, creating the head
+// if absent and evicting it afterwards if f left it empty. f must not
+// call back into the table (the shard mutex is held).
+func (t *Table[L]) With(obj oid.OID, f func(h *Head[L])) {
+	sh := &t.shards[hash(obj)&t.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	h, ok := sh.heads[obj]
@@ -161,9 +113,11 @@ func (s *striped[L]) With(obj oid.OID, f func(h *Head[L])) {
 	}
 }
 
-func (s *striped[L]) Range(f func(h *Head[L])) {
-	for i := range s.shards {
-		sh := &s.shards[i]
+// Range visits every live head, one shard at a time, for diagnostics.
+// Heads in different shards are not a consistent cut.
+func (t *Table[L]) Range(f func(h *Head[L])) {
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, h := range sh.heads {
 			f(h)
@@ -172,8 +126,8 @@ func (s *striped[L]) Range(f func(h *Head[L])) {
 	}
 }
 
-func (s *striped[L]) Shards() int           { return len(s.shards) }
-func (s *striped[L]) ShardOf(obj oid.OID) int { return int(hash(obj) & s.mask) }
+// ShardOf returns the index of the shard owning obj.
+func (t *Table[L]) ShardOf(obj oid.OID) int { return int(hash(obj) & t.mask) }
 
 // hash mixes an OID with the splitmix64 finaliser. OID sequence
 // numbers are dense small integers, so the mix matters: without it

@@ -10,10 +10,13 @@ import (
 
 var gen = oid.NewGenerator()
 
-func tables() map[string]Table[int] {
-	return map[string]Table[int]{
-		"global":  NewGlobal[int](),
-		"striped": NewStriped[int](0),
+// tables returns the one implementation at both layouts worth
+// pinning: a single shard (every head behind one global mutex) and the
+// GOMAXPROCS-derived default.
+func tables() map[string]*Table[int] {
+	return map[string]*Table[int]{
+		"global":  New[int](1),
+		"striped": New[int](0),
 	}
 }
 
@@ -71,9 +74,9 @@ func TestRemoveHelpers(t *testing.T) {
 }
 
 func TestShardAssignmentStable(t *testing.T) {
-	tbl := NewStriped[int](64)
-	if tbl.Shards() != 64 {
-		t.Fatalf("shards = %d, want 64", tbl.Shards())
+	tbl := New[int](64)
+	if len(tbl.shards) != 64 {
+		t.Fatalf("shards = %d, want 64", len(tbl.shards))
 	}
 	o := gen.New(oid.Tuple)
 	a, b := tbl.ShardOf(o), tbl.ShardOf(o)
@@ -86,18 +89,18 @@ func TestShardAssignmentStable(t *testing.T) {
 }
 
 func TestShardCountDefaultsAndRounding(t *testing.T) {
-	if got := NewStriped[int](0).Shards(); got < runtime.GOMAXPROCS(0)*8 {
+	if got := len(New[int](0).shards); got < runtime.GOMAXPROCS(0)*8 {
 		t.Errorf("default shards = %d, want >= GOMAXPROCS*8", got)
 	}
-	if got := NewStriped[int](5).Shards(); got != 8 {
+	if got := len(New[int](5).shards); got != 8 {
 		t.Errorf("shards(5) = %d, want 8 (next power of two)", got)
 	}
-	if got := NewGlobal[int]().Shards(); got != 1 {
-		t.Errorf("global shards = %d, want 1", got)
+	if got := len(New[int](1).shards); got != 1 {
+		t.Errorf("shards(1) = %d, want 1", got)
 	}
 }
 
-// TestParallelDisjointObjects drives both tables from many goroutines
+// TestParallelDisjointObjects drives both layouts from many goroutines
 // on disjoint objects; run with -race.
 func TestParallelDisjointObjects(t *testing.T) {
 	for name, tbl := range tables() {

@@ -111,46 +111,3 @@ func (m *lockMgr) LockFor(inv compat.Invocation) (compat.Invocation, bool) {
 func (m *lockMgr) compatible(a, b compat.Invocation) bool {
 	return m.table.Compatible(a, b)
 }
-
-// LockTableKind selects the lock-table implementation backing the
-// LockManager (see internal/core/locktable).
-type LockTableKind uint8
-
-const (
-	// LockTableStriped shards the lock table over independently
-	// locked shards (GOMAXPROCS×8 by default), so lock traffic on
-	// non-conflicting objects never contends. The default.
-	LockTableStriped LockTableKind = iota
-	// LockTableGlobal guards the whole lock table with a single
-	// mutex — the pre-sharding reference implementation, kept as an
-	// ablation baseline for the benchmarks.
-	LockTableGlobal
-)
-
-// String returns the kind's short name used in flags and benchmarks.
-func (k LockTableKind) String() string {
-	switch k {
-	case LockTableGlobal:
-		return "global"
-	default:
-		return "striped"
-	}
-}
-
-// ParseLockTable parses a -lockmgr style flag value.
-func ParseLockTable(s string) (LockTableKind, error) {
-	switch s {
-	case "striped", "":
-		return LockTableStriped, nil
-	case "global":
-		return LockTableGlobal, nil
-	default:
-		return 0, fmt.Errorf("core: unknown lock table %q (want striped or global)", s)
-	}
-}
-
-// LockTables lists both lock-table implementations in comparison
-// order (benchmarks report both).
-func LockTables() []LockTableKind {
-	return []LockTableKind{LockTableStriped, LockTableGlobal}
-}

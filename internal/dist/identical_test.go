@@ -80,86 +80,76 @@ func identityScenario(t *testing.T, begin func() session, a, b, set oid.OID) {
 // the 2PC records entirely, and eager branch creation puts JBeginRoot
 // at the same position, so the two journals cannot be told apart.
 func TestOneNodeClusterJournalByteIdentical(t *testing.T) {
-	type layout struct {
-		name string
-		opts oodb.Options
-	}
-	layouts := []layout{
-		{"default", oodb.Options{Protocol: core.Semantic}},
-		{"global-locktable", oodb.Options{Protocol: core.Semantic, LockTable: core.LockTableGlobal}},
-		{"single-shard-store", oodb.Options{Protocol: core.Semantic, StoreShards: 1}},
-	}
-	for _, lo := range layouts {
-		t.Run(lo.name, func(t *testing.T) {
-			// Direct path.
-			directLog := wal.NewLog()
-			dOpts := lo.opts
-			dOpts.Journal = directLog
-			db := oodb.Open(dOpts)
-			da, err := db.Store().NewAtomic(val.OfInt(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dbAtom, err := db.Store().NewAtomic(val.OfInt(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dSet, err := db.Store().NewSet()
-			if err != nil {
-				t.Fatal(err)
-			}
-			identityScenario(t, func() session { return db.Begin() }, da, dbAtom, dSet)
+	t.Run("default", func(t *testing.T) {
+		opts := oodb.Options{Protocol: core.Semantic}
+		// Direct path.
+		directLog := wal.NewLog()
+		dOpts := opts
+		dOpts.Journal = directLog
+		db := oodb.Open(dOpts)
+		da, err := db.Store().NewAtomic(val.OfInt(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbAtom, err := db.Store().NewAtomic(val.OfInt(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dSet, err := db.Store().NewSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		identityScenario(t, func() session { return db.Begin() }, da, dbAtom, dSet)
 
-			// One-node cluster path.
-			clusterLog := wal.NewLog()
-			c := dist.OpenCluster(1, func(int) oodb.Options {
-				o := lo.opts
-				o.Journal = clusterLog
-				return o
-			})
-			defer c.Close()
-			ca, err := c.Node(0).DB().Store().NewAtomic(val.OfInt(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb, err := c.Node(0).DB().Store().NewAtomic(val.OfInt(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cSet, err := c.Node(0).DB().Store().NewSet()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ca != da || cb != dbAtom || cSet != dSet {
-				t.Fatalf("one-node cluster allocates different OIDs: (%v,%v,%v) vs (%v,%v,%v)",
-					ca, cb, cSet, da, dbAtom, dSet)
-			}
-			identityScenario(t, func() session {
-				tx, err := c.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tx
-			}, ca, cb, cSet)
-
-			dBytes, cBytes := directLog.Marshal(), clusterLog.Marshal()
-			if !bytes.Equal(dBytes, cBytes) {
-				dr, cr := directLog.Records(), clusterLog.Records()
-				t.Errorf("journals differ: direct %d records / %d bytes, cluster %d records / %d bytes",
-					len(dr), len(dBytes), len(cr), len(cBytes))
-				for i := 0; i < len(dr) || i < len(cr); i++ {
-					var d, c core.JournalRecord
-					if i < len(dr) {
-						d = dr[i]
-					}
-					if i < len(cr) {
-						c = cr[i]
-					}
-					if d != c {
-						t.Errorf("  record %d: direct %+v, cluster %+v", i, d, c)
-					}
-				}
-			}
+		// One-node cluster path.
+		clusterLog := wal.NewLog()
+		c := dist.OpenCluster(1, func(int) oodb.Options {
+			o := opts
+			o.Journal = clusterLog
+			return o
 		})
-	}
+		defer c.Close()
+		ca, err := c.Node(0).DB().Store().NewAtomic(val.OfInt(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := c.Node(0).DB().Store().NewAtomic(val.OfInt(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cSet, err := c.Node(0).DB().Store().NewSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ca != da || cb != dbAtom || cSet != dSet {
+			t.Fatalf("one-node cluster allocates different OIDs: (%v,%v,%v) vs (%v,%v,%v)",
+				ca, cb, cSet, da, dbAtom, dSet)
+		}
+		identityScenario(t, func() session {
+			tx, err := c.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tx
+		}, ca, cb, cSet)
+
+		dBytes, cBytes := directLog.Marshal(), clusterLog.Marshal()
+		if !bytes.Equal(dBytes, cBytes) {
+			dr, cr := directLog.Records(), clusterLog.Records()
+			t.Errorf("journals differ: direct %d records / %d bytes, cluster %d records / %d bytes",
+				len(dr), len(dBytes), len(cr), len(cBytes))
+			for i := 0; i < len(dr) || i < len(cr); i++ {
+				var d, c core.JournalRecord
+				if i < len(dr) {
+					d = dr[i]
+				}
+				if i < len(cr) {
+					c = cr[i]
+				}
+				if d != c {
+					t.Errorf("  record %d: direct %+v, cluster %+v", i, d, c)
+				}
+			}
+		}
+	})
 }

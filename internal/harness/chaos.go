@@ -17,7 +17,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "chaos",
 		Title: "Deterministic chaos oracle: seeded crash-recovery sweeps vs the serial reference",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(_ Base, quick bool) ([]*Table, error) {
 			seeds, actions := []int64{1, 2, 3, 4, 5, 6, 7, 8}, 400
 			if quick {
 				seeds, actions = []int64{1, 2, 3}, 150

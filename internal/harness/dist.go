@@ -16,7 +16,6 @@ import (
 
 	"semcc/internal/core"
 	"semcc/internal/wal"
-	"semcc/internal/workload"
 )
 
 // distDeviceDelay is the simulated per-flush device latency of the E9
@@ -57,13 +56,16 @@ type DistPoint struct {
 // nodes == 0 is the direct single-engine path, nodes ≥ 1 a cluster of
 // that many nodes behind the coordinator. Every engine gets its own
 // parked-device group-commit journal (distDeviceDelay).
-func runDistPoint(cfg workload.Config, nodes int) (DistPoint, error) {
+func runDistPoint(cfg Base, nodes int) (DistPoint, error) {
 	pt := DistPoint{
 		ZipfS: cfg.ZipfS, Items: cfg.Items, MPL: cfg.Clients, TxPer: cfg.TxPerClient,
 	}
 	newJournal := func() wal.Journal {
 		return wal.New(wal.Config{Mode: wal.ModeGroup, FlushDelay: distDeviceDelay, DeviceSleep: true})
 	}
+	// E9 owns the topology axis: a -nodes selection must not leak under
+	// the direct rows.
+	cfg.Nodes = nodes
 	if nodes == 0 {
 		pt.Topology, pt.Nodes = "direct", 1
 		j := newJournal()
@@ -71,7 +73,6 @@ func runDistPoint(cfg workload.Config, nodes int) (DistPoint, error) {
 		cfg.Journal = j
 	} else {
 		pt.Topology, pt.Nodes = "coordinator", nodes
-		cfg.Nodes = nodes
 		var journals []wal.Journal
 		cfg.NodeJournal = func(int) core.Journal {
 			j := newJournal()
@@ -108,13 +109,7 @@ func runDistPoint(cfg workload.Config, nodes int) (DistPoint, error) {
 // run the semantic protocol under the standard mix, whose T1–T4
 // transactions touch two distinct items — on a cluster those roots
 // frequently span nodes and commit via full two-phase commit.
-func DistSweep(quick bool) (topo, mpl, zipf []DistPoint, err error) {
-	// E9 owns the topology axis: a global -nodes selection must not
-	// leak under the direct rows.
-	saved := distNodes
-	distNodes = 0
-	defer func() { distNodes = saved }()
-
+func DistSweep(base Base, quick bool) (topo, mpl, zipf []DistPoint, err error) {
 	txPer := 400
 	topoNodes := []int{0, 1, 2, 3, 4}
 	mpls := []int{4, 8, 16, 32}
@@ -125,11 +120,10 @@ func DistSweep(quick bool) (topo, mpl, zipf []DistPoint, err error) {
 		mpls = []int{8}
 		zipfS = []float64{1.4}
 	}
-	point := func(s float64, clients int) workload.Config {
-		return workload.Config{
-			Protocol: core.Semantic, Items: 32, Clients: clients, TxPerClient: txPer,
-			Seed: 42, ZipfS: s,
-		}
+	point := func(s float64, clients int) Base {
+		cfg := base.point(core.Semantic, 32, clients, txPer)
+		cfg.ZipfS = s
+		return cfg
 	}
 	for _, n := range topoNodes {
 		pt, err := runDistPoint(point(0, 16), n)
@@ -167,8 +161,8 @@ type distSweepDoc struct {
 
 // DistSweepJSON runs the E9 sweeps and renders them as the
 // BENCH_9.json document (semcc-bench -exp E9 -json).
-func DistSweepJSON(quick bool) ([]byte, error) {
-	topo, mpl, zipf, err := DistSweep(quick)
+func DistSweepJSON(base Base, quick bool) ([]byte, error) {
+	topo, mpl, zipf, err := DistSweep(base, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +198,8 @@ func init() {
 	Register(&Experiment{
 		ID:    "E9",
 		Title: "Multi-node topology: coordinator overhead and sharding scale-out",
-		Run: func(quick bool) ([]*Table, error) {
-			topo, mpl, zipf, err := DistSweep(quick)
+		Run: func(base Base, quick bool) ([]*Table, error) {
+			topo, mpl, zipf, err := DistSweep(base, quick)
 			if err != nil {
 				return nil, err
 			}

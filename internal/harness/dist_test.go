@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"semcc/internal/core"
-	"semcc/internal/workload"
 )
 
 // TestDistPointSmoke is the CI smoke for the topology axis: one small
@@ -15,9 +14,7 @@ import (
 // root committed on one node but not the other) fails the test, and
 // all three topologies must commit work.
 func TestDistPointSmoke(t *testing.T) {
-	cfg := workload.Config{
-		Protocol: core.Semantic, Items: 8, Clients: 8, TxPerClient: 40, Seed: 42,
-	}
+	cfg := Base{}.point(core.Semantic, 8, 8, 40)
 	for _, n := range []int{0, 1, 2} {
 		pt, err := runDistPoint(cfg, n)
 		if err != nil {
@@ -38,7 +35,7 @@ func TestDistSweepJSONQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	raw, err := DistSweepJSON(true)
+	raw, err := DistSweepJSON(Base{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

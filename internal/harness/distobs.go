@@ -19,7 +19,6 @@ import (
 	"semcc/internal/core"
 	"semcc/internal/obs"
 	"semcc/internal/wal"
-	"semcc/internal/workload"
 )
 
 // ObsDistPoint is one measured configuration of the E10 overhead
@@ -56,7 +55,7 @@ type ObsDistOverhead struct {
 // one engine Obs per node, all enabled or all disabled. Every node
 // gets its own parked-device group-commit journal (the E9 device
 // model), so the point reflects a realistic commit path.
-func runObsDistPoint(nodes, mpl, txPer int, enabled bool) (ObsDistPoint, error) {
+func runObsDistPoint(base Base, nodes, mpl, txPer int, enabled bool) (ObsDistPoint, error) {
 	pt := ObsDistPoint{Obs: "off", Nodes: nodes, MPL: mpl, TxPer: txPer}
 	if enabled {
 		pt.Obs = "on"
@@ -74,16 +73,16 @@ func runObsDistPoint(nodes, mpl, txPer int, enabled bool) (ObsDistPoint, error) 
 			j.Close()
 		}
 	}()
-	cfg := workload.Config{
-		Protocol: core.Semantic, Items: 32, Clients: mpl, TxPerClient: txPer, Seed: 42,
-		Nodes:   nodes,
-		Obs:     co,
-		NodeObs: func(i int) *obs.Obs { return nodeObs[i] },
-		NodeJournal: func(int) core.Journal {
-			j := wal.New(wal.Config{Mode: wal.ModeGroup, FlushDelay: distDeviceDelay, DeviceSleep: true})
-			journals = append(journals, j)
-			return j
-		},
+	// E10 owns the topology and observability axes per point: a -nodes
+	// or -serve selection must not leak underneath.
+	cfg := base.point(core.Semantic, 32, mpl, txPer)
+	cfg.Nodes = nodes
+	cfg.Obs = co
+	cfg.NodeObs = func(i int) *obs.Obs { return nodeObs[i] }
+	cfg.NodeJournal = func(int) core.Journal {
+		j := wal.New(wal.Config{Mode: wal.ModeGroup, FlushDelay: distDeviceDelay, DeviceSleep: true})
+		journals = append(journals, j)
+		return j
 	}
 	m, err := runPoint(cfg)
 	if err != nil {
@@ -101,13 +100,7 @@ func runObsDistPoint(nodes, mpl, txPer int, enabled bool) (ObsDistPoint, error) 
 // nodes = 1, 2, 4, MPL 16) and the MPL axis (off/on pairs on a
 // two-node cluster). Points come back interleaved off, on per
 // configuration; overhead pairs them up.
-func ObsDistSweep(quick bool) (topo, mpl []ObsDistPoint, overhead []ObsDistOverhead, err error) {
-	// E10 owns the topology and observability axes per point: a global
-	// -nodes or -serve selection must not leak underneath.
-	savedNodes, savedObs, savedNodeObs := distNodes, sharedObs, nodeObsFn
-	distNodes, sharedObs, nodeObsFn = 0, nil, nil
-	defer func() { distNodes, sharedObs, nodeObsFn = savedNodes, savedObs, savedNodeObs }()
-
+func ObsDistSweep(base Base, quick bool) (topo, mpl []ObsDistPoint, overhead []ObsDistOverhead, err error) {
 	txPer := 300
 	topoNodes := []int{1, 2, 4}
 	mpls := []int{4, 8, 16, 32}
@@ -126,18 +119,18 @@ func ObsDistSweep(quick bool) (topo, mpl []ObsDistPoint, overhead []ObsDistOverh
 	}
 	pair := func(nodes, clients int) (off, on ObsDistPoint, err error) {
 		if !quick {
-			if _, err = runObsDistPoint(nodes, clients, txPer, false); err != nil {
+			if _, err = runObsDistPoint(base, nodes, clients, txPer, false); err != nil {
 				return
 			}
 		}
 		var offs, ons []ObsDistPoint
 		for r := 0; r < reps; r++ {
-			pt, perr := runObsDistPoint(nodes, clients, txPer, false)
+			pt, perr := runObsDistPoint(base, nodes, clients, txPer, false)
 			if perr != nil {
 				return off, on, perr
 			}
 			offs = append(offs, pt)
-			if pt, perr = runObsDistPoint(nodes, clients, txPer, true); perr != nil {
+			if pt, perr = runObsDistPoint(base, nodes, clients, txPer, true); perr != nil {
 				return off, on, perr
 			}
 			ons = append(ons, pt)
@@ -189,8 +182,8 @@ type obsDistSweepDoc struct {
 
 // ObsDistSweepJSON runs the E10 sweeps and renders them as the
 // BENCH_10.json document (semcc-bench -exp E10 -json).
-func ObsDistSweepJSON(quick bool) ([]byte, error) {
-	topo, mpl, overhead, err := ObsDistSweep(quick)
+func ObsDistSweepJSON(base Base, quick bool) ([]byte, error) {
+	topo, mpl, overhead, err := ObsDistSweep(base, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +221,8 @@ func init() {
 	Register(&Experiment{
 		ID:    "E10",
 		Title: "Cluster observability overhead: disabled contract vs full collection",
-		Run: func(quick bool) ([]*Table, error) {
-			topo, mpl, overhead, err := ObsDistSweep(quick)
+		Run: func(base Base, quick bool) ([]*Table, error) {
+			topo, mpl, overhead, err := ObsDistSweep(base, quick)
 			if err != nil {
 				return nil, err
 			}

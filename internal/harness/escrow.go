@@ -1,5 +1,5 @@
 // The -compat compatibility-regime axis and experiment E8: the
-// state-dependent commutativity study. Like -wal/-lockmgr, the axis
+// state-dependent commutativity study. Like -wal, the axis
 // swaps one decision procedure under an otherwise identical stack —
 // here whether the lock manager consults only the static matrices or
 // additionally admits stock-counter updates against per-object escrow
@@ -70,7 +70,9 @@ type EscrowPoint struct {
 // runEscrowPoint measures one workload configuration under one
 // compatibility regime, against the parked-device group-commit journal
 // (escrowDeviceDelay) that makes lock-hold time observable.
-func runEscrowPoint(cfg workload.Config, mode compat.Mode) (EscrowPoint, error) {
+func runEscrowPoint(cfg Base, mode compat.Mode) (EscrowPoint, error) {
+	// E8 owns the compat axis: a -compat selection must not leak under
+	// the static rows.
 	cfg.Compat = mode
 	pt := EscrowPoint{
 		Compat: mode.String(), ZipfS: cfg.ZipfS, Items: cfg.Items,
@@ -111,7 +113,7 @@ func runEscrowPoint(cfg workload.Config, mode compat.Mode) (EscrowPoint, error) 
 // deadlock-free hot-counter mix, whose per-client RNG streams advance
 // identically in both regimes; mixes with deadlock retries re-draw
 // picks and may legitimately commit different work.
-func runEscrowPair(cfg workload.Config, label string, strict bool) (stat, esc EscrowPoint, err error) {
+func runEscrowPair(cfg Base, label string, strict bool) (stat, esc EscrowPoint, err error) {
 	if stat, err = runEscrowPoint(cfg, compat.CompatStatic); err != nil {
 		return stat, esc, fmt.Errorf("E8 %s static: %w", label, err)
 	}
@@ -132,13 +134,7 @@ func runEscrowPair(cfg workload.Config, label string, strict bool) (stat, esc Es
 // s=1.4), and the MPL sweep. All run the semantic protocol — escrow
 // admission is a refinement of the semantic lock manager's
 // compatibility test; the conventional protocols never consult it.
-func CompatSweep(quick bool) (mixes, zipf, mpl []EscrowPoint, err error) {
-	// E8 owns the compat axis: a global -compat selection must not
-	// leak under the static rows.
-	saved := compatMode
-	compatMode = compat.CompatStatic
-	defer func() { compatMode = saved }()
-
+func CompatSweep(base Base, quick bool) (mixes, zipf, mpl []EscrowPoint, err error) {
 	txPer := 400
 	mixList := []struct {
 		name string
@@ -155,11 +151,10 @@ func CompatSweep(quick bool) (mixes, zipf, mpl []EscrowPoint, err error) {
 		zipfS = []float64{1.4}
 		mpls = []int{8}
 	}
-	point := func(mix workload.Mix, s float64, clients int) workload.Config {
-		return workload.Config{
-			Protocol: core.Semantic, Items: 32, Clients: clients, TxPerClient: txPer,
-			Seed: 42, Mix: mix, ZipfS: s,
-		}
+	point := func(mix workload.Mix, s float64, clients int) Base {
+		cfg := base.point(core.Semantic, 32, clients, txPer)
+		cfg.Mix, cfg.ZipfS = mix, s
+		return cfg
 	}
 	for _, mx := range mixList {
 		s, e, err := runEscrowPair(point(mx.mix, 1.4, 16), mx.name, mx.name == "hot-counter")
@@ -200,8 +195,8 @@ type escrowSweepDoc struct {
 
 // CompatSweepJSON runs the E8 sweeps and renders them as the
 // BENCH_8.json document (semcc-bench -exp E8 -json).
-func CompatSweepJSON(quick bool) ([]byte, error) {
-	mixes, zipf, mpl, err := CompatSweep(quick)
+func CompatSweepJSON(base Base, quick bool) ([]byte, error) {
+	mixes, zipf, mpl, err := CompatSweep(base, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -238,8 +233,8 @@ func init() {
 	Register(&Experiment{
 		ID:    "E8",
 		Title: "State-dependent commutativity: static vs escrow compat regime",
-		Run: func(quick bool) ([]*Table, error) {
-			mixes, zipf, mpl, err := CompatSweep(quick)
+		Run: func(base Base, quick bool) ([]*Table, error) {
+			mixes, zipf, mpl, err := CompatSweep(base, quick)
 			if err != nil {
 				return nil, err
 			}

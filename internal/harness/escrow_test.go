@@ -15,10 +15,8 @@ import (
 // stock; each run's per-item conservation is checked inside runPoint),
 // so this test fails on any cross-mode divergence.
 func TestCompatEquivalenceSmoke(t *testing.T) {
-	cfg := workload.Config{
-		Protocol: core.Semantic, Items: 8, Clients: 8, TxPerClient: 50,
-		Seed: 42, Mix: workload.HotCounterMix(), ZipfS: 1.4,
-	}
+	cfg := Base{}.point(core.Semantic, 8, 8, 50)
+	cfg.Mix, cfg.ZipfS = workload.HotCounterMix(), 1.4
 	stat, esc, err := runEscrowPair(cfg, "smoke", true)
 	if err != nil {
 		t.Fatal(err)

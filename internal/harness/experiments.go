@@ -3,10 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/obs"
-	"semcc/internal/storage"
 	"semcc/internal/wal"
 	"semcc/internal/workload"
 )
@@ -19,100 +17,49 @@ var perfProtocols = []core.ProtocolKind{
 	core.Semantic, core.OpenNoRetain, core.ClosedNested, core.TwoPLObject, core.TwoPLPage,
 }
 
-// lockTable is the lock-table implementation every experiment point
-// runs with; semcc-bench's -lockmgr flag overrides it.
-var lockTable = core.LockTableStriped
-
-// SetLockTable selects the lock-table implementation for subsequent
-// experiment runs (ablation: compare striped against the global-mutex
-// reference table).
-func SetLockTable(k core.LockTableKind) { lockTable = k }
-
-// storeShards and poolKind are the physical-storage configuration
-// every experiment point runs with; semcc-bench's -store and -pool
-// flags override them (ablation: sharded store / partitioned pool vs
-// the global baselines).
-var (
-	storeShards = 0 // 0 = sharded default; 1 = single-shard baseline
-	poolKind    = storage.PoolPartitioned
-)
-
-// SetStoreConfig selects the object-store shard count and buffer-pool
-// implementation for subsequent experiment runs.
-func SetStoreConfig(shards int, pool storage.PoolKind) {
-	storeShards = shards
-	poolKind = pool
+// Base is the configuration every experiment point starts from.
+// semcc-bench builds one value from its flags and hands it to
+// Experiment.Run and the *SweepJSON functions; tests pass the zero
+// value. There is no other channel: a point is a copy of the base with
+// its workload shape filled in (see point), and an experiment that
+// owns an axis (E7 the journal, E8 the compat regime, E9 the topology,
+// E10 topology and observability) overwrites that field on its copy,
+// so a flag cannot leak underneath the axis being swept.
+type Base struct {
+	// Config carries the flag-selected engine options and topology:
+	// Compat (-compat), Nodes (-nodes), Obs and NodeObs (-serve). The
+	// workload-shape fields are filled per point (see point).
+	workload.Config
+	// WAL, when non-nil, attaches a fresh journal of this configuration
+	// to every engine of every point that brings none of its own
+	// (-wal). The default is no journal: the paper's performance study
+	// models an in-memory engine, so durability cost is opt-in, not
+	// baked into E1–E6.
+	WAL *wal.Config
 }
 
-// compatMode is the compatibility regime every experiment point runs
-// with; semcc-bench's -compat flag overrides it (the E8 axis: static
-// matrix only vs state-dependent escrow admission).
-var compatMode = compat.CompatStatic
+// point derives one experiment point from the base; every point runs
+// seed 42.
+func (b Base) point(p core.ProtocolKind, items, clients, txPer int) Base {
+	b.Protocol, b.Items, b.Clients, b.TxPerClient, b.Seed = p, items, clients, txPer, 42
+	return b
+}
 
-// SetCompat selects the compatibility regime for subsequent experiment
-// runs.
-func SetCompat(m compat.Mode) { compatMode = m }
-
-// distNodes is the topology every experiment point runs on;
-// semcc-bench's -nodes flag overrides it (0 = one engine direct, N ≥ 1
-// = an N-node cluster behind the 2PC coordinator). E9 owns the axis
-// and pins it per point.
-var distNodes = 0
-
-// SetNodes selects the node count for subsequent experiment runs.
-func SetNodes(n int) { distNodes = n }
-
-// sharedObs, when set, is attached to every experiment point's
-// database (semcc-bench's -serve mode: one live endpoint whose
-// metrics accumulate across points). When unset, each point gets its
-// own enabled Obs so the p50/p99 column is always populated.
-var sharedObs *obs.Obs
-
-// SetObs attaches an observability handle to subsequent experiment
-// runs.
-func SetObs(o *obs.Obs) { sharedObs = o }
-
-// nodeObsFn, when set, supplies node i's engine Obs on multi-node
-// experiment points (semcc-bench's -serve -nodes mode: the merged
-// endpoint adds each node's part lazily).
-var nodeObsFn func(node int) *obs.Obs
-
-// SetNodeObs supplies per-node observability handles for subsequent
-// multi-node experiment runs.
-func SetNodeObs(fn func(node int) *obs.Obs) { nodeObsFn = fn }
-
-// runPoint executes one workload configuration and renders its row.
-// A point that pins its own Obs/NodeObs (the E10 overhead axis) keeps
-// them; otherwise the shared -serve handles, or a fresh enabled Obs so
-// the p50/p99 column is always populated.
-func runPoint(cfg workload.Config) (workload.Metrics, error) {
-	cfg.Validate = true
-	cfg.LockTable = lockTable
-	if cfg.Compat == compat.CompatStatic {
-		cfg.Compat = compatMode
+// runPoint executes one point (conservation-validated). A point
+// without an Obs gets a fresh enabled one so the p50/p99 column is
+// always populated; a point without journals gets its WAL's, one per
+// engine.
+func runPoint(pt Base) (workload.Metrics, error) {
+	pt.Validate = true
+	if pt.Obs == nil {
+		pt.Obs = obs.New(obs.Config{})
+		pt.Obs.SetEnabled(true)
 	}
-	cfg.StoreShards = storeShards
-	cfg.PoolKind = poolKind
-	if cfg.Obs == nil {
-		cfg.Obs = sharedObs
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = obs.New(obs.Config{})
-		cfg.Obs.SetEnabled(true)
-	}
-	if cfg.NodeObs == nil {
-		cfg.NodeObs = nodeObsFn
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = distNodes
-	}
-	if cfg.Nodes >= 1 {
-		// Cluster topology: each node needs its own journal; a -wal
-		// selection fans out to one journal per node.
-		if cfg.NodeJournal == nil && walCfg != nil {
+	if pt.Nodes >= 1 {
+		if pt.NodeJournal == nil && pt.WAL != nil {
 			var journals []wal.Journal
-			cfg.NodeJournal = func(int) core.Journal {
-				j := wal.New(*walCfg)
+			pt.NodeJournal = func(int) core.Journal {
+				j := wal.New(*pt.WAL)
 				journals = append(journals, j)
 				return j
 			}
@@ -122,12 +69,12 @@ func runPoint(cfg workload.Config) (workload.Metrics, error) {
 				}
 			}()
 		}
-	} else if cfg.Journal == nil && walCfg != nil {
-		j := wal.New(*walCfg)
+	} else if pt.Journal == nil && pt.WAL != nil {
+		j := wal.New(*pt.WAL)
 		defer j.Close()
-		cfg.Journal = j
+		pt.Journal = j
 	}
-	return workload.Run(cfg)
+	return workload.Run(pt.Config)
 }
 
 func metricCells(m workload.Metrics) []string {
@@ -159,7 +106,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "E1",
 		Title: "Throughput vs multiprogramming level (hot item set, standard mix)",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(base Base, quick bool) ([]*Table, error) {
 			mpls := []int{1, 2, 4, 8, 16, 32}
 			txPer := 300
 			if quick {
@@ -174,9 +121,7 @@ func init() {
 			}
 			for _, mpl := range mpls {
 				for _, p := range perfProtocols {
-					m, err := runPoint(workload.Config{
-						Protocol: p, Items: 4, Clients: mpl, TxPerClient: txPer, Seed: 42,
-					})
+					m, err := runPoint(base.point(p, 4, mpl, txPer))
 					if err != nil {
 						return nil, fmt.Errorf("E1 %s mpl=%d: %w", p, mpl, err)
 					}
@@ -190,7 +135,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "E2",
 		Title: "Throughput vs database size (contention sweep)",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(base Base, quick bool) ([]*Table, error) {
 			sizes := []int{2, 4, 8, 16, 32, 64}
 			txPer := 300
 			if quick {
@@ -205,9 +150,7 @@ func init() {
 			}
 			for _, n := range sizes {
 				for _, p := range perfProtocols {
-					m, err := runPoint(workload.Config{
-						Protocol: p, Items: n, Clients: 16, TxPerClient: txPer, Seed: 42,
-					})
+					m, err := runPoint(base.point(p, n, 16, txPer))
 					if err != nil {
 						return nil, fmt.Errorf("E2 %s items=%d: %w", p, n, err)
 					}
@@ -221,7 +164,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "E3",
 		Title: "Throughput vs transaction mix (update-heavy to read-heavy)",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(base Base, quick bool) ([]*Table, error) {
 			mixes := []struct {
 				name string
 				mix  workload.Mix
@@ -242,9 +185,9 @@ func init() {
 			}
 			for _, mx := range mixes {
 				for _, p := range perfProtocols {
-					m, err := runPoint(workload.Config{
-						Protocol: p, Items: 4, Clients: 16, TxPerClient: txPer, Seed: 42, Mix: mx.mix,
-					})
+					cfg := base.point(p, 4, 16, txPer)
+					cfg.Mix = mx.mix
+					m, err := runPoint(cfg)
 					if err != nil {
 						return nil, fmt.Errorf("E3 %s %s: %w", p, mx.name, err)
 					}
@@ -258,7 +201,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "E4",
 		Title: "Conventional special case: pure-bypass workload",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(base Base, quick bool) ([]*Table, error) {
 			txPer := 400
 			if quick {
 				txPer = 150
@@ -270,10 +213,9 @@ func init() {
 				Header: append([]string{"protocol"}, metricHeader...),
 			}
 			for _, p := range []core.ProtocolKind{core.Semantic, core.TwoPLObject, core.TwoPLPage} {
-				m, err := runPoint(workload.Config{
-					Protocol: p, Items: 4, Clients: 16, TxPerClient: txPer, Seed: 42,
-					Mix: workload.BypassOnlyMix(),
-				})
+				cfg := base.point(p, 4, 16, txPer)
+				cfg.Mix = workload.BypassOnlyMix()
+				m, err := runPoint(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("E4 %s: %w", p, err)
 				}
@@ -286,7 +228,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "E5",
 		Title: "Ablation: commutative-ancestor relief (Fig. 9 cases 1 and 2) on/off",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(base Base, quick bool) ([]*Table, error) {
 			txPer := 300
 			if quick {
 				txPer = 100
@@ -306,10 +248,9 @@ func init() {
 					if off {
 						name = "relief-off"
 					}
-					m, err := runPoint(workload.Config{
-						Protocol: core.Semantic, NoAncestorRelief: off,
-						Items: 4, Clients: 16, TxPerClient: txPer, Seed: 42, Mix: mx.mix,
-					})
+					cfg := base.point(core.Semantic, 4, 16, txPer)
+					cfg.NoAncestorRelief, cfg.Mix = off, mx.mix
+					m, err := runPoint(cfg)
 					if err != nil {
 						return nil, fmt.Errorf("E5 %s: %w", name, err)
 					}
@@ -323,7 +264,7 @@ func init() {
 	Register(&Experiment{
 		ID:    "E6",
 		Title: "Skewed access (Zipf) contention",
-		Run: func(quick bool) ([]*Table, error) {
+		Run: func(base Base, quick bool) ([]*Table, error) {
 			txPer := 300
 			if quick {
 				txPer = 100
@@ -335,9 +276,9 @@ func init() {
 				Header: append([]string{"protocol"}, metricHeader...),
 			}
 			for _, p := range perfProtocols {
-				m, err := runPoint(workload.Config{
-					Protocol: p, Items: 32, Clients: 16, TxPerClient: txPer, Seed: 42, ZipfS: 1.4,
-				})
+				cfg := base.point(p, 32, 16, txPer)
+				cfg.ZipfS = 1.4
+				m, err := runPoint(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("E6 %s: %w", p, err)
 				}

@@ -67,9 +67,10 @@ func (t *Table) String() string {
 type Experiment struct {
 	ID    string
 	Title string
-	// Quick runs a reduced parameter set (used by `go test`); full
-	// runs the complete sweep.
-	Run func(quick bool) ([]*Table, error)
+	// Run executes the experiment's points on top of base. Quick runs
+	// a reduced parameter set (used by `go test`); full runs the
+	// complete sweep.
+	Run func(base Base, quick bool) ([]*Table, error)
 }
 
 var registry = map[string]*Experiment{}

@@ -65,7 +65,7 @@ func TestExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(true)
+			tables, err := e.Run(Base{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}

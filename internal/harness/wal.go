@@ -1,11 +1,11 @@
 // The -wal durability-mode ablation axis and experiment E7: the
-// group-commit study of the journal. Like -lockmgr/-store/-pool, the
-// axis swaps one implementation under an otherwise identical stack —
-// here the core.Journal the engine's commit path blocks on — so the
-// sweep isolates what the durability discipline itself costs:
-// per-commit flushes (sync), batched flushes with commits parked until
-// their batch is durable (group), and acknowledge-before-flush
-// (async, the upper bound a journal-less run approximates).
+// group-commit study of the journal. The axis swaps one implementation
+// under an otherwise identical stack — the core.Journal the engine's
+// commit path blocks on — so the sweep isolates what the durability
+// discipline itself costs: per-commit flushes (sync), batched flushes
+// with commits parked until their batch is durable (group), and
+// acknowledge-before-flush (async, the upper bound a journal-less run
+// approximates).
 package harness
 
 import (
@@ -16,16 +16,6 @@ import (
 	"semcc/internal/wal"
 	"semcc/internal/workload"
 )
-
-// walCfg, when non-nil, attaches a fresh journal of this configuration
-// to every experiment point (semcc-bench's -wal flag). The default is
-// no journal: the paper's performance study models an in-memory
-// engine, so durability cost is opt-in, not baked into E1–E6.
-var walCfg *wal.Config
-
-// SetWAL selects the journal durability mode for subsequent experiment
-// runs; nil runs without a journal.
-func SetWAL(cfg *wal.Config) { walCfg = cfg }
 
 // WALPoint is one measured configuration of the E7 durability sweep —
 // the JSON shape checked in as BENCH_6.json.
@@ -58,7 +48,7 @@ type WALPoint struct {
 
 // runWALPoint measures one workload configuration against one journal
 // configuration (nil = no journal).
-func runWALPoint(cfg workload.Config, jcfg *wal.Config) (WALPoint, error) {
+func runWALPoint(cfg Base, jcfg *wal.Config) (WALPoint, error) {
 	pt := WALPoint{Mode: "none", MPL: cfg.Clients, TxPer: cfg.TxPerClient}
 	var j wal.Journal
 	if jcfg != nil {
@@ -132,12 +122,10 @@ const walDeviceDelay = 20 * time.Microsecond
 // device serialization bounded). All run the semantic protocol at the
 // contended E1-style operating point (items=4, MPL=16), where many
 // roots race into Commit and group commit has batches to coalesce.
-func WALSweep(quick bool) (modes, batches, device []WALPoint, err error) {
-	// E7 owns the journal axis: a global -wal selection must not stack
-	// a second journal under the none row.
-	saved := walCfg
-	walCfg = nil
-	defer func() { walCfg = saved }()
+func WALSweep(base Base, quick bool) (modes, batches, device []WALPoint, err error) {
+	// E7 owns the journal axis: a -wal selection must not stack a
+	// second journal under the none row.
+	base.WAL = nil
 
 	txPer := 300
 	mixes := []struct {
@@ -160,11 +148,10 @@ func WALSweep(quick bool) (modes, batches, device []WALPoint, err error) {
 		{Mode: wal.ModeGroup},
 		{Mode: wal.ModeAsync},
 	}
-	point := func(mix workload.Mix) workload.Config {
-		return workload.Config{
-			Protocol: perfProtocols[0], Items: 4, Clients: 16, TxPerClient: txPer,
-			Seed: 42, Mix: mix,
-		}
+	point := func(mix workload.Mix) Base {
+		cfg := base.point(perfProtocols[0], 4, 16, txPer)
+		cfg.Mix = mix
+		return cfg
 	}
 	for _, mx := range mixes {
 		for _, jcfg := range jcfgs {
@@ -219,8 +206,8 @@ type walSweepDoc struct {
 
 // WALSweepJSON runs the E7 sweeps and renders them as the BENCH_6.json
 // document (semcc-bench -exp E7 -json).
-func WALSweepJSON(quick bool) ([]byte, error) {
-	modes, batches, device, err := WALSweep(quick)
+func WALSweepJSON(base Base, quick bool) ([]byte, error) {
+	modes, batches, device, err := WALSweep(base, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +229,8 @@ func init() {
 	Register(&Experiment{
 		ID:    "E7",
 		Title: "Journal durability modes: sync vs group-commit vs async",
-		Run: func(quick bool) ([]*Table, error) {
-			modes, batches, device, err := WALSweep(quick)
+		Run: func(base Base, quick bool) ([]*Table, error) {
+			modes, batches, device, err := WALSweep(base, quick)
 			if err != nil {
 				return nil, err
 			}

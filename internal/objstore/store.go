@@ -15,9 +15,7 @@
 // its own RecordStore over the shared buffer pool. An OID's shard is a
 // pure function of the OID, so every single-object operation locks
 // exactly one shard; set scans snapshot one shard and sort outside the
-// lock. A single-shard configuration (Config.Shards = 1) reproduces
-// the pre-sharding global store and is kept as the ablation baseline,
-// mirroring the striped-vs-global lock table (DESIGN.md §3.9).
+// lock (DESIGN.md §3.9).
 //
 // The store itself provides only *physical* operations and
 // latch-level safety. Transactional isolation is implemented above it
@@ -73,19 +71,14 @@ type shard struct {
 
 // Config parameterises NewStore.
 type Config struct {
-	// Shards is the number of store shards (0 = default GOMAXPROCS×4,
-	// rounded up to a power of two; 1 = the single-shard ablation
-	// baseline equivalent to the pre-sharding global store).
+	// Shards is the number of store shards, rounded up to a power of
+	// two; 0 selects GOMAXPROCS×4. Every caller outside this package
+	// leaves it 0: the count is settable only so the package's tests
+	// can pin the one-shard layout (every directory behind one lock).
 	Shards int
 	// PoolFrames sizes the shared buffer pool; 0 selects a default
 	// large enough for the experiments in this repository.
 	PoolFrames int
-	// PoolKind selects the buffer-pool implementation (partitioned by
-	// default; global single-mutex for ablation).
-	PoolKind storage.PoolKind
-	// PoolPartitions overrides the partitioned pool's partition count
-	// (0 = default).
-	PoolPartitions int
 	// Obs, when set, receives the store's metrics: per-shard operation
 	// counters and a scan-latency histogram (gated on the Obs being
 	// enabled), plus the buffer pool's counters (attached here because
@@ -152,7 +145,7 @@ func (s *Store) op(shardIdx uint64, op int) {
 
 // Store is the object store. All methods are safe for concurrent use.
 type Store struct {
-	pool   storage.BufferPool
+	pool   *storage.Pool
 	shards []shard
 	mask   uint64
 	om     *storeObs
@@ -190,7 +183,7 @@ func NewStore(cfg Config) *Store {
 	if stride <= 0 {
 		stride = 1
 	}
-	pool := storage.NewBufferPool(cfg.PoolKind, storage.NewMemDisk(), cfg.PoolFrames, cfg.PoolPartitions)
+	pool := storage.NewPool(storage.NewMemDisk(), cfg.PoolFrames, 0)
 	s := &Store{
 		pool:   pool,
 		shards: make([]shard, n),
@@ -208,9 +201,6 @@ func NewStore(cfg Config) *Store {
 	}
 	return s
 }
-
-// Shards returns the number of store shards.
-func (s *Store) Shards() int { return len(s.shards) }
 
 // AttachObs registers the store's (and its buffer pool's) metrics with
 // o. Nil-safe; call at construction or — for a Reopen'd database

@@ -7,25 +7,24 @@ import (
 	"testing"
 
 	"semcc/internal/oid"
-	"semcc/internal/storage"
 	"semcc/internal/val"
 )
 
-// storeConfigs are the physical configurations the concurrency tests
-// and benchmarks cover: the sharded default and the single-shard /
-// global-pool ablation baseline.
+// storeConfigs are the layouts the concurrency tests and benchmarks
+// cover: the GOMAXPROCS-derived default shard count and one shard
+// (every directory behind one global lock).
 var storeConfigs = []struct {
 	name string
 	cfg  Config
 }{
-	{"sharded", Config{Shards: 8, PoolKind: storage.PoolPartitioned}},
-	{"global", Config{Shards: 1, PoolKind: storage.PoolGlobal}},
+	{"sharded", Config{}},
+	{"global", Config{Shards: 1}},
 }
 
 // TestStoreConcurrentStress hammers one store with parallel mixed
 // operations — atomic read/write, tuple navigation, set
 // insert/remove/select — plus concurrent SetScan and object creation,
-// across both store configurations. Run under -race it checks the
+// at both store layouts. Run under -race it checks the
 // shard latching; the final sums check that no update was lost.
 func TestStoreConcurrentStress(t *testing.T) {
 	for _, sc := range storeConfigs {
@@ -144,8 +143,8 @@ func TestStoreConcurrentStress(t *testing.T) {
 // every object is found in (exactly) the shard that allocated it.
 func TestStoreShardOwnership(t *testing.T) {
 	s := NewStore(Config{Shards: 4})
-	if got := s.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
+	if got := len(s.shards); got != 4 {
+		t.Fatalf("shards = %d, want 4", got)
 	}
 	for i := 0; i < 64; i++ {
 		var id oid.OID
@@ -197,7 +196,7 @@ func benchStore(b *testing.B, cfg Config, nAtoms, setMembers int) (*Store, []oid
 
 // BenchmarkStoreParallelRead — parallel ReadAtomic over disjoint
 // objects, sharded vs global. The sharded store should scale with
-// GOMAXPROCS; the global baseline serialises on Store.mu + pool mutex.
+// GOMAXPROCS; one shard serialises on a single directory lock.
 func BenchmarkStoreParallelRead(b *testing.B) {
 	for _, sc := range storeConfigs {
 		b.Run(sc.name, func(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"semcc/internal/objstore"
 	"semcc/internal/obs"
 	"semcc/internal/oid"
-	"semcc/internal/storage"
 	"semcc/internal/val"
 )
 
@@ -25,21 +24,9 @@ type Options struct {
 	Record bool
 	// PoolFrames sizes the storage buffer pool; 0 selects a default.
 	PoolFrames int
-	// StoreShards overrides the object store's shard count (0 =
-	// default GOMAXPROCS×4; 1 = the single-shard ablation baseline).
-	StoreShards int
-	// PoolKind selects the buffer-pool implementation (partitioned by
-	// default; global single-mutex for ablation).
-	PoolKind storage.PoolKind
 	// NoAncestorRelief forwards the experiments' ablation knob: it
 	// disables the Fig. 9 commutative-ancestor cases in the engine.
 	NoAncestorRelief bool
-	// LockTable selects the engine's lock-table implementation
-	// (striped by default; global single-mutex for ablation).
-	LockTable core.LockTableKind
-	// LockShards overrides the striped lock table's shard count
-	// (0 = GOMAXPROCS×8).
-	LockShards int
 	// Journal, when set, receives write-ahead-log records for restart
 	// recovery (internal/wal).
 	Journal core.Journal
@@ -99,9 +86,7 @@ func Open(opts Options) *DB {
 	}
 	db := &DB{
 		store: objstore.NewStore(objstore.Config{
-			Shards:     opts.StoreShards,
 			PoolFrames: opts.PoolFrames,
-			PoolKind:   opts.PoolKind,
 			Obs:        o,
 			OIDStride:  opts.OIDStride,
 			OIDOffset:  opts.OIDOffset,
@@ -149,8 +134,6 @@ func (db *DB) finishOpen(opts Options) {
 		PageOf:           db.store.PageOf,
 		Record:           opts.Record,
 		NoAncestorRelief: opts.NoAncestorRelief,
-		LockTable:        opts.LockTable,
-		LockShards:       opts.LockShards,
 		Journal:          opts.Journal,
 		Tracer:           opts.Tracer,
 		Obs:              db.obs,

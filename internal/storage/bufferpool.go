@@ -1,13 +1,8 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"semcc/internal/obs"
 )
 
 // Disk is the backing store for pages. Implementations must be safe
@@ -77,287 +72,4 @@ func (d *MemDisk) NumPages() uint32 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return uint32(len(d.pages))
-}
-
-// BufferPool caches disk pages in pinned frames. Implementations must
-// be safe for concurrent use. Two are provided: the single-mutex Pool
-// (the pre-partitioning reference, kept as an ablation baseline) and
-// the PartitionedPool (the default), mirroring the striped-vs-global
-// split of internal/core/locktable.
-type BufferPool interface {
-	// NewPage allocates a fresh, formatted page, pins it, and returns
-	// it.
-	NewPage() (*Page, error)
-	// Fetch pins page id and returns it, reading from disk on a miss.
-	Fetch(id uint32) (*Page, error)
-	// Unpin releases one pin on page id, marking it dirty if the
-	// caller modified it.
-	Unpin(id uint32, dirty bool) error
-	// FlushAll writes every dirty resident page to disk.
-	FlushAll() error
-	// Stats reports hit/miss/eviction counters.
-	Stats() (hits, misses, evicts uint64)
-	// AttachObs registers the pool's metrics with o (hit/miss/eviction
-	// counters always live; fault-latency histograms gated on o being
-	// enabled). Call before the pool is shared between goroutines;
-	// nil-safe.
-	AttachObs(o *obs.Obs)
-}
-
-// poolObs carries the gated observability extras shared by both pool
-// implementations.
-type poolObs struct {
-	o       *obs.Obs
-	faultNs *obs.Hist
-}
-
-func (m *poolObs) on() bool { return m != nil && m.o.On() }
-
-// PoolKind selects the buffer-pool implementation backing a store.
-type PoolKind uint8
-
-const (
-	// PoolPartitioned hashes pages over independently locked
-	// partitions with per-partition clock replacement, so frame
-	// traffic on distinct pages never contends. The default.
-	PoolPartitioned PoolKind = iota
-	// PoolGlobal guards all frames and one LRU list with a single
-	// mutex — the pre-partitioning reference implementation, kept as
-	// an ablation baseline for the benchmarks.
-	PoolGlobal
-)
-
-// String returns the kind's short name used in flags and benchmarks.
-func (k PoolKind) String() string {
-	switch k {
-	case PoolGlobal:
-		return "global"
-	default:
-		return "partitioned"
-	}
-}
-
-// ParsePoolKind parses a -pool style flag value.
-func ParsePoolKind(s string) (PoolKind, error) {
-	switch s {
-	case "partitioned", "":
-		return PoolPartitioned, nil
-	case "global":
-		return PoolGlobal, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown buffer pool %q (want partitioned or global)", s)
-	}
-}
-
-// PoolKinds lists both buffer-pool implementations in comparison
-// order (benchmarks report both).
-func PoolKinds() []PoolKind {
-	return []PoolKind{PoolPartitioned, PoolGlobal}
-}
-
-// NewBufferPool returns a buffer pool of the given kind and capacity
-// (in frames) over disk. For PoolPartitioned, partitions selects the
-// partition count (0 = default).
-func NewBufferPool(kind PoolKind, disk Disk, capacity, partitions int) BufferPool {
-	if kind == PoolGlobal {
-		return NewPool(disk, capacity)
-	}
-	return NewPartitionedPool(disk, capacity, partitions)
-}
-
-// frame is a buffer-pool slot.
-type frame struct {
-	page    Page
-	id      uint32
-	pins    int
-	dirty   bool
-	valid   bool
-	lruElem *list.Element
-}
-
-// Pool is a buffer pool with LRU replacement of unpinned frames. One
-// mutex guards every frame and the LRU list; it is the ablation
-// baseline the PartitionedPool is measured against.
-type Pool struct {
-	mu       sync.Mutex
-	disk     Disk
-	frames   []frame
-	byPage   map[uint32]int // page id -> frame index
-	lru      *list.List     // of frame indexes; front = most recent
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	evicts   atomic.Uint64
-	capacity int
-	om       *poolObs
-}
-
-// NewPool returns a buffer pool of the given capacity (in frames) over
-// disk. Capacity must be at least 1.
-func NewPool(disk Disk, capacity int) *Pool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Pool{
-		disk:     disk,
-		frames:   make([]frame, capacity),
-		byPage:   make(map[uint32]int, capacity),
-		lru:      list.New(),
-		capacity: capacity,
-	}
-}
-
-// Stats reports hit/miss/eviction counters.
-func (bp *Pool) Stats() (hits, misses, evicts uint64) {
-	return bp.hits.Load(), bp.misses.Load(), bp.evicts.Load()
-}
-
-// AttachObs implements BufferPool: the counters become func-backed
-// registry metrics (no second write path) and page faults gain a gated
-// latency histogram.
-func (bp *Pool) AttachObs(o *obs.Obs) {
-	if o == nil {
-		return
-	}
-	bp.om = &poolObs{o: o, faultNs: o.Registry.Hist("semcc_pool_fault_ns", "Buffer-pool miss disk-read latency, nanoseconds.")}
-	o.Registry.CounterFunc("semcc_pool_hits_total", "Buffer-pool fetches served from a resident frame.", bp.hits.Load)
-	o.Registry.CounterFunc("semcc_pool_misses_total", "Buffer-pool fetches that read from disk.", bp.misses.Load)
-	o.Registry.CounterFunc("semcc_pool_evictions_total", "Frames evicted to make room.", bp.evicts.Load)
-}
-
-// NewPage allocates a fresh, formatted page, pins it, and returns it.
-// The victim frame is secured before the disk allocation, so a full
-// pool (all frames pinned) fails without leaking a page id.
-func (bp *Pool) NewPage() (*Page, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	idx, err := bp.victimLocked()
-	if err != nil {
-		return nil, err
-	}
-	id, err := bp.disk.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	f := &bp.frames[idx]
-	f.page.initPage(id)
-	f.id = id
-	f.pins = 1
-	f.dirty = true
-	f.valid = true
-	bp.byPage[id] = idx
-	bp.touchLocked(idx)
-	return &f.page, nil
-}
-
-// Fetch pins page id and returns it, reading from disk on a miss.
-func (bp *Pool) Fetch(id uint32) (*Page, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if idx, ok := bp.byPage[id]; ok {
-		bp.hits.Add(1)
-		f := &bp.frames[idx]
-		f.pins++
-		bp.touchLocked(idx)
-		return &f.page, nil
-	}
-	bp.misses.Add(1)
-	idx, err := bp.victimLocked()
-	if err != nil {
-		return nil, err
-	}
-	f := &bp.frames[idx]
-	if m := bp.om; m.on() {
-		start := time.Now()
-		err = bp.disk.ReadPage(id, &f.page.buf)
-		m.faultNs.Observe(uint64(time.Since(start)))
-	} else {
-		err = bp.disk.ReadPage(id, &f.page.buf)
-	}
-	if err != nil {
-		f.valid = false
-		return nil, err
-	}
-	f.id = id
-	f.pins = 1
-	f.dirty = false
-	f.valid = true
-	bp.byPage[id] = idx
-	bp.touchLocked(idx)
-	return &f.page, nil
-}
-
-// Unpin releases one pin on page id, marking it dirty if the caller
-// modified it.
-func (bp *Pool) Unpin(id uint32, dirty bool) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	idx, ok := bp.byPage[id]
-	if !ok {
-		return fmt.Errorf("storage: unpin of non-resident page %d", id)
-	}
-	f := &bp.frames[idx]
-	if f.pins <= 0 {
-		return fmt.Errorf("storage: unpin of unpinned page %d", id)
-	}
-	f.pins--
-	if dirty {
-		f.dirty = true
-	}
-	return nil
-}
-
-// FlushAll writes every dirty resident page to disk.
-func (bp *Pool) FlushAll() error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for i := range bp.frames {
-		f := &bp.frames[i]
-		if f.valid && f.dirty {
-			if err := bp.disk.WritePage(f.id, &f.page.buf); err != nil {
-				return err
-			}
-			f.dirty = false
-		}
-	}
-	return nil
-}
-
-// victimLocked returns the index of a free or evictable frame.
-func (bp *Pool) victimLocked() (int, error) {
-	for i := range bp.frames {
-		if !bp.frames[i].valid {
-			if bp.frames[i].lruElem == nil {
-				bp.frames[i].lruElem = bp.lru.PushFront(i)
-			}
-			return i, nil
-		}
-	}
-	// Scan LRU from the back for an unpinned frame.
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		idx := e.Value.(int)
-		f := &bp.frames[idx]
-		if f.pins > 0 {
-			continue
-		}
-		if f.dirty {
-			if err := bp.disk.WritePage(f.id, &f.page.buf); err != nil {
-				return 0, err
-			}
-		}
-		delete(bp.byPage, f.id)
-		f.valid = false
-		f.dirty = false
-		bp.evicts.Add(1)
-		return idx, nil
-	}
-	return 0, fmt.Errorf("storage: buffer pool exhausted (all %d frames pinned)", bp.capacity)
-}
-
-func (bp *Pool) touchLocked(idx int) {
-	f := &bp.frames[idx]
-	if f.lruElem == nil {
-		f.lruElem = bp.lru.PushFront(idx)
-		return
-	}
-	bp.lru.MoveToFront(f.lruElem)
 }

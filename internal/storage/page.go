@@ -1,6 +1,6 @@
 // Package storage implements the conventional storage manager
-// underneath the object store: slotted pages, a buffer pool with LRU
-// replacement, and a record store that maps variable-length storage
+// underneath the object store: slotted pages, a partitioned buffer
+// pool with clock replacement, and a record store that maps variable-length storage
 // atoms to (page, slot) addresses.
 //
 // The paper's motivation (§1.1) is that state-of-the-art OODBs run

@@ -11,17 +11,18 @@ import (
 	"semcc/internal/obs"
 )
 
-// PartitionedPool is a buffer pool whose frames are split over
-// independently locked partitions. A page's partition is a pure
+// Pool is the buffer pool: it caches disk pages in pinned frames split
+// over independently locked partitions. A page's partition is a pure
 // function of its id, so pinning, unpinning, and evicting distinct
 // pages on different partitions never contends — the buffer-pool
-// analogue of the striped lock table (DESIGN.md §3.9).
+// analogue of the striped lock table (DESIGN.md §3.9). Safe for
+// concurrent use.
 //
 // Each partition runs clock (second-chance) replacement over its own
 // frames; hit/miss/evict counters live in the partitions (so hot-path
 // updates stay on the partition's cache lines) and Stats sums them
 // without taking a partition mutex.
-type PartitionedPool struct {
+type Pool struct {
 	disk  Disk
 	parts []poolPartition
 	mask  uint32
@@ -37,6 +38,14 @@ type PartitionedPool struct {
 	freeMu  sync.Mutex
 	freeIDs []uint32
 }
+
+// poolObs carries the pool's gated observability extras.
+type poolObs struct {
+	o       *obs.Obs
+	faultNs *obs.Hist
+}
+
+func (m *poolObs) on() bool { return m != nil && m.o.On() }
 
 // pframe is one clock-replacement slot.
 type pframe struct {
@@ -63,11 +72,13 @@ type poolPartition struct {
 	_ [32]byte
 }
 
-// NewPartitionedPool returns a partitioned pool of the given total
-// capacity (in frames) over disk. partitions <= 0 selects a default
-// (GOMAXPROCS×4, rounded up to a power of two); capacity is split
-// evenly, with every partition getting at least one frame.
-func NewPartitionedPool(disk Disk, capacity, partitions int) *PartitionedPool {
+// NewPool returns a pool of the given total capacity (in frames) over
+// disk. partitions <= 0 selects GOMAXPROCS×4; the count is rounded up
+// to a power of two and capacity is split evenly, with every partition
+// getting at least one frame. The object store always passes 0: the
+// count is a parameter only so tests can pin the one-partition layout,
+// where capacity is exact.
+func NewPool(disk Disk, capacity, partitions int) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -75,7 +86,7 @@ func NewPartitionedPool(disk Disk, capacity, partitions int) *PartitionedPool {
 		partitions = runtime.GOMAXPROCS(0) * 4
 	}
 	partitions = ceilPow2(partitions)
-	pp := &PartitionedPool{
+	pp := &Pool{
 		disk:  disk,
 		parts: make([]poolPartition, partitions),
 		mask:  uint32(partitions - 1),
@@ -98,16 +109,16 @@ func NewPartitionedPool(disk Disk, capacity, partitions int) *PartitionedPool {
 // partOf returns the partition owning page id. Page ids are dense
 // sequential integers, so the low bits alone spread consecutive pages
 // evenly over partitions.
-func (pp *PartitionedPool) partOf(id uint32) *poolPartition {
+func (pp *Pool) partOf(id uint32) *poolPartition {
 	return &pp.parts[id&pp.mask]
 }
 
 // Partitions returns the number of independently locked partitions.
-func (pp *PartitionedPool) Partitions() int { return len(pp.parts) }
+func (pp *Pool) Partitions() int { return len(pp.parts) }
 
 // Stats reports pool-wide hit/miss/eviction counters (summed over the
 // partitions).
-func (pp *PartitionedPool) Stats() (hits, misses, evicts uint64) {
+func (pp *Pool) Stats() (hits, misses, evicts uint64) {
 	for i := range pp.parts {
 		p := &pp.parts[i]
 		hits += p.hits.Load()
@@ -119,13 +130,14 @@ func (pp *PartitionedPool) Stats() (hits, misses, evicts uint64) {
 
 // Parks returns the number of NewPage page ids parked for reuse
 // because the target partition was full of pins.
-func (pp *PartitionedPool) Parks() uint64 { return pp.parks.Load() }
+func (pp *Pool) Parks() uint64 { return pp.parks.Load() }
 
-// AttachObs implements BufferPool: pool-wide and per-partition
-// hit/miss/eviction counters plus the pin-park counter become
-// func-backed registry metrics, and page faults gain a gated latency
-// histogram.
-func (pp *PartitionedPool) AttachObs(o *obs.Obs) {
+// AttachObs registers the pool's metrics with o: pool-wide and
+// per-partition hit/miss/eviction counters plus the pin-park counter
+// become func-backed registry metrics (always live), and page faults
+// gain a latency histogram gated on o being enabled. Call before the
+// pool is shared between goroutines; nil-safe.
+func (pp *Pool) AttachObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
@@ -148,7 +160,7 @@ func (pp *PartitionedPool) AttachObs(o *obs.Obs) {
 // If no frame can be secured in the page's partition the id is parked
 // for reuse by a later NewPage, so allocation failures never leak
 // pages.
-func (pp *PartitionedPool) NewPage() (*Page, error) {
+func (pp *Pool) NewPage() (*Page, error) {
 	id, err := pp.takeID()
 	if err != nil {
 		return nil, err
@@ -176,7 +188,7 @@ func (pp *PartitionedPool) NewPage() (*Page, error) {
 
 // takeID returns a page id for NewPage, preferring a parked id over a
 // fresh disk allocation.
-func (pp *PartitionedPool) takeID() (uint32, error) {
+func (pp *Pool) takeID() (uint32, error) {
 	pp.freeMu.Lock()
 	if n := len(pp.freeIDs); n > 0 {
 		id := pp.freeIDs[n-1]
@@ -189,14 +201,14 @@ func (pp *PartitionedPool) takeID() (uint32, error) {
 }
 
 // parkID remembers an allocated-but-unused page id for reuse.
-func (pp *PartitionedPool) parkID(id uint32) {
+func (pp *Pool) parkID(id uint32) {
 	pp.freeMu.Lock()
 	pp.freeIDs = append(pp.freeIDs, id)
 	pp.freeMu.Unlock()
 }
 
 // Fetch pins page id and returns it, reading from disk on a miss.
-func (pp *PartitionedPool) Fetch(id uint32) (*Page, error) {
+func (pp *Pool) Fetch(id uint32) (*Page, error) {
 	p := pp.partOf(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -235,7 +247,7 @@ func (pp *PartitionedPool) Fetch(id uint32) (*Page, error) {
 
 // Unpin releases one pin on page id, marking it dirty if the caller
 // modified it.
-func (pp *PartitionedPool) Unpin(id uint32, dirty bool) error {
+func (pp *Pool) Unpin(id uint32, dirty bool) error {
 	p := pp.partOf(id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -256,8 +268,8 @@ func (pp *PartitionedPool) Unpin(id uint32, dirty bool) error {
 
 // FlushAll writes every dirty resident page to disk, one partition at
 // a time (not a consistent cut across partitions; callers needing one
-// must quiesce writers first, as with the global pool).
-func (pp *PartitionedPool) FlushAll() error {
+// must quiesce writers first).
+func (pp *Pool) FlushAll() error {
 	for i := range pp.parts {
 		p := &pp.parts[i]
 		p.mu.Lock()
@@ -279,7 +291,7 @@ func (pp *PartitionedPool) FlushAll() error {
 // victimLocked returns the index of a free or evictable frame using
 // clock replacement: a full sweep grants second chances (clearing ref
 // bits), a second sweep takes the first unpinned frame.
-func (p *poolPartition) victimLocked(pp *PartitionedPool) (int, error) {
+func (p *poolPartition) victimLocked(pp *Pool) (int, error) {
 	for i := range p.frames {
 		if !p.frames[i].valid {
 			return i, nil

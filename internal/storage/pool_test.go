@@ -15,32 +15,39 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// poolKindsUnderTest runs each test against both BufferPool
-// implementations through the common interface.
-func poolKindsUnderTest(t testing.TB, capacity, partitions int) map[string]func() (BufferPool, *MemDisk) {
-	t.Helper()
-	return map[string]func() (BufferPool, *MemDisk){
-		"global": func() (BufferPool, *MemDisk) {
-			d := NewMemDisk()
-			return NewPool(d, capacity), d
-		},
-		"partitioned": func() (BufferPool, *MemDisk) {
-			d := NewMemDisk()
-			return NewPartitionedPool(d, capacity, partitions), d
-		},
+// poolLayouts names the partition counts the pool is pinned at: one
+// partition (every frame behind one global mutex, capacity exact) and
+// a partitioned layout — the given count, or the GOMAXPROCS-derived
+// default when partitions is 0.
+func poolLayouts(partitions int) []poolLayout {
+	return []poolLayout{{"global", 1}, {"partitioned", partitions}}
+}
+
+type poolLayout struct {
+	name       string
+	partitions int
+}
+
+// forPoolLayouts runs f against a fresh pool of the given capacity at
+// one partition and at the default partition count.
+func forPoolLayouts(t *testing.T, capacity int, f func(t *testing.T, pool *Pool)) {
+	for _, layout := range poolLayouts(0) {
+		t.Run(layout.name, func(t *testing.T) {
+			f(t, NewPool(NewMemDisk(), capacity, layout.partitions))
+		})
 	}
 }
 
 // TestPoolConcurrentPinUnpin drives concurrent Fetch/Unpin over a
-// working set several times larger than the pool, for both pool
-// implementations: every page must read back its own content across
+// working set several times larger than the pool, at both pool
+// layouts: every page must read back its own content across
 // evictions, and the counters must record the pressure.
 func TestPoolConcurrentPinUnpin(t *testing.T) {
 	// Frames-per-partition must be ≥ workers (each worker holds at
 	// most one pin), or a fetch could find its whole partition pinned.
-	for name, mk := range poolKindsUnderTest(t, 32, 4) {
-		t.Run(name, func(t *testing.T) {
-			pool, _ := mk()
+	for _, layout := range poolLayouts(4) {
+		t.Run(layout.name, func(t *testing.T) {
+			pool := NewPool(NewMemDisk(), 32, layout.partitions)
 			const nPages, workers, opsPer = 64, 8, 300
 			ids := make([]uint32, nPages)
 			for i := range ids {
@@ -101,12 +108,13 @@ func TestPoolConcurrentPinUnpin(t *testing.T) {
 
 // TestPoolNewPageNoLeakOnExhaustion checks the NewPage fix: when every
 // frame is pinned, failed NewPage calls must not leak disk pages — the
-// global pool allocates only after securing a victim, the partitioned
-// pool parks and reuses the id.
+// pool parks the id it drew and reuses it. Two frames, as one
+// partition of two and as two partitions of one.
 func TestPoolNewPageNoLeakOnExhaustion(t *testing.T) {
-	for name, mk := range poolKindsUnderTest(t, 2, 1) {
-		t.Run(name, func(t *testing.T) {
-			pool, disk := mk()
+	for _, layout := range poolLayouts(2) {
+		t.Run(layout.name, func(t *testing.T) {
+			disk := NewMemDisk()
+			pool := NewPool(disk, 2, layout.partitions)
 			p1, err := pool.NewPage()
 			if err != nil {
 				t.Fatal(err)
@@ -138,10 +146,10 @@ func TestPoolNewPageNoLeakOnExhaustion(t *testing.T) {
 }
 
 // TestPartitionedPoolFlushAll checks dirty pages survive FlushAll +
-// eviction + re-fetch through the partitioned pool.
+// eviction + re-fetch across partitions.
 func TestPartitionedPoolFlushAll(t *testing.T) {
 	disk := NewMemDisk()
-	pool := NewPartitionedPool(disk, 4, 2)
+	pool := NewPool(disk, 4, 2)
 	var ids []uint32
 	for i := 0; i < 12; i++ {
 		p, err := pool.NewPage()
@@ -182,14 +190,13 @@ func TestPartitionedPoolFlushAll(t *testing.T) {
 }
 
 // BenchmarkPoolFetchParallel — parallel fetch/unpin of resident pages,
-// partitioned vs global: the hot-path cost the partitioned pool exists
+// partitioned vs one partition: the hot-path cost partitioning exists
 // to shrink. The working set fits in the pool, so this measures latch
 // contention, not eviction.
 func BenchmarkPoolFetchParallel(b *testing.B) {
-	for _, kind := range PoolKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			disk := NewMemDisk()
-			pool := NewBufferPool(kind, disk, 256, 0)
+	for _, layout := range poolLayouts(0) {
+		b.Run(layout.name, func(b *testing.B) {
+			pool := NewPool(NewMemDisk(), 256, layout.partitions)
 			const nPages = 128
 			ids := make([]uint32, nPages)
 			for i := range ids {
@@ -225,17 +232,16 @@ func BenchmarkPoolFetchParallel(b *testing.B) {
 }
 
 // BenchmarkPoolEvictParallel — parallel fetch/unpin with a working set
-// 4× the pool, so most fetches must evict: measures the replacement
-// path (clock vs LRU) under contention.
+// 4× the pool, so most fetches must evict: measures the clock
+// replacement path under contention.
 func BenchmarkPoolEvictParallel(b *testing.B) {
-	for _, kind := range PoolKinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			disk := NewMemDisk()
+	for _, layout := range poolLayouts(4) {
+		b.Run(layout.name, func(b *testing.B) {
 			// Frames-per-partition must cover the worker count (one
 			// transient pin each), or a fetch could find its whole
 			// partition pinned.
 			capacity := 4 * maxInt(8, runtime.GOMAXPROCS(0))
-			pool := NewBufferPool(kind, disk, capacity, 4)
+			pool := NewPool(NewMemDisk(), capacity, layout.partitions)
 			nPages := 4 * capacity
 			ids := make([]uint32, nPages)
 			for i := range ids {

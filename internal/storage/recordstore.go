@@ -37,7 +37,7 @@ func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 // job, not this one's.
 type RecordStore struct {
 	mu   sync.Mutex
-	pool BufferPool
+	pool *Pool
 	// pages with known free space, most-recently-inserted first; a
 	// simple free-space heuristic sufficient for the workloads here.
 	openPages []uint32
@@ -50,7 +50,7 @@ type RecordStore struct {
 // Multiple RecordStores may share one pool (the sharded object store
 // gives each shard its own RecordStore over a common pool); page ids
 // come from the pool's disk, so their page sets never overlap.
-func NewRecordStore(pool BufferPool) *RecordStore {
+func NewRecordStore(pool *Pool) *RecordStore {
 	return &RecordStore{pool: pool, fwd: make(map[RID]RID)}
 }
 

@@ -150,8 +150,9 @@ func TestPageRandomOps(t *testing.T) {
 }
 
 // TestRecordStoreForwarding verifies RID stability across relocations.
-func TestRecordStoreForwarding(t *testing.T) {
-	pool := NewPool(NewMemDisk(), 64)
+func TestRecordStoreForwarding(t *testing.T) { forPoolLayouts(t, 64, testRecordStoreForwarding) }
+
+func testRecordStoreForwarding(t *testing.T, pool *Pool) {
 	rs := NewRecordStore(pool)
 
 	// Fill a page with small records.
@@ -202,9 +203,10 @@ func TestRecordStoreForwarding(t *testing.T) {
 }
 
 // TestRecordStoreRandom stresses the record store against a model.
-func TestRecordStoreRandom(t *testing.T) {
+func TestRecordStoreRandom(t *testing.T) { forPoolLayouts(t, 256, testRecordStoreRandom) }
+
+func testRecordStoreRandom(t *testing.T, pool *Pool) {
 	rng := rand.New(rand.NewSource(7))
-	pool := NewPool(NewMemDisk(), 256)
 	rs := NewRecordStore(pool)
 	model := map[RID][]byte{}
 	mkRec := func() []byte {
@@ -266,9 +268,10 @@ func TestRecordStoreRandom(t *testing.T) {
 	}
 }
 
+// TestBufferPoolEviction and TestBufferPoolPinExhaustion run at one
+// partition, where "capacity N" means exactly N frames.
 func TestBufferPoolEviction(t *testing.T) {
-	disk := NewMemDisk()
-	pool := NewPool(disk, 4)
+	pool := NewPool(NewMemDisk(), 4, 1)
 	var ids []uint32
 	for i := 0; i < 16; i++ {
 		p, err := pool.NewPage()
@@ -307,7 +310,7 @@ func TestBufferPoolEviction(t *testing.T) {
 }
 
 func TestBufferPoolPinExhaustion(t *testing.T) {
-	pool := NewPool(NewMemDisk(), 2)
+	pool := NewPool(NewMemDisk(), 2, 1)
 	p1, err := pool.NewPage()
 	if err != nil {
 		t.Fatal(err)

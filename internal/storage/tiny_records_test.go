@@ -8,9 +8,10 @@ import (
 
 // Mimic the workload: thousands of tiny records, some growing
 // repeatedly (status event multisets), with occasional deletes.
-func TestRecordStoreTinyRecords(t *testing.T) {
+func TestRecordStoreTinyRecords(t *testing.T) { forPoolLayouts(t, 1024, testRecordStoreTinyRecords) }
+
+func testRecordStoreTinyRecords(t *testing.T, pool *Pool) {
 	rng := rand.New(rand.NewSource(3))
-	pool := NewPool(NewMemDisk(), 1024)
 	rs := NewRecordStore(pool)
 	model := map[RID][]byte{}
 	var rids []RID

@@ -22,8 +22,7 @@ import (
 	"semcc/internal/obs"
 )
 
-// Mode selects a journal durability mode (the -wal ablation axis, like
-// -lockmgr / -store / -pool).
+// Mode selects a journal durability mode (the -wal ablation axis).
 type Mode int
 
 const (

@@ -5,6 +5,7 @@ import (
 
 	"semcc/internal/compat"
 	"semcc/internal/core"
+	"semcc/internal/oodb"
 )
 
 // TestMultiNodeWorkload runs the full contended mix through the
@@ -17,7 +18,7 @@ func TestMultiNodeWorkload(t *testing.T) {
 		for _, k := range []core.ProtocolKind{core.Semantic, core.TwoPLObject} {
 			t.Run(k.String(), func(t *testing.T) {
 				m, err := Run(Config{
-					Protocol: k, Nodes: nodes, Items: 4, Clients: 8, TxPerClient: 30,
+					Options: oodb.Options{Protocol: k}, Nodes: nodes, Items: 4, Clients: 8, TxPerClient: 30,
 					Seed: 1, Validate: true,
 				})
 				if err != nil {
@@ -43,7 +44,7 @@ func TestMultiNodeWorkload(t *testing.T) {
 // the final balances.
 func TestMultiNodeHotCounter(t *testing.T) {
 	m, err := Run(Config{
-		Protocol: core.Semantic, Compat: compat.CompatEscrow, Nodes: 2,
+		Options: oodb.Options{Protocol: core.Semantic, Compat: compat.CompatEscrow}, Nodes: 2,
 		Items: 2, Clients: 6, TxPerClient: 25, Seed: 7,
 		Mix: HotCounterMix(), Validate: true,
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"semcc/internal/core"
+	"semcc/internal/oodb"
 )
 
 // TestSmokeAllProtocols runs a small contended workload under every
@@ -13,7 +14,7 @@ func TestSmokeAllProtocols(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			m, err := Run(Config{
-				Protocol: k, Items: 4, Clients: 8, TxPerClient: 50, Seed: 1, Validate: true,
+				Options: oodb.Options{Protocol: k}, Items: 4, Clients: 8, TxPerClient: 50, Seed: 1, Validate: true,
 			})
 			if err != nil {
 				t.Fatal(err)

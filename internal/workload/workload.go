@@ -16,15 +16,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"semcc/internal/compat"
 	"semcc/internal/core"
-	"semcc/internal/core/trace"
 	"semcc/internal/dist"
 	"semcc/internal/obs"
 	"semcc/internal/oodb"
 	"semcc/internal/ordercluster"
 	"semcc/internal/orderentry"
-	"semcc/internal/storage"
 	"semcc/internal/val"
 )
 
@@ -125,29 +122,19 @@ func InventoryMix() Mix {
 
 // Config parameterises one workload run.
 type Config struct {
-	// Protocol selects the concurrency control protocol.
-	Protocol core.ProtocolKind
-	// Compat selects the compatibility regime: CompatStatic (matrix
-	// only) or CompatEscrow (state-dependent admission against escrow
-	// bounds intervals).
-	Compat compat.Mode
-	// NoAncestorRelief forwards the E5 ablation knob to the engine.
-	NoAncestorRelief bool
-	// LockTable selects the engine's lock-table implementation
-	// (striped by default).
-	LockTable core.LockTableKind
-	// StoreShards overrides the object store's shard count (0 =
-	// default; 1 = the single-shard ablation baseline).
-	StoreShards int
-	// PoolKind selects the buffer-pool implementation (partitioned by
-	// default; global single-mutex for ablation).
-	PoolKind storage.PoolKind
-	// Journal, when set, attaches a write-ahead journal to the run's
-	// database — the -wal durability-mode ablation (sync, group-commit
-	// or async). The caller owns its lifecycle: close a group-commit
-	// journal after the run to stop its writer. Ignored when Nodes ≥ 1
-	// (each node needs its own journal: use NodeJournal).
-	Journal core.Journal
+	// Options configure the run's engine — protocol, compatibility
+	// regime, E5's NoAncestorRelief, tracer, … — and are the one place
+	// an engine setting lives: Run opens the direct database, or every
+	// node of the cluster, from this value. Three fields are
+	// topology-sensitive on a cluster run (Nodes ≥ 1): Journal is
+	// ignored (each node needs its own — use NodeJournal; the caller
+	// owns every journal's lifecycle and closes group-commit ones after
+	// the run), Obs becomes the COORDINATOR's Obs (cluster.AttachObs:
+	// hop/2PC metrics and the distributed span trees land there, nodes
+	// get NodeObs), and Tracer attaches to node 0 only. When Obs is
+	// enabled, span collection yields the run's latency percentiles
+	// (Metrics.P50Ns/P99Ns).
+	oodb.Options
 	// Nodes selects the topology: 0 (the zero value) runs on one
 	// engine with no coordinator — the unchanged direct path; N ≥ 1
 	// shards the database over N engine nodes behind the in-process
@@ -187,17 +174,6 @@ type Config struct {
 	MaxRetries int
 	// Validate runs the conservation invariant check after the run.
 	Validate bool
-	// Tracer, when set, attaches the observability subsystem to the
-	// run's database (semcc-bench's -hot/-trace modes read it back).
-	Tracer *trace.Tracer
-	// Obs, when set, attaches the cross-layer observability handle to
-	// the run's database (semcc-bench's -serve mode exposes it live).
-	// When it is enabled, span collection yields the run's latency
-	// percentiles (Metrics.P50Ns/P99Ns). On a multi-node run it becomes
-	// the COORDINATOR's Obs (cluster.AttachObs): hop/2PC metrics and the
-	// distributed span trees land here, and the latency percentiles are
-	// measured at the coordinator.
-	Obs *obs.Obs
 	// NodeObs, when set on a multi-node run, supplies node i's engine
 	// Obs (per-node lock/WAL/pool metrics, branch spans). Nil entries
 	// are fine; cluster.MergedObs unifies the parts.
@@ -344,22 +320,16 @@ func Run(cfg Config) (Metrics, error) {
 
 	if cfg.Nodes >= 1 {
 		c := dist.OpenCluster(cfg.Nodes, func(i int) oodb.Options {
-			opts := oodb.Options{
-				Protocol:         cfg.Protocol,
-				Compat:           cfg.Compat,
-				NoAncestorRelief: cfg.NoAncestorRelief,
-				LockTable:        cfg.LockTable,
-				StoreShards:      cfg.StoreShards,
-				PoolKind:         cfg.PoolKind,
-			}
+			opts := cfg.Options
+			opts.Journal, opts.Obs = nil, nil
 			if cfg.NodeJournal != nil {
 				opts.Journal = cfg.NodeJournal(i)
 			}
 			if cfg.NodeObs != nil {
 				opts.Obs = cfg.NodeObs(i)
 			}
-			if i == 0 {
-				opts.Tracer = cfg.Tracer
+			if i != 0 {
+				opts.Tracer = nil
 			}
 			return opts
 		})
@@ -374,17 +344,7 @@ func Run(cfg Config) (Metrics, error) {
 		return RunOn(app, cfg)
 	}
 
-	db := oodb.Open(oodb.Options{
-		Protocol:         cfg.Protocol,
-		Compat:           cfg.Compat,
-		NoAncestorRelief: cfg.NoAncestorRelief,
-		LockTable:        cfg.LockTable,
-		StoreShards:      cfg.StoreShards,
-		PoolKind:         cfg.PoolKind,
-		Journal:          cfg.Journal,
-		Tracer:           cfg.Tracer,
-		Obs:              cfg.Obs,
-	})
+	db := oodb.Open(cfg.Options)
 	app, err := orderentry.Setup(db, popCfg)
 	if err != nil {
 		return Metrics{}, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"semcc/internal/core"
+	"semcc/internal/oodb"
 )
 
 func TestMixes(t *testing.T) {
@@ -51,7 +52,7 @@ func TestZipfTableSkew(t *testing.T) {
 }
 
 func TestEmptyMixRejected(t *testing.T) {
-	_, err := Run(Config{Protocol: core.Semantic, Items: 2, Clients: 1, TxPerClient: 1, Mix: Mix{}})
+	_, err := Run(Config{Options: oodb.Options{Protocol: core.Semantic}, Items: 2, Clients: 1, TxPerClient: 1, Mix: Mix{}})
 	if err == nil {
 		t.Fatal("empty mix accepted")
 	}
@@ -77,7 +78,7 @@ func TestDeterministicSeedsSamePicks(t *testing.T) {
 	// Same seed ⇒ same committed count in a single-client run (no
 	// concurrency nondeterminism).
 	run := func() uint64 {
-		m, err := Run(Config{Protocol: core.Semantic, Items: 4, Clients: 1, TxPerClient: 40, Seed: 5, Validate: true})
+		m, err := Run(Config{Options: oodb.Options{Protocol: core.Semantic}, Items: 4, Clients: 1, TxPerClient: 40, Seed: 5, Validate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestDeterministicSeedsSamePicks(t *testing.T) {
 
 func TestBypassOnlyWorkloadAllProtocols(t *testing.T) {
 	for _, p := range []core.ProtocolKind{core.Semantic, core.TwoPLObject, core.TwoPLPage} {
-		m, err := Run(Config{Protocol: p, Items: 2, Clients: 4, TxPerClient: 30, Seed: 3,
+		m, err := Run(Config{Options: oodb.Options{Protocol: p}, Items: 2, Clients: 4, TxPerClient: 30, Seed: 3,
 			Mix: BypassOnlyMix(), Validate: true})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)

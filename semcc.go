@@ -42,7 +42,6 @@ import (
 	"semcc/internal/obs"
 	"semcc/internal/oid"
 	"semcc/internal/oodb"
-	"semcc/internal/storage"
 	"semcc/internal/val"
 	"semcc/internal/wal"
 )
@@ -103,42 +102,6 @@ const (
 
 // Protocols lists all protocols in comparison order.
 func Protocols() []Protocol { return core.Protocols() }
-
-// LockTableKind selects the engine's lock-table implementation (see
-// Options.LockTable).
-type LockTableKind = core.LockTableKind
-
-// The implemented lock tables. Striped is the default; Global is the
-// single-mutex reference table kept as an ablation baseline.
-const (
-	// LockTableStriped shards lock heads over independently locked
-	// shards so disjoint-object traffic never contends.
-	LockTableStriped = core.LockTableStriped
-	// LockTableGlobal serialises all lock-table accesses on one mutex.
-	LockTableGlobal = core.LockTableGlobal
-)
-
-// LockTables lists both lock-table implementations in comparison
-// order.
-func LockTables() []LockTableKind { return core.LockTables() }
-
-// PoolKind selects the storage buffer-pool implementation (see
-// Options.PoolKind).
-type PoolKind = storage.PoolKind
-
-// The implemented buffer pools. Partitioned is the default; Global is
-// the single-mutex reference pool kept as an ablation baseline.
-const (
-	// PoolPartitioned hashes pages over independently locked
-	// partitions with per-partition clock replacement.
-	PoolPartitioned = storage.PoolPartitioned
-	// PoolGlobal serialises all frame accesses on one mutex.
-	PoolGlobal = storage.PoolGlobal
-)
-
-// PoolKinds lists both buffer-pool implementations in comparison
-// order.
-func PoolKinds() []PoolKind { return storage.PoolKinds() }
 
 // WALMode selects a journal durability mode (see NewJournal and
 // Options.Journal).
