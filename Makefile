@@ -6,9 +6,10 @@ GO ?= go
 
 # The full gate: what CI (and every PR) must pass. `race` runs the
 # whole suite (including the recovery and crash-point tests) under the
-# race detector; flake repeats the concurrent ADT tests; fuzz-regress
-# replays the checked-in fuzz seed corpus in regression mode (no
-# fuzzing engine, just the corpus).
+# race detector; flake repeats the concurrent ADT tests and the
+# channel-stepped commit-pipeline tests; fuzz-regress replays the
+# checked-in fuzz seed corpus in regression mode (no fuzzing engine,
+# just the corpus).
 check: vet staticcheck build race flake fuzz-regress
 
 vet:
@@ -37,9 +38,16 @@ race:
 
 # The ADT suite twenty times under the race detector: methods declared
 # commuting must never deadlock on their leaf accesses (the concurrent
-# tests assert Deadlocks == 0), and one run in two used to.
+# tests assert Deadlocks == 0), and one run in two used to. Then the
+# two deterministic commit-pipeline tests forty times: outcomes
+# observable at submission and acknowledged when durable (core), and
+# recovery of dependent losers at every crash cut (wal). Both step
+# real goroutines through channels, so a schedule-dependent failure
+# would show here and nowhere else.
 flake:
 	$(GO) test -race -count=20 ./adts
+	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable' ./internal/core
+	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser' ./internal/wal
 
 # Focused, -short-gated race run of the journaling/recovery surface —
 # the quick iteration loop when touching engine commit/abort paths or

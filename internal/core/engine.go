@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"semcc/internal/clock"
 	"semcc/internal/compat"
@@ -106,12 +107,22 @@ func (a Ack) Wait() {
 // submission from durability (the group-commit pipeline). AppendAck
 // submits rec exactly like Append — its position in the journal order
 // is fixed on return — and additionally returns an Ack resolved when
-// rec has reached durable storage. A journal in asynchronous
-// durability mode may return an already-resolved Ack before the flush
+// rec has reached durable storage. Durability must advance in prefixes
+// of that order: when an Ack resolves, every record submitted before
+// its record is durable too. A journal in asynchronous durability mode
+// may return an already-resolved Ack before the flush
 // (throughput-over-latency; a crash can then lose acknowledged
-// outcomes). The engine uses AppendAck for root outcome records and
-// parks the committing goroutine on the Ack, so a top-level commit or
-// abort only returns once it is durable under sync and group modes.
+// outcomes).
+//
+// The engine uses AppendAck for root outcome records, and the contract
+// it builds on it has three parts: an outcome is *submitted* before it
+// becomes observable (state transition, lock release, waiter wake-up);
+// it is *acknowledged* — Commit/Abort return — only once the Ack has
+// resolved, so under sync and group modes an acknowledged outcome is
+// durable; and a root that depends on it (took over one of its locks)
+// is ordered behind it by the journal prefix, never by holding the
+// lock across the device wait. PrepareRoot is the one caller that
+// submits and waits with every lock held.
 type AckJournal interface {
 	Journal
 	AppendAck(rec JournalRecord) Ack
@@ -219,7 +230,11 @@ type Engine struct {
 	ackJournal AckJournal
 	tr         *trace.Tracer
 	spans      *obs.SpanRecorder // nil when no Obs is attached
-	clk        clock.Clock
+	// releaseNs is the time a root outcome spent observable but not yet
+	// durable (journalWait); nil when no Obs is attached, observed only
+	// for roots that carry a span.
+	releaseNs *obs.Hist
+	clk       clock.Clock
 
 	// compatMode and esc implement state-dependent commutativity; esc
 	// is nil in static mode.
@@ -296,6 +311,8 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Obs != nil {
 		e.spans = cfg.Obs.Spans
+		e.releaseNs = cfg.Obs.Registry.Hist("semcc_core_release_to_durable_ns",
+			"Time a root outcome was observable (locks released) before its journal record was durable, nanoseconds.")
 		stats.register(cfg.Obs.Registry)
 	}
 	return e
@@ -359,28 +376,61 @@ func (e *Engine) journalAppend(t *Tx, rec JournalRecord) {
 	e.journal.Append(rec)
 }
 
-// journalCommit is the submit-then-wait half of the commit pipeline:
-// it submits rec (fixing its position in the journal order, exactly
-// like journalAppend) and then parks until the journal acknowledges
-// the record durable. Under the synchronous log the ack is immediate;
-// under the group-commit log the goroutine parks until its batch is
-// flushed (commits racing here share one flush); under async
-// durability the ack resolves before the flush and this degenerates
-// to a plain append. The whole submit+wait is charged to the span's
-// WAL time, so ack latency is attributable per transaction. Call only
-// when e.journal is non-nil.
-func (e *Engine) journalCommit(t *Tx, rec JournalRecord) {
-	if e.ackJournal == nil {
-		e.journalAppend(t, rec)
+// pendingOutcome is a root outcome record that has been submitted —
+// its position in the journal order is fixed — but whose durability the
+// submitting goroutine has not yet waited for.
+type pendingOutcome struct {
+	ack Ack
+	// at is the submit instant, set only when the root carries a span.
+	at time.Time
+}
+
+// journalSubmit is the submit half of the outcome pipeline (submit →
+// make observable → wait): it hands rec to the journal, which fixes
+// its position in the journal's total order before returning, and
+// returns the durability future without waiting on it. Under the
+// synchronous log (and any journal that is not an AckJournal) the
+// record is durable on return and the future is already resolved;
+// under the group-commit log it resolves when the covering batch is
+// flushed; under async durability it resolves before the flush. This
+// is the engine's only AppendAck call site. Call only when e.journal
+// is non-nil.
+func (e *Engine) journalSubmit(t *Tx, rec JournalRecord) pendingOutcome {
+	var p pendingOutcome
+	if t.span != nil {
+		p.at = e.clk.Now()
+	}
+	if e.ackJournal != nil {
+		p.ack = e.ackJournal.AppendAck(rec)
+	} else {
+		e.journal.Append(rec)
+	}
+	return p
+}
+
+// journalWait is the wait half: it parks until the outcome submitted
+// as p is durable. The whole submit-to-durable interval is charged to
+// the span's WAL time — whatever ran between the two halves included —
+// so ack latency stays attributable per transaction. released says the
+// caller made the outcome observable (locks released, done closed)
+// just before the call; the part of the wait that follows is then the
+// window in which dependents may run ahead of this root's durability,
+// observed as semcc_core_release_to_durable_ns.
+func (e *Engine) journalWait(t *Tx, p pendingOutcome, released bool) {
+	if p.at.IsZero() {
+		// No span, or nothing was submitted: nothing to attribute.
+		p.ack.Wait()
 		return
 	}
-	if sp := t.span; sp != nil {
-		start := e.clk.Now()
-		e.ackJournal.AppendAck(rec).Wait()
-		sp.AddWAL(uint64(e.clk.Since(start)))
-		return
+	var from time.Time
+	if released {
+		from = e.clk.Now()
 	}
-	e.ackJournal.AppendAck(rec).Wait()
+	p.ack.Wait()
+	if released {
+		e.releaseNs.Observe(uint64(e.clk.Since(from)))
+	}
+	t.span.AddWAL(uint64(e.clk.Since(p.at)))
 }
 
 // Tracer returns the attached observability tracer (nil when none was
@@ -523,7 +573,19 @@ func (e *Engine) RecordUndo(t *Tx, inverse compat.Invocation) {
 }
 
 // CommitRoot commits top-level transaction t and releases every lock
-// held by its tree.
+// held by its tree. The commit runs as submit → make observable →
+// wait: the JRootCommit record is submitted (its position in the
+// journal order is the commit point), the commit becomes observable at
+// once — escrow settled, state Committed, locks released, waiters woken
+// — and only then does the goroutine park until the record is durable.
+// CommitRoot therefore still returns only once the outcome is durable
+// (sync and group modes), but no waiter inherits the committer's wait
+// for the log device. That is safe because the journal is totally
+// ordered and durable in prefixes: a root that takes over a released
+// lock journals its conflicting work, and later its own outcome, after
+// this record, so it can neither be acknowledged nor survive a crash
+// without this root (DESIGN.md §3.7). Values the root's calls returned
+// are tentative until CommitRoot itself returns.
 func (e *Engine) CommitRoot(t *Tx) error {
 	if !t.IsRoot() {
 		return fmt.Errorf("core: CommitRoot on non-root %s", t)
@@ -531,15 +593,14 @@ func (e *Engine) CommitRoot(t *Tx) error {
 	if t.State() != Active {
 		return fmt.Errorf("core: CommitRoot on %s root %s", t.State(), t)
 	}
-	// Write-ahead ordering: journal the commit before it becomes
-	// observable (state transition, lock release, waiter wake-up), so
-	// a crash cannot leave winners the journal still lists as losers.
-	// Under a group-commit journal the record's position in the
-	// journal order is still fixed here, but the goroutine parks
-	// until the batch containing it is durable (write-ahead at batch
-	// granularity); async durability mode skips the wait.
+	// Write-ahead ordering: the commit record is *submitted* before the
+	// commit becomes observable (state transition, lock release, waiter
+	// wake-up), so no journal prefix can show a dependent's work without
+	// this root's outcome ahead of it, and a crash cannot leave winners
+	// the journal still lists as losers.
+	var out pendingOutcome
 	if e.journal != nil {
-		e.journalCommit(t, JournalRecord{Kind: JRootCommit, Node: t.id})
+		out = e.journalSubmit(t, JournalRecord{Kind: JRootCommit, Node: t.id})
 	}
 	// Settle the tree's escrow reservations (fold the now-committed
 	// deltas into the counters' committed bases) before waiters wake via
@@ -564,6 +625,10 @@ func (e *Engine) CommitRoot(t *Tx) error {
 	e.wfg.ConsumeVictim(t.id)
 	close(t.done)
 	e.stats.bump(int(t.id), cRootsCommitted)
+	// Acknowledge only when durable: the caller's Commit returns after
+	// the batch holding the record is on stable storage (at once under
+	// the synchronous log and in async mode).
+	e.journalWait(t, out, true)
 	e.spans.FinishRoot(t.span, obs.OutcomeCommitted)
 	return nil
 }
@@ -586,7 +651,13 @@ func (e *Engine) PrepareRoot(t *Tx, gid uint64) error {
 		return fmt.Errorf("core: PrepareRoot on %s root %s", t.State(), t)
 	}
 	if e.journal != nil {
-		e.journalCommit(t, JournalRecord{Kind: JPrepare, Node: t.id, Parent: gid})
+		// The one place an outcome-class record is submitted and waited
+		// for with every lock held: a prepared branch has promised the
+		// coordinator it can still go either way, so nothing of it may
+		// become observable before the decision — there is no "make
+		// observable" step to put between the two halves.
+		out := e.journalSubmit(t, JournalRecord{Kind: JPrepare, Node: t.id, Parent: gid})
+		e.journalWait(t, out, false)
 	}
 	return nil
 }
@@ -622,7 +693,9 @@ func (e *Engine) AbortChild(t *Tx) error {
 
 // AbortRoot rolls back top-level transaction t, compensating all its
 // committed top-level actions in reverse order, and releases every
-// lock of the tree.
+// lock of the tree. Like CommitRoot it submits its outcome record
+// (JNodeAborted), makes the rollback observable, and returns once the
+// record is durable.
 func (e *Engine) AbortRoot(t *Tx) error {
 	if !t.IsRoot() {
 		return fmt.Errorf("core: AbortRoot on non-root %s", t)
@@ -668,8 +741,8 @@ func (e *Engine) abortNode(t *Tx) error {
 		e.stats.bump(int(t.root.id), cCompensations)
 	}
 
-	// Write-ahead ordering: the abort-complete record goes to the
-	// journal before the rollback becomes observable (nodes marked
+	// Write-ahead ordering: the abort-complete record is submitted to
+	// the journal before the rollback becomes observable (nodes marked
 	// Aborted, locks released) — a crash in between re-runs an empty
 	// pending list, never un-aborts the tree.
 	// Drop the subtree's escrow reservations without settling — the
@@ -687,12 +760,14 @@ func (e *Engine) abortNode(t *Tx) error {
 		}
 		e.esc.releaseTree(t)
 	}
+	var out pendingOutcome
 	if firstErr == nil && e.journal != nil {
-		// Root aborts are top-level outcomes like commits: park until
-		// the record is durable. Subtransaction rollbacks stay
-		// fire-and-forget — their parent's outcome subsumes them.
+		// Root aborts are top-level outcomes like commits: submitted
+		// here, waited for below once the rollback is observable (see
+		// CommitRoot). Subtransaction rollbacks stay fire-and-forget —
+		// their parent's outcome subsumes them.
 		if t.IsRoot() {
-			e.journalCommit(t, JournalRecord{Kind: JNodeAborted, Node: t.id})
+			out = e.journalSubmit(t, JournalRecord{Kind: JNodeAborted, Node: t.id})
 		} else {
 			e.journalAppend(t, JournalRecord{Kind: JNodeAborted, Node: t.id})
 		}
@@ -709,6 +784,7 @@ func (e *Engine) abortNode(t *Tx) error {
 	})
 	e.lm.ReleaseTree(t)
 	if t.IsRoot() {
+		e.journalWait(t, out, true)
 		e.spans.FinishRoot(t.span, obs.OutcomeAborted)
 	} else {
 		t.span.Finish(obs.OutcomeAborted)

@@ -102,11 +102,17 @@ func (tx *Tx) Exec(inv compat.Invocation) (val.V, error) {
 	return tx.db.invoke(tx.root, inv)
 }
 
-// Commit commits the transaction and releases all its locks.
+// Commit commits the transaction and releases all its locks. The locks
+// go as soon as the commit record is submitted to the journal; Commit
+// itself returns only once that record is durable (sync and group
+// journals). Until it has returned, every value the transaction's
+// calls returned is tentative: it may rest on a predecessor whose own
+// outcome is not durable yet, and a crash then takes both.
 func (tx *Tx) Commit() error { return tx.db.engine.CommitRoot(tx.root) }
 
 // Abort rolls the transaction back, compensating committed top-level
-// actions in reverse order.
+// actions in reverse order. Like Commit it releases at submission and
+// returns when the abort record is durable.
 func (tx *Tx) Abort() error { return tx.db.engine.AbortRoot(tx.root) }
 
 // Ctx is the execution context of a running method body: all database

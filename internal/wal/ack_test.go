@@ -20,6 +20,11 @@ func durableOutcome(t *testing.T, j Journal, id uint64) bool {
 	if err != nil {
 		t.Fatalf("decode durable image: %v", err)
 	}
+	return hasRootCommit(l, id)
+}
+
+// hasRootCommit reports whether l holds a JRootCommit for root id.
+func hasRootCommit(l *Log, id uint64) bool {
 	for _, r := range l.RecordsFrom(0) {
 		if r.Kind == core.JRootCommit && r.Node == id {
 			return true
@@ -128,5 +133,125 @@ func TestAsyncAckBeforeFlush(t *testing.T) {
 	}
 	if got := g.Stats(); got.Durable != got.Records {
 		t.Fatalf("stats after Sync = %+v, want fully durable", got)
+	}
+}
+
+// TestDurablePrefixOrdersLockSuccessors is the other half of the
+// commit-ACK contract (run it with -race): the engine hands a root's
+// locks on when its outcome is *submitted*, so under contention a
+// successor runs while its predecessor's record is still on its way to
+// the device. What keeps that safe is the journal's prefix property.
+// Eight committers overwrite one hot atom through a group log whose
+// flushes park; every durable image sampled while they run must decode
+// to a history in which each root's conflicting work is preceded by
+// the outcome of every root that held the lock before it — hence every
+// committed root's lock predecessors are committed too — and each
+// Commit must still find its own outcome durable on return. Nothing
+// here can deadlock (one lock per root).
+func TestDurablePrefixOrdersLockSuccessors(t *testing.T) {
+	j := New(Config{Mode: ModeGroup, MaxBatch: 8, MaxDelay: 100 * time.Microsecond,
+		FlushDelay: 200 * time.Microsecond, DeviceSleep: true})
+	defer j.Close()
+	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Journal: j})
+	hot, err := db.Store().NewAtomic(val.OfInt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// checkImage decodes one durable image and walks it in journal
+	// order: holders lists the roots in the order they were granted the
+	// hot atom's lock (a root journals its Put only once granted).
+	checkImage := func(img []byte) error {
+		l, _, err := UnmarshalDurable(img)
+		if err != nil {
+			return fmt.Errorf("decode durable image: %w", err)
+		}
+		committed := make(map[uint64]bool)
+		var holders []uint64
+		for i, r := range l.RecordsFrom(0) {
+			switch {
+			case r.Kind == core.JRootCommit:
+				committed[r.Node] = true
+			case r.Kind == core.JBegin && r.Inv != nil && r.Inv.Object == hot:
+				for _, p := range holders {
+					if !committed[p] {
+						return fmt.Errorf("record %d: root %d works on the hot atom before root %d's outcome is in the journal", i, r.Parent, p)
+					}
+				}
+				holders = append(holders, r.Parent)
+			}
+		}
+		for k, h := range holders {
+			if !committed[h] {
+				continue
+			}
+			for _, p := range holders[:k] {
+				if !committed[p] {
+					return fmt.Errorf("root %d is committed in the image, its lock predecessor %d is not", h, p)
+				}
+			}
+		}
+		return nil
+	}
+
+	const goroutines, commits = 8, 6
+	errs := make(chan error, goroutines+1) // one per committer, one for the sampler
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for c := 0; c < commits; c++ {
+				tx := db.Begin()
+				id := tx.Root().ID()
+				if err := tx.Put(hot, val.OfInt(int64(i*commits+c))); err != nil {
+					errs <- fmt.Errorf("goroutine %d commit %d: put: %w", i, c, err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- fmt.Errorf("goroutine %d commit %d: %w", i, c, err)
+					return
+				}
+				// Its own outcome is in the image it returned behind, and
+				// that image too orders every successor behind its holder.
+				img := j.DurableBytes()
+				if l, _, err := UnmarshalDurable(img); err != nil || !hasRootCommit(l, id) {
+					errs <- fmt.Errorf("goroutine %d commit %d: root %d acked but not durable (decode: %v)", i, c, id, err)
+					return
+				}
+				if err := checkImage(img); err != nil {
+					errs <- fmt.Errorf("goroutine %d commit %d: %w", i, c, err)
+					return
+				}
+			}
+		}(i)
+	}
+	running := make(chan struct{})
+	go func() { wg.Wait(); close(running) }()
+	samples := 0
+	for sampling := true; sampling; {
+		select {
+		case <-running:
+			sampling = false
+		default:
+		}
+		// The last sample is taken after every committer has returned.
+		if err := checkImage(j.DurableBytes()); err != nil {
+			errs <- fmt.Errorf("sample %d: %w", samples, err)
+			sampling = false
+		}
+		samples++
+	}
+	<-running
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	s := db.Engine().Stats()
+	if s.Deadlocks != 0 || s.RootsCommitted != goroutines*commits {
+		t.Errorf("stats: %d deadlocks, %d roots committed; want 0 and %d", s.Deadlocks, s.RootsCommitted, goroutines*commits)
+	}
+	if samples < 2 {
+		t.Errorf("only %d durable image(s) sampled", samples)
 	}
 }

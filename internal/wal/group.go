@@ -3,11 +3,25 @@
 // commit-ACK futures park committing roots until their batch is
 // durable. This removes the last process-global serialization point of
 // the stack — the per-append flush of the synchronous Log — while
-// keeping the write-ahead invariant at batch granularity: a record's
-// position in the journal order is fixed at submission, and a root
-// outcome only becomes observable after its covering batch frame is on
-// simulated stable storage (except in async mode, which trades that
-// guarantee for latency).
+// keeping the write-ahead invariant at batch granularity. The
+// invariant has three parts:
+//
+//   - a record's position in the journal order is fixed at submission
+//     (Append/AppendAck return with it fixed), and the engine submits a
+//     root's outcome record before the outcome becomes observable;
+//   - the durable image only ever grows by whole batch frames covering
+//     the next records in that order, so what is durable is always a
+//     prefix of what was submitted — a root that took over a released
+//     lock journals behind its predecessor's outcome and can never be
+//     durable without it;
+//   - an Ack resolves only after its record's covering batch frame is
+//     on simulated stable storage, so a root outcome is acknowledged to
+//     its caller only when durable (except in async mode, which trades
+//     that guarantee for latency).
+//
+// Observable-before-durable is therefore allowed — the engine releases
+// a committing root's locks at submission — and acknowledged-before-
+// durable is not.
 
 package wal
 
@@ -32,7 +46,8 @@ const (
 	ModeSync Mode = iota
 	// ModeGroup is the group-commit pipeline: a dedicated writer
 	// coalesces concurrent appends into one batched flush and roots
-	// park in Commit until their batch is durable.
+	// park in Commit — their locks already released — until their
+	// batch is durable.
 	ModeGroup
 	// ModeAsync is the group pipeline acknowledging before the flush:
 	// Commit returns immediately and a crash may lose acknowledged

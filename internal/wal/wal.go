@@ -434,6 +434,7 @@ type replayNode struct {
 	root    *replayNode
 	depth   int
 	seq     int // begin order in the log; chronology tie-break for losers
+	last    int // roots only: journal position of the tree's last record
 	state   core.State
 	undo    []compat.Invocation
 	pending []compat.Invocation // remaining undo after AbortStart, in application order
@@ -471,17 +472,22 @@ type Analysis struct {
 // InDoubt is one prepared-but-undecided distributed transaction
 // participant: the local root, the coordinator's global transaction
 // id from its JPrepare record, and — should the decision be abort —
-// the same pending-undo payload a Loser carries.
+// the same journal position and pending-undo payload a Loser carries.
 type InDoubt struct {
 	Root         uint64
 	GID          uint64
+	Last         int
 	Pending      []compat.Invocation
 	Reservations []compat.Invocation
 }
 
 // Loser is one transaction requiring rollback completion.
 type Loser struct {
-	Root    uint64
+	Root uint64
+	// Last is the journal position (record index) of the last record
+	// any node of the loser's tree wrote. Losers are compensated in
+	// descending order of Last — see sortLosers.
+	Last    int
 	Pending []compat.Invocation
 	// Reservations are the escrow reservations (OpAdd invocations on
 	// counter objects) the crash left outstanding in the loser's tree,
@@ -508,7 +514,7 @@ func Analyze(l RecordSource) (*Analysis, error) {
 	fullyAborted := make(map[uint64]bool)
 
 	seq := 0
-	for _, r := range l.RecordsFrom(0) {
+	for pos, r := range l.RecordsFrom(0) {
 		switch r.Kind {
 		case core.JBeginRoot:
 			n := &replayNode{id: r.Node, state: core.Active, seq: seq}
@@ -630,6 +636,9 @@ func Analyze(l RecordSource) (*Analysis, error) {
 				n.state = core.Committed
 			}
 		}
+		if n, ok := nodes[r.Node]; ok {
+			n.root.last = pos
+		}
 	}
 
 	a := &Analysis{}
@@ -689,15 +698,39 @@ func Analyze(l RecordSource) (*Analysis, error) {
 			// Prepared, undecided: the node alone cannot tell winner
 			// from loser. Report it in-doubt with the loser payload a
 			// presumed-abort resolution would need.
-			a.InDoubt = append(a.InDoubt, InDoubt{Root: r.id, GID: r.gid, Pending: pend, Reservations: resv})
+			a.InDoubt = append(a.InDoubt, InDoubt{Root: r.id, GID: r.gid, Last: r.last, Pending: pend, Reservations: resv})
 			continue
 		}
-		a.Losers = append(a.Losers, Loser{Root: r.id, Pending: pend, Reservations: resv})
+		a.Losers = append(a.Losers, Loser{Root: r.id, Last: r.last, Pending: pend, Reservations: resv})
 	}
 	sort.Slice(a.Committed, func(i, j int) bool { return a.Committed[i] < a.Committed[j] })
-	sort.Slice(a.Losers, func(i, j int) bool { return a.Losers[i].Root < a.Losers[j].Root })
+	sortLosers(a.Losers)
 	sort.Slice(a.InDoubt, func(i, j int) bool { return a.InDoubt[i].Root < a.InDoubt[j].Root })
 	return a, nil
+}
+
+// sortLosers puts losers in the order recovery compensates them:
+// descending journal position of each tree's last record, i.e. the
+// loser that wrote last is undone first.
+//
+// Why that is a reverse-dependency order. The engine releases a root's
+// locks when its outcome record is *submitted*, not when it is durable
+// (core.CommitRoot), so a root T2 may take over a lock of a root T1
+// whose outcome a crash then loses — both are losers, and T2's work
+// was built on T1's. T2's conflicting request is granted only after
+// T1's release, which follows the submission of T1's outcome record,
+// which is T1's last record; every record of T2's conflicting work is
+// journaled after that. So Last(T2) > Last(T1) whenever T2 depends on
+// T1 — even when T2 began first and has the smaller root id — and
+// undoing in descending Last unwinds T2's work (a before-image, say)
+// before the state it was applied to is itself compensated. Losers
+// that do not depend on each other hold compatible locks only, their
+// logical compensations commute, and any order serves. (The order is
+// exact for these release dependencies only: two *active* losers tied
+// by Fig. 9 case 1 through an unfinished subtransaction are usually,
+// not always, put right by it — DESIGN.md §3.7, "Known limit".)
+func sortLosers(ls []Loser) {
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Last > ls[j].Last })
 }
 
 // Recover completes the rollback of every loser transaction against
@@ -730,10 +763,10 @@ func RecoverDecided(db *oodb.DB, l RecordSource, decided func(gid uint64) bool) 
 			a.Committed = append(a.Committed, d.Root)
 			continue
 		}
-		a.Losers = append(a.Losers, Loser{Root: d.Root, Pending: d.Pending, Reservations: d.Reservations})
+		a.Losers = append(a.Losers, Loser{Root: d.Root, Last: d.Last, Pending: d.Pending, Reservations: d.Reservations})
 	}
 	sort.Slice(a.Committed, func(i, j int) bool { return a.Committed[i] < a.Committed[j] })
-	sort.Slice(a.Losers, func(i, j int) bool { return a.Losers[i].Root < a.Losers[j].Root })
+	sortLosers(a.Losers)
 	for _, loser := range a.Losers {
 		tx := db.Begin()
 		for _, inv := range loser.Pending {

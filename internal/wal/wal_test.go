@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"semcc/internal/compat"
@@ -263,28 +264,36 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-// TestAnalyzeLoserOrderDeterministic is the regression test for the
-// loser-compensation ordering bug: equal-depth sibling nodes of a
-// loser used to be ordered by Go's random map iteration, so two
-// Analyze runs over the same log could emit their (non-commuting)
-// inverses in different orders. The begin-sequence tie-break must put
-// the youngest sibling's undo first, every time.
+// TestAnalyzeLoserOrderDeterministic pins both halves of the order
+// recovery compensates in. Within a loser: equal-depth sibling nodes
+// used to be ordered by Go's random map iteration, so two Analyze runs
+// over the same log could emit their (non-commuting) inverses in
+// different orders; the begin-sequence tie-break must put the youngest
+// sibling's undo first, every time. Across losers: descending journal
+// position of each tree's last record — the root that wrote last is
+// undone first, whatever its id (see sortLosers).
 func TestAnalyzeLoserOrderDeterministic(t *testing.T) {
 	invA := compat.Inv(oid.OID{K: oid.Tuple, N: 100}, "UndoA", val.OfInt(1))
 	invB := compat.Inv(oid.OID{K: oid.Tuple, N: 200}, "UndoB", val.OfInt(2))
+	invC := compat.Inv(oid.OID{K: oid.Tuple, N: 300}, "UndoC", val.OfInt(3))
 
 	// Root 1 with two in-flight children at depth 1: node 2 (older,
 	// holds inverse A via its committed child 4) and node 3 (younger,
 	// holds inverse B via its committed child 5). The crash leaves
-	// 1, 2 and 3 Active.
+	// 1, 2 and 3 Active. Root 6 began before root 1's last record and
+	// wrote after it; root 9 began last and wrote nothing else.
 	l := NewLog()
 	l.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 1})
 	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 2, Parent: 1})
 	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 4, Parent: 2})
 	l.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 4, Inv: &invA})
+	l.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 6})
 	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 3, Parent: 1})
 	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 5, Parent: 3})
-	l.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 5, Inv: &invB})
+	l.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 5, Inv: &invB}) // root 1's last record: 7
+	l.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 9})             // root 9's last record: 8
+	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 7, Parent: 6})
+	l.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 7, Inv: &invC}) // root 6's last record: 10
 
 	// UndoB first: node 3 began after node 2, and the engine unwinds
 	// the youngest work first. Repeat to flush out map-order luck.
@@ -293,10 +302,14 @@ func TestAnalyzeLoserOrderDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Losers) != 1 || a.Losers[0].Root != 1 {
-			t.Fatalf("run %d: losers = %+v, want root 1 only", i, a.Losers)
+		var order, last []int
+		for _, lo := range a.Losers {
+			order, last = append(order, int(lo.Root)), append(last, lo.Last)
 		}
-		pend := a.Losers[0].Pending
+		if !reflect.DeepEqual(order, []int{6, 9, 1}) || !reflect.DeepEqual(last, []int{10, 8, 7}) {
+			t.Fatalf("run %d: losers %v at positions %v, want [6 9 1] at [10 8 7]", i, order, last)
+		}
+		pend := a.Losers[2].Pending
 		if len(pend) != 2 || pend[0].Method != "UndoB" || pend[1].Method != "UndoA" {
 			t.Fatalf("run %d: pending = %v, want [UndoB UndoA]", i, pend)
 		}
