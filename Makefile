@@ -39,15 +39,19 @@ race:
 # The ADT suite twenty times under the race detector: methods declared
 # commuting must never deadlock on their leaf accesses (the concurrent
 # tests assert Deadlocks == 0), and one run in two used to. Then the
-# two deterministic commit-pipeline tests forty times: outcomes
-# observable at submission and acknowledged when durable (core), and
-# recovery of dependent losers at every crash cut (wal). Both step
-# real goroutines through channels, so a schedule-dependent failure
-# would show here and nowhere else.
+# deterministic channel-stepped tests forty times: outcomes observable
+# at submission and acknowledged when durable, and a holder's
+# re-request granted past the request queued on it (core); recovery of
+# dependent losers at every crash cut (wal). They step real goroutines
+# through channels, so a schedule-dependent failure would show here and
+# nowhere else. Last the workload test that failed one run in two
+# before the FCFS conversion rule: its clients run free, so it is the
+# rule's coverage under real schedules.
 flake:
 	$(GO) test -race -count=20 ./adts
-	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable' ./internal/core
+	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable|TestFCFSConversionRule' ./internal/core
 	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser' ./internal/wal
+	$(GO) test -race -count=40 -run 'TestClientErrorsAggregated' ./internal/workload
 
 # Focused, -short-gated race run of the journaling/recovery surface —
 # the quick iteration loop when touching engine commit/abort paths or
@@ -90,9 +94,13 @@ benchmark:
 # (sub-benchmarks sharded|partitioned and global), plus the
 # engine-level parallel method benchmark on the default layout.
 # Meaningful at GOMAXPROCS >= 4; -cpu forces it on smaller machines.
+# Then the single-threaded per-layer ones, benchstat-comparable across
+# commits (ns/op, B/op, allocs/op): page insert and grow-on-a-full-page
+# (storage), one root invoking a two-leaf method (core through oodb).
 bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkStoreParallel|BenchmarkPool(Fetch|Evict)Parallel' -benchmem -cpu 4 ./internal/objstore ./internal/storage
 	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
+	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkInvokeGetPut$$' -benchmem -cpu 1 ./internal/storage ./internal/oodb
 
 # The observability cost contract: the disjoint-atom transaction cycle
 # with no Obs / disabled Obs / enabled Obs (and the tracer's analogue),

@@ -485,13 +485,18 @@ func (e *Engine) BeginChild(parent *Tx, inv compat.Invocation) (*Tx, error) {
 		beginSeq:     e.seq.Add(1),
 		compensating: parent.compensating,
 	}
+	t.locks = t.lockBuf[:0]
 	parent.root.treeMu.Lock()
 	parent.children = append(parent.children, t)
 	parent.root.treeMu.Unlock()
 	e.stats.bump(int(t.root.id), cSubtxs)
-	// Child spans hang off the parent's span (nil propagates), created
-	// before lock acquisition so lock waits charge to this node.
-	t.span = parent.span.NewChild(t.id, inv.String())
+	// Child spans hang off the parent's span, created before lock
+	// acquisition so lock waits charge to this node. The label is
+	// formatted only for a span that will carry it: without a parent
+	// span (collection off) the cost is this one pointer check.
+	if parent.span != nil {
+		t.span = parent.span.NewChild(t.id, inv.String())
+	}
 
 	lockInv, need := e.lm.LockFor(inv)
 	if need {

@@ -153,8 +153,10 @@ func classifyWaits(waits []*Tx) (trace.Cause, uint64) {
 // transaction nodes whose completion l must await, per the protocol's
 // conflict test, considering all granted locks and all queued requests
 // ahead of l (paper Fig. 8: "for all locks h that are held or have
-// been requested on t.object"). Caller holds h's shard mutex, so the
-// returned slice is a consistent snapshot of the object's lock list.
+// been requested on t.object") — except queued requests that are
+// themselves waiting on l's own transaction (the conversion rule, see
+// blockedByRoot). Caller holds h's shard mutex, so the returned slice
+// is a consistent snapshot of the object's lock list.
 func (m *lockMgr) waitSet(h *lockHead, l *lock, stripe int, probe bool) []*Tx {
 	var waits []*Tx
 	seen := make(map[*Tx]bool)
@@ -180,10 +182,34 @@ func (m *lockMgr) waitSet(h *lockHead, l *lock, stripe int, probe bool) []*Tx {
 				// Only requests queued ahead of l block it.
 				break
 			}
+			if m.blockedByRoot(h, q, l.owner.root) {
+				continue
+			}
 			add(m.testConflict(q, l, stripe, probe))
 		}
 	}
 	return waits
+}
+
+// blockedByRoot reports whether queued request q is blocked by a lock
+// that root's tree holds on this object. Such a q cannot be granted
+// before root completes, so a later request of the same root that
+// lined up behind it would wait for a request that waits for it: a
+// deadlock FCFS queueing manufactures, and the reason conventional
+// lock managers serve a holder's re-requests (conversions) ahead of
+// the queue. Paper Fig. 8 leaves the rule implicit (DESIGN.md §3.6).
+// The conflict test runs as a probe, so no counter moves. Caller holds
+// h's shard mutex.
+func (m *lockMgr) blockedByRoot(h *lockHead, q *lock, root *Tx) bool {
+	for _, g := range h.Granted {
+		if g.owner.root != root {
+			continue
+		}
+		if b := m.testConflict(g, q, 0, true); b != nil && b.State() == Active {
+			return true
+		}
+	}
+	return false
 }
 
 // Acquire implements the blocking lock acquisition of paper Fig. 8.
@@ -194,7 +220,10 @@ func (m *lockMgr) waitSet(h *lockHead, l *lock, stripe int, probe bool) []*Tx {
 func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 	obj := lockInv.Object
 	stripe := m.tbl.ShardOf(obj)
-	l := &lock{inv: lockInv, owner: t}
+	// A node requests one lock in its life (BeginChild); it lives in
+	// the node.
+	l := &t.own
+	*l = lock{inv: lockInv, owner: t}
 	m.stats.bump(stripe, cLockRequests)
 	if m.tr.On() {
 		m.tr.Emit(stripe, trace.Event{Kind: trace.KRequest, Node: t.id, Root: t.root.id, Obj: obj})

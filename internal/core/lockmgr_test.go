@@ -7,6 +7,7 @@ import (
 
 	"semcc/internal/compat"
 	"semcc/internal/core/locktable"
+	"semcc/internal/val"
 )
 
 // lockTableLayouts are the shard counts the lock-manager contracts are
@@ -123,6 +124,80 @@ func TestFCFSGrantOrderStress(t *testing.T) {
 			}
 			if st.Blocks < n {
 				t.Errorf("Blocks = %d, want >= %d", st.Blocks, n)
+			}
+		})
+	}
+}
+
+// TestFCFSConversionRule steps the waits-for cycle FCFS queueing used
+// to manufacture. Root A holds the retained lock of its committed first
+// ShipOrder(item, o1); root B's ShipOrder(item, o3) queues behind it
+// (ShipOrder conflicts with ShipOrder on the same item, and only the
+// roots are left as ancestors, so B waits for A's top-level commit);
+// then A ships a second order on the same item. Tested against the
+// queue, that request would wait for B, which waits for A — a deadlock
+// with A as the victim. The conversion rule skips B (it is blocked by
+// A's own lock), so the request is granted at once and B runs after A
+// commits. Every step is ordered by a channel, not by timing.
+func TestFCFSConversionRule(t *testing.T) {
+	for _, layout := range lockTableLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			item := obj()
+			ship := func(order int64) compat.Invocation {
+				return compat.Inv(item, "ShipOrder", val.OfInt(order))
+			}
+			type block struct {
+				t     *Tx
+				waits []*Tx
+			}
+			blocked := make(chan block, 1)
+			hooks := Hooks{OnBlock: func(b *Tx, waits []*Tx) { blocked <- block{b, waits} }}
+			e := newEngineWithShards(Config{Kind: Semantic, Table: newTestTable(), Hooks: hooks}, layout.shards)
+			e.SetExec(func(parent *Tx, inv compat.Invocation) error { return nil })
+
+			a := e.BeginRoot()
+			complete(t, e, begin(t, e, a, ship(1)))
+
+			b := e.BeginRoot()
+			granted := make(chan *Tx, 1)
+			go func() {
+				c, err := e.BeginChild(b, ship(3))
+				if err != nil {
+					t.Errorf("B ShipOrder(item, o3): %v", err)
+				}
+				granted <- c
+			}()
+			if bl := <-blocked; bl.t.Root() != b || len(bl.waits) != 1 || bl.waits[0] != a {
+				t.Fatalf("B blocked as %s on %v, want a child of %s waiting on [%s]", bl.t, bl.waits, b, a)
+			}
+
+			// B is queued. A's re-request must see through it.
+			if waits := e.ProbeConflicts(a, ship(2)); len(waits) != 0 {
+				t.Errorf("A's second ShipOrder would wait on %v, want nothing", waits)
+			}
+			second, err := e.BeginChild(a, ship(2))
+			if err != nil {
+				t.Fatalf("A ShipOrder(item, o2): %v", err)
+			}
+			complete(t, e, second)
+			select {
+			case c := <-granted:
+				t.Fatalf("B's %s granted while A still holds the item", c)
+			default:
+			}
+			if err := e.CommitRoot(a); err != nil {
+				t.Fatal(err)
+			}
+			c := <-granted
+			if c == nil || c.State() != Active {
+				t.Fatalf("B's ShipOrder not granted after A's commit: %v", c)
+			}
+			complete(t, e, c)
+			if err := e.CommitRoot(b); err != nil {
+				t.Fatal(err)
+			}
+			if st := e.Stats(); st.Deadlocks != 0 || st.Blocks != 1 {
+				t.Errorf("Deadlocks = %d, Blocks = %d; want 0 and 1 (only B ever waits)", st.Deadlocks, st.Blocks)
 			}
 		})
 	}

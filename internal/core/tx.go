@@ -83,8 +83,14 @@ type Tx struct {
 	treeMu sync.Mutex
 
 	// locks acquired by this node (usually exactly one: the semantic
-	// lock on inv.Object; baselines may take zero). Tree-local.
+	// lock on inv.Object; baselines may take zero), plus any inherited
+	// from closed-nested children. Tree-local.
 	locks []*lock
+	// own is the one lock the node itself requests and lockBuf the
+	// first backing array of locks, both embedded so that acquiring
+	// the lock allocates nothing beyond the node.
+	own     lock
+	lockBuf [1]*lock
 
 	// undo is the compensation log: inverse invocations for this
 	// node's committed children (and physical-equivalent inverses for

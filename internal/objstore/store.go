@@ -24,6 +24,7 @@ package objstore
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -44,13 +45,16 @@ type SetEntry struct {
 	Member oid.OID
 }
 
-type atomicObj struct {
-	rid storage.RID
-}
-
+// tupleObj is a tuple's directory entry. A tuple type is a fixed
+// component list (Malta & Martinez, "Tuple-based abstract data types:
+// full parallelism"), so an instance is only a component vector:
+// component i is comps[start+i] of its shard's arena and is named
+// schemas[schema][i]. Navigation t.c is addressing into the schema,
+// not a hash lookup per instance — and the entry holds no pointer, so
+// the collector never walks the tuple directory.
 type tupleObj struct {
-	comps map[string]oid.OID
-	order []string // component names in definition order
+	schema uint32
+	start  uint32
 }
 
 type setObj struct {
@@ -63,10 +67,37 @@ type setObj struct {
 type shard struct {
 	mu      sync.RWMutex
 	records *storage.RecordStore
-	atoms   map[oid.OID]*atomicObj
-	tuples  map[oid.OID]*tupleObj
+	// atoms and tuples, the two directories with an entry per order,
+	// are pointer-free in key and value: their buckets are never
+	// scanned by the collector.
+	atoms  map[oid.OID]storage.RID
+	tuples map[oid.OID]tupleObj
+	// schemas holds each distinct component-name list once; comps is
+	// the arena of this shard's tuples' component vectors, back to
+	// back (tuples are never deleted).
+	schemas [][]string
+	comps   []oid.OID
 	sets    map[oid.OID]*setObj
 	next    atomic.Uint64 // per-shard OID sequence counter
+}
+
+// schemaOf returns the number of the schema with exactly these names,
+// interning a copy on first sight. Caller holds mu for writing.
+func (sh *shard) schemaOf(names []string) uint32 {
+search:
+	for i, have := range sh.schemas {
+		if len(have) != len(names) {
+			continue
+		}
+		for j := range have {
+			if have[j] != names[j] {
+				continue search
+			}
+		}
+		return uint32(i)
+	}
+	sh.schemas = append(sh.schemas, append([]string(nil), names...))
+	return uint32(len(sh.schemas) - 1)
 }
 
 // Config parameterises NewStore.
@@ -195,8 +226,8 @@ func NewStore(cfg Config) *Store {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.records = storage.NewRecordStore(pool)
-		sh.atoms = make(map[oid.OID]*atomicObj)
-		sh.tuples = make(map[oid.OID]*tupleObj)
+		sh.atoms = make(map[oid.OID]storage.RID)
+		sh.tuples = make(map[oid.OID]tupleObj)
 		sh.sets = make(map[oid.OID]*setObj)
 	}
 	return s
@@ -260,7 +291,7 @@ func (s *Store) NewAtomic(initial val.V) (oid.OID, error) {
 		return oid.Nil, err
 	}
 	sh.mu.Lock()
-	sh.atoms[id] = &atomicObj{rid: rid}
+	sh.atoms[id] = rid
 	sh.mu.Unlock()
 	return id, nil
 }
@@ -270,12 +301,12 @@ func (s *Store) ReadAtomic(id oid.OID) (val.V, error) {
 	s.op(s.localIdx(id), opRead)
 	sh := s.shardOf(id)
 	sh.mu.RLock()
-	a, ok := sh.atoms[id]
+	rid, ok := sh.atoms[id]
 	sh.mu.RUnlock()
 	if !ok {
 		return val.NullV, fmt.Errorf("objstore: no atomic object %s", id)
 	}
-	raw, err := sh.records.Read(a.rid)
+	raw, err := sh.records.Read(rid)
 	if err != nil {
 		return val.NullV, err
 	}
@@ -290,12 +321,12 @@ func (s *Store) WriteAtomic(id oid.OID, v val.V) error {
 	s.op(s.localIdx(id), opWrite)
 	sh := s.shardOf(id)
 	sh.mu.RLock()
-	a, ok := sh.atoms[id]
+	rid, ok := sh.atoms[id]
 	sh.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("objstore: no atomic object %s", id)
 	}
-	_, err := sh.records.Update(a.rid, v.Marshal())
+	_, err := sh.records.Update(rid, v.Marshal())
 	return err
 }
 
@@ -310,11 +341,11 @@ func (s *Store) AddAtomic(id oid.OID, delta int64) (val.V, error) {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	a, ok := sh.atoms[id]
+	rid, ok := sh.atoms[id]
 	if !ok {
 		return val.NullV, fmt.Errorf("objstore: no atomic object %s", id)
 	}
-	raw, err := sh.records.Read(a.rid)
+	raw, err := sh.records.Read(rid)
 	if err != nil {
 		return val.NullV, err
 	}
@@ -323,7 +354,7 @@ func (s *Store) AddAtomic(id oid.OID, delta int64) (val.V, error) {
 		return val.NullV, err
 	}
 	nv := val.OfInt(v.Int() + delta)
-	if _, err := sh.records.Update(a.rid, nv.Marshal()); err != nil {
+	if _, err := sh.records.Update(rid, nv.Marshal()); err != nil {
 		return val.NullV, err
 	}
 	return nv, nil
@@ -335,11 +366,11 @@ func (s *Store) PageOf(id oid.OID) (oid.OID, error) {
 	sh := s.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	a, ok := sh.atoms[id]
+	rid, ok := sh.atoms[id]
 	if !ok {
 		return oid.Nil, fmt.Errorf("objstore: no atomic object %s", id)
 	}
-	return oid.PageOID(uint64(a.rid.Page)), nil
+	return oid.PageOID(uint64(rid.Page)), nil
 }
 
 // NewTuple creates a tuple object with the given components, in order.
@@ -347,18 +378,22 @@ func (s *Store) NewTuple(names []string, comps map[string]oid.OID) (oid.OID, err
 	if len(names) != len(comps) {
 		return oid.Nil, fmt.Errorf("objstore: tuple has %d names but %d components", len(names), len(comps))
 	}
-	t := &tupleObj{comps: make(map[string]oid.OID, len(comps)), order: append([]string(nil), names...)}
 	for _, n := range names {
-		c, ok := comps[n]
-		if !ok {
+		if _, ok := comps[n]; !ok {
 			return oid.Nil, fmt.Errorf("objstore: tuple component %q missing", n)
 		}
-		t.comps[n] = c
 	}
 	sh, id := s.alloc(oid.Tuple)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.comps)+len(names) > math.MaxUint32 {
+		return oid.Nil, fmt.Errorf("objstore: tuple component arena full")
+	}
+	t := tupleObj{schema: sh.schemaOf(names), start: uint32(len(sh.comps))}
+	for _, n := range names {
+		sh.comps = append(sh.comps, comps[n])
+	}
 	sh.tuples[id] = t
-	sh.mu.Unlock()
 	return id, nil
 }
 
@@ -371,11 +406,12 @@ func (s *Store) TupleGet(id oid.OID, name string) (oid.OID, error) {
 	if !ok {
 		return oid.Nil, fmt.Errorf("objstore: no tuple object %s", id)
 	}
-	c, ok := t.comps[name]
-	if !ok {
-		return oid.Nil, fmt.Errorf("objstore: tuple %s has no component %q", id, name)
+	for i, n := range sh.schemas[t.schema] {
+		if n == name {
+			return sh.comps[int(t.start)+i], nil
+		}
 	}
-	return c, nil
+	return oid.Nil, fmt.Errorf("objstore: tuple %s has no component %q", id, name)
 }
 
 // TupleComponents returns the component names of tuple id in
@@ -388,7 +424,7 @@ func (s *Store) TupleComponents(id oid.OID) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("objstore: no tuple object %s", id)
 	}
-	return append([]string(nil), t.order...), nil
+	return append([]string(nil), sh.schemas[t.schema]...), nil
 }
 
 // NewSet creates an empty set object.
@@ -519,16 +555,16 @@ func (s *Store) Kind(id oid.OID) oid.Kind {
 	sh := s.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	switch {
-	case sh.atoms[id] != nil:
+	if _, ok := sh.atoms[id]; ok {
 		return oid.Atomic
-	case sh.tuples[id] != nil:
-		return oid.Tuple
-	case sh.sets[id] != nil:
-		return oid.Set
-	default:
-		return oid.Invalid
 	}
+	if _, ok := sh.tuples[id]; ok {
+		return oid.Tuple
+	}
+	if _, ok := sh.sets[id]; ok {
+		return oid.Set
+	}
+	return oid.Invalid
 }
 
 // DumpAtom renders "oid=value" for diagnostics and state comparison.

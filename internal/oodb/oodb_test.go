@@ -14,7 +14,7 @@ import (
 
 // registerPair installs a tiny type "Reg" with commuting Add and a
 // conflicting Read, implemented over one atom, for engine-level tests.
-func registerPair(t *testing.T, db *DB) (regType *Type) {
+func registerPair(t testing.TB, db *DB) (regType *Type) {
 	t.Helper()
 	m := compat.NewMatrix("Reg", "AddN", "Read", "SubN")
 	m.Set("AddN", "AddN", compat.Always)
@@ -57,7 +57,7 @@ func registerPair(t *testing.T, db *DB) (regType *Type) {
 	return typ
 }
 
-func newReg(t *testing.T, db *DB, initial int64) oid.OID {
+func newReg(t testing.TB, db *DB, initial int64) oid.OID {
 	t.Helper()
 	store := db.Store()
 	n, err := store.NewAtomic(val.OfInt(initial))

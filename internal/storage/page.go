@@ -22,16 +22,21 @@ const PageSize = 4096
 // Page layout:
 //
 //	offset 0:  uint32 page id
-//	offset 4:  uint16 slot count
+//	offset 4:  uint16 slot count; the top bit is the had-delete flag
 //	offset 6:  uint16 free-space pointer (offset of first free byte)
 //	offset 8:  record data grows upward from here
 //	...        slot directory grows downward from PageSize
 //
 // Each slot directory entry is 4 bytes: uint16 offset, uint16 length.
 // A slot with offset 0 is a tombstone (page data never starts at 0).
+// The had-delete flag is set by the first Delete and never cleared: a
+// page that never had one has no tombstone, so Insert need not look
+// for one. A page holds at most (PageSize-headerSize)/slotEntrySize =
+// 1022 slots, which leaves the count field's top bit free.
 const (
 	headerSize    = 8
 	slotEntrySize = 4
+	hadDeleteFlag = 0x8000
 )
 
 // Page is a slotted page. The zero value is not usable; pages are
@@ -47,9 +52,21 @@ func (p *Page) setID(id uint32) { binary.BigEndian.PutUint32(p.buf[0:4], id) }
 
 // SlotCount returns the number of slot directory entries (including
 // tombstones).
-func (p *Page) SlotCount() int { return int(binary.BigEndian.Uint16(p.buf[4:6])) }
+func (p *Page) SlotCount() int {
+	return int(binary.BigEndian.Uint16(p.buf[4:6]) &^ hadDeleteFlag)
+}
 
-func (p *Page) setSlotCount(n int) { binary.BigEndian.PutUint16(p.buf[4:6], uint16(n)) }
+// setSlotCount stores n and keeps the had-delete flag.
+func (p *Page) setSlotCount(n int) {
+	flag := binary.BigEndian.Uint16(p.buf[4:6]) & hadDeleteFlag
+	binary.BigEndian.PutUint16(p.buf[4:6], uint16(n)|flag)
+}
+
+func (p *Page) hadDelete() bool { return binary.BigEndian.Uint16(p.buf[4:6])&hadDeleteFlag != 0 }
+
+func (p *Page) setHadDelete() {
+	binary.BigEndian.PutUint16(p.buf[4:6], binary.BigEndian.Uint16(p.buf[4:6])|hadDeleteFlag)
+}
 
 func (p *Page) freePtr() int { return int(binary.BigEndian.Uint16(p.buf[6:8])) }
 
@@ -96,12 +113,15 @@ func (p *Page) Insert(rec []byte) (int, error) {
 		return 0, fmt.Errorf("storage: page %d full (need %d, have %d)", p.ID(), len(rec), p.FreeSpace())
 	}
 	// Reuse a tombstone slot if one exists (its storage is not
-	// reclaimed until compaction, but the directory entry is).
+	// reclaimed until compaction, but the directory entry is). Only a
+	// page that has had a Delete can hold one.
 	slot := -1
-	for i := 0; i < p.SlotCount(); i++ {
-		if off, _ := p.slotAt(i); off == 0 {
-			slot = i
-			break
+	if p.hadDelete() {
+		for i := 0; i < p.SlotCount(); i++ {
+			if off, _ := p.slotAt(i); off == 0 {
+				slot = i
+				break
+			}
 		}
 	}
 	if slot == -1 {
@@ -131,7 +151,8 @@ func (p *Page) Read(slot int) ([]byte, error) {
 
 // Update overwrites the record in the given slot. If the new record
 // does not fit in place it is re-inserted within the same page when
-// possible; otherwise ErrPageFull is returned and the caller must
+// the page can hold it once the old copy is dropped; otherwise
+// ErrPageFull is returned, the page is unchanged, and the caller must
 // relocate the record.
 func (p *Page) Update(slot int, rec []byte) error {
 	if slot < 0 || slot >= p.SlotCount() {
@@ -152,10 +173,12 @@ func (p *Page) Update(slot int, rec []byte) error {
 	// entry and clamps at zero, which hides near-full pages.)
 	dirTop := PageSize - p.SlotCount()*slotEntrySize
 	if len(rec) > dirTop-p.freePtr() {
-		p.compact()
-		if len(rec) > dirTop-p.freePtr() {
+		// The old copy is dead the moment the new one is written, so
+		// what decides is the live bytes of the other slots.
+		if len(rec) > dirTop-headerSize-p.liveBytes(slot) {
 			return ErrPageFull
 		}
+		p.compact(slot)
 	}
 	newOff := p.freePtr()
 	copy(p.buf[newOff:], rec)
@@ -174,33 +197,47 @@ func (p *Page) Delete(slot int) error {
 		return fmt.Errorf("storage: page %d slot %d already deleted", p.ID(), slot)
 	}
 	p.setSlot(slot, 0, 0)
+	p.setHadDelete()
 	return nil
 }
 
-// compact rewrites live records contiguously to reclaim space freed by
-// deletes and in-place shrinks. Slot numbers are preserved.
-func (p *Page) compact() {
-	type rec struct {
-		slot int
-		data []byte
+// liveBytes sums the record bytes of every live slot but skip.
+func (p *Page) liveBytes(skip int) int {
+	n := 0
+	for i := 0; i < p.SlotCount(); i++ {
+		if off, length := p.slotAt(i); off != 0 && i != skip {
+			n += length
+		}
 	}
-	var live []rec
+	return n
+}
+
+// compact rewrites live records contiguously, in slot order, to
+// reclaim space freed by deletes, in-place shrinks and in-page
+// re-inserts. Slot numbers are preserved. The record in slot drop
+// (-1: none) is not carried over: its slot entry is left dangling for
+// the caller, Update, to repoint at the new copy.
+//
+// Records do not sit in slot order, or in any order: an Update that
+// re-inserts within the page puts a low slot's record above every
+// other. Sliding each record down to the free pointer in slot order
+// would therefore overwrite records not yet moved, so the live records
+// are gathered in a scratch page first. The scratch page lives on the
+// stack; compaction allocates nothing.
+func (p *Page) compact(drop int) {
+	var scratch [PageSize]byte
+	end := headerSize
 	for i := 0; i < p.SlotCount(); i++ {
 		off, length := p.slotAt(i)
-		if off == 0 {
+		if off == 0 || i == drop {
 			continue
 		}
-		d := make([]byte, length)
-		copy(d, p.buf[off:off+length])
-		live = append(live, rec{i, d})
+		copy(scratch[end:], p.buf[off:off+length])
+		p.setSlot(i, end, length)
+		end += length
 	}
-	p.setFreePtr(headerSize)
-	for _, r := range live {
-		off := p.freePtr()
-		copy(p.buf[off:], r.data)
-		p.setFreePtr(off + len(r.data))
-		p.setSlot(r.slot, off, len(r.data))
-	}
+	copy(p.buf[headerSize:end], scratch[headerSize:end])
+	p.setFreePtr(end)
 }
 
 // ErrPageFull reports that a record no longer fits in its page.

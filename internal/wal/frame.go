@@ -9,11 +9,18 @@
 //	uvarint(len(body)) uvarint(crc32(body)) body
 //
 // where body is uvarint(recordCount) followed by the records in the
-// flat per-record encoding shared with Marshal. The length prefix
-// makes a torn tail detectable — the image ends before the body does —
-// and the checksum guards complete frames against in-place corruption.
-// Durability is therefore batch-atomic: a crash exposes exactly the
-// record prefix covered by the complete frames, never half a batch.
+// per-record encoding shared with Marshal (appendRecord). The length
+// prefix makes a torn tail detectable — the image ends before the body
+// does — and the checksum guards complete frames against in-place
+// corruption. Durability is therefore batch-atomic: a crash exposes
+// exactly the record prefix covered by the complete frames, never half
+// a batch.
+//
+// A record's Node is written as its distance from the previous
+// record's Node, and the chain restarts at 0 in every frame body, so a
+// frame decodes without its predecessors: the first record of a frame
+// carries its absolute Node, the rest a small delta. The synchronous
+// log's one-record frames are all first records.
 
 package wal
 
@@ -28,10 +35,7 @@ import (
 
 // appendFrame appends one batch frame covering recs to buf.
 func appendFrame(buf []byte, recs []core.JournalRecord) []byte {
-	body := binary.AppendUvarint(nil, uint64(len(recs)))
-	for _, r := range recs {
-		body = appendRecord(body, r)
-	}
+	body := appendRecords(nil, recs)
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = binary.AppendUvarint(buf, uint64(crc32.ChecksumIEEE(body)))
 	return append(buf, body...)
@@ -91,12 +95,13 @@ func UnmarshalDurable(b []byte) (*Log, []BatchInfo, error) {
 			return nil, nil, fmt.Errorf("wal: batch %d: record count %d exceeds body size %d", len(batches), n, len(body))
 		}
 		q := k3
+		prev := uint64(0)
 		for i := uint64(0); i < n; i++ {
-			r, nq, err := decodeRecord(body, q, i)
+			r, nq, err := decodeRecord(body, q, i, prev)
 			if err != nil {
 				return nil, nil, fmt.Errorf("wal: batch %d: %w", len(batches), err)
 			}
-			q = nq
+			q, prev = nq, r.Node
 			l.recs = append(l.recs, r)
 		}
 		if q != len(body) {

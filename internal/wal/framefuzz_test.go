@@ -46,6 +46,10 @@ func frameSeeds() [][]byte {
 	bad := append([]byte(nil), oneBatch...)
 	bad[len(bad)/2] ^= 0xff
 	seeds = append(seeds, bad)
+	// Interleaved roots and gids, cut mid-tree so the second frame's
+	// first record is written from 0 again.
+	il := interleavedLog().Records()
+	seeds = append(seeds, appendFrame(appendFrame(nil, il[:5]), il[5:]))
 	return seeds
 }
 

@@ -45,7 +45,28 @@ func seedLogs() [][]byte {
 	bad := append([]byte(nil), rich...)
 	bad[1] = 200 // first record's kind byte
 	seeds = append(seeds, bad)
+	seeds = append(seeds, interleavedLog().Marshal())
 	return seeds
+}
+
+// interleavedLog is a seed for the id codes' other branches: two
+// roots' records interleaved, so Node steps down as well as up, and a
+// prepare/decide pair whose Parent is a gid unrelated to any node id.
+func interleavedLog() *Log {
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "ShipOrder", val.OfInt(3))
+	const gid = 1<<64 - 2
+	l := NewLog()
+	l.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 300})
+	l.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 301})
+	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 302, Parent: 300, Inv: &inv})
+	l.Append(core.JournalRecord{Kind: core.JBegin, Node: 303, Parent: 301, Inv: &inv})
+	l.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 302, Splice: true})
+	l.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 303, Splice: true})
+	l.Append(core.JournalRecord{Kind: core.JPrepare, Node: 300, Parent: gid})
+	l.Append(core.JournalRecord{Kind: core.JRootCommit, Node: 301})
+	l.Append(core.JournalRecord{Kind: core.JDecide, Node: 300, Parent: gid, Splice: true})
+	l.Append(core.JournalRecord{Kind: core.JRootCommit, Node: 300})
+	return l
 }
 
 // TestUnmarshalSeedCorpus runs every fuzz seed through the

@@ -345,12 +345,18 @@ func (g *GroupLog) append(rec core.JournalRecord, s submission) {
 		s.at = g.clk.Now()
 	}
 	g.mu.Lock()
+	var prev uint64 // the neighbour rec's ids are written relative to
+	if n := len(g.recs); on && n > 0 {
+		prev = g.recs[n-1].Node
+	}
 	g.recs = append(g.recs, rec)
 	s.end = len(g.recs)
 	g.mu.Unlock()
 	if on {
 		m.appends.Inc()
-		m.bytes.Add(recordBytes(rec))
+		// Sized as in the flat sequence; where the writer later cuts a
+		// frame the first record is written from 0 instead.
+		m.bytes.Add(recordBytes(prev, rec))
 	}
 	g.sendMu.RLock()
 	if g.closed {

@@ -16,6 +16,13 @@
 // policy at leaf granularity); the log's job is purely the undo of
 // losers. Redo logging for a no-force buffer pool is orthogonal and
 // out of scope, as is logging of schema (method bodies are code).
+//
+// There is one record codec (appendRecord, decodeRecord and its size
+// mirror recordBytes) under both serialisations: the flat Marshal
+// format, one chain of records, and the batch frames of the durable
+// image (frame.go), one chain per frame. Node and parent ids are
+// written relative to their neighbourhood (idCodes), so the bytes a
+// root costs do not depend on how many nodes the engine has started.
 package wal
 
 import (
@@ -105,11 +112,58 @@ func (m *logObs) on() bool { return m != nil && m.o.On() }
 // uvarintLen is the encoded size of v as a binary.AppendUvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// recordBytes mirrors Marshal's per-record encoding arithmetic so the
-// byte counter reports exact durable sizes without marshalling on the
-// append path.
-func recordBytes(r core.JournalRecord) uint64 {
-	n := 1 + uvarintLen(r.Node) + uvarintLen(r.Parent) + 2
+// zigzag folds a wrapping difference of two ids into an unsigned
+// integer that is small when the ids are close, whichever is larger;
+// unzigzag is its inverse. Both are bijections on uint64.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(z uint64) uint64 { return z>>1 ^ -(z & 1) }
+
+// idCodes returns the two varints a record's ids are written as, given
+// the Node of the record before it in the same frame body or flat
+// sequence (0 for the first). Node ids come from one engine-wide
+// counter and the journal interleaves a handful of active trees, so
+// written absolutely every id grows a byte each time the counter
+// crosses a power of 128 and a journal's size depends on how many
+// nodes the engine has ever started; written relative to their
+// neighbourhood they do not.
+//
+//	node:   zigzag(Node − prev)
+//	parent: 0 when Parent is 0 (most records), else zigzag(Node − Parent)
+//
+// All arithmetic wraps, so any pair of uint64 values round-trips — the
+// gids JPrepare/JDecide carry in Parent are unrelated to Node. For the
+// parent code to stay a bijection the two codes that would collide are
+// swapped: Parent == Node, which no engine writes, takes the code that
+// plain zigzag would have given Parent == 0.
+func idCodes(prev, node, parent uint64) (nodeCode, parentCode uint64) {
+	switch parent {
+	case 0:
+	case node:
+		parentCode = zigzag(node)
+	default:
+		parentCode = zigzag(node - parent)
+	}
+	return zigzag(node - prev), parentCode
+}
+
+// parentOf inverts idCodes' parent code for a record of the given Node.
+func parentOf(node, parentCode uint64) uint64 {
+	switch parentCode {
+	case 0:
+		return 0
+	case zigzag(node):
+		return node
+	default:
+		return node - unzigzag(parentCode)
+	}
+}
+
+// recordBytes mirrors appendRecord's size arithmetic so the byte
+// counter reports encoded sizes without marshalling on the append
+// path. prev is the Node of the record before r, as for appendRecord.
+func recordBytes(prev uint64, r core.JournalRecord) uint64 {
+	node, parent := idCodes(prev, r.Node, r.Parent)
+	n := 1 + uvarintLen(node) + uvarintLen(parent) + 2
 	if r.Inv != nil {
 		n += 1 + uvarintLen(r.Inv.Object.N) + uvarintLen(uint64(len(r.Inv.Method))) + len(r.Inv.Method)
 		n += uvarintLen(uint64(len(r.Inv.Args)))
@@ -134,7 +188,7 @@ func (l *Log) Append(rec core.JournalRecord) {
 		l.mu.Unlock()
 		m.appendNs.Observe(uint64(l.clk.Since(start)))
 		m.appends.Inc()
-		m.bytes.Add(recordBytes(rec))
+		m.bytes.Add(recordBytes(0, rec)) // a frame of its own: no neighbour
 		m.flushes.Inc()
 		m.flushed.Add(uint64(delta))
 		return
@@ -247,13 +301,19 @@ func (l *Log) Reset() {
 }
 
 // appendRecord appends r's encoding to buf: the per-record layout
-// shared by the flat Marshal format and the batch-frame bodies.
-// recordBytes mirrors its size arithmetic; TestRecordBytesExact holds
+// shared by the flat Marshal format and the batch-frame bodies,
+//
+//	kind  uvarint(node code)  uvarint(parent code)  splice  hasInv  [invocation]
+//
+// with the id codes of idCodes relative to prev, the Node of the record
+// before r in the same frame body or flat sequence (0 for the first).
+// recordBytes mirrors the size arithmetic; TestRecordBytesExact holds
 // the two together.
-func appendRecord(buf []byte, r core.JournalRecord) []byte {
+func appendRecord(buf []byte, prev uint64, r core.JournalRecord) []byte {
+	node, parent := idCodes(prev, r.Node, r.Parent)
 	buf = append(buf, byte(r.Kind))
-	buf = binary.AppendUvarint(buf, r.Node)
-	buf = binary.AppendUvarint(buf, r.Parent)
+	buf = binary.AppendUvarint(buf, node)
+	buf = binary.AppendUvarint(buf, parent)
 	if r.Splice {
 		buf = append(buf, 1)
 	} else {
@@ -283,9 +343,17 @@ func appendRecord(buf []byte, r core.JournalRecord) []byte {
 func (l *Log) Marshal() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buf := binary.AppendUvarint(nil, uint64(len(l.recs)))
-	for _, r := range l.recs {
-		buf = appendRecord(buf, r)
+	return appendRecords(nil, l.recs)
+}
+
+// appendRecords appends uvarint(len(recs)) and the records as one
+// chain: the whole of the flat format, and the body of a batch frame.
+func appendRecords(buf []byte, recs []core.JournalRecord) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	prev := uint64(0)
+	for _, r := range recs {
+		buf = appendRecord(buf, prev, r)
+		prev = r.Node
 	}
 	return buf
 }
@@ -309,12 +377,13 @@ func Unmarshal(b []byte) (*Log, error) {
 		return nil, fmt.Errorf("wal: record count %d exceeds input size %d", n, len(b))
 	}
 	p := k
+	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		r, np, err := decodeRecord(b, p, i)
+		r, np, err := decodeRecord(b, p, i, prev)
 		if err != nil {
 			return nil, err
 		}
-		p = np
+		p, prev = np, r.Node
 		l.recs = append(l.recs, r)
 	}
 	// Rebuild the durable image so the invariant "a sync log's durable
@@ -335,12 +404,13 @@ func Unmarshal(b []byte) (*Log, error) {
 }
 
 // decodeRecord decodes one journal record at b[p:] and returns it with
-// the new offset (i is the record's index, for error messages). Shared
-// by the flat Unmarshal format and the batch-frame bodies, and
-// hardened identically in both: every length-carrying varint is
-// validated against the bytes actually remaining before conversion to
-// int or use as an allocation size.
-func decodeRecord(b []byte, p int, i uint64) (core.JournalRecord, int, error) {
+// the new offset (i is the record's index, for error messages; prev the
+// Node of the record decoded before it, 0 for the first — see
+// idCodes). Shared by the flat Unmarshal format and the batch-frame
+// bodies, and hardened identically in both: every length-carrying
+// varint is validated against the bytes actually remaining before
+// conversion to int or use as an allocation size.
+func decodeRecord(b []byte, p int, i uint64, prev uint64) (core.JournalRecord, int, error) {
 	var r core.JournalRecord
 	next := func() (uint64, error) {
 		v, k := binary.Uvarint(b[p:])
@@ -366,7 +436,8 @@ func decodeRecord(b []byte, p int, i uint64) (core.JournalRecord, int, error) {
 	if err != nil {
 		return r, p, err
 	}
-	r.Node, r.Parent = node, parent
+	r.Node = prev + unzigzag(node)
+	r.Parent = parentOf(r.Node, parent)
 	if p+2 > len(b) {
 		return r, p, fmt.Errorf("wal: truncated flags in record %d", i)
 	}
