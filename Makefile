@@ -46,10 +46,13 @@ race:
 # through channels, so a schedule-dependent failure would show here and
 # nowhere else. Last the workload test that failed one run in two
 # before the FCFS conversion rule: its clients run free, so it is the
-# rule's coverage under real schedules.
+# rule's coverage under real schedules; and the two-node commit stepped
+# through one gated journal per node (dist): every awaited record
+# outstanding at once, none handed out for an unforced one.
 flake:
 	$(GO) test -race -count=20 ./adts
 	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable|TestFCFSConversionRule' ./internal/core
+	$(GO) test -race -count=40 -run 'TestCommitWaitsForTheDeviceOnce' ./internal/dist
 	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser' ./internal/wal
 	$(GO) test -race -count=40 -run 'TestClientErrorsAggregated' ./internal/workload
 
@@ -96,11 +99,13 @@ benchmark:
 # Meaningful at GOMAXPROCS >= 4; -cpu forces it on smaller machines.
 # Then the single-threaded per-layer ones, benchstat-comparable across
 # commits (ns/op, B/op, allocs/op): page insert and grow-on-a-full-page
-# (storage), one root invoking a two-leaf method (core through oodb).
+# (storage), one root invoking a two-leaf method (core through oodb),
+# and one whole two-node root per commit path over free-flush journals
+# (dist: single, readonly2, update2).
 bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkStoreParallel|BenchmarkPool(Fetch|Evict)Parallel' -benchmem -cpu 4 ./internal/objstore ./internal/storage
 	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
-	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkInvokeGetPut$$' -benchmem -cpu 1 ./internal/storage ./internal/oodb
+	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkInvokeGetPut$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/oodb ./internal/dist
 
 # The observability cost contract: the disjoint-atom transaction cycle
 # with no Obs / disabled Obs / enabled Obs (and the tracer's analogue),

@@ -122,7 +122,8 @@ func (a Ack) Wait() {
 // durable; and a root that depends on it (took over one of its locks)
 // is ordered behind it by the journal prefix, never by holding the
 // lock across the device wait. PrepareRoot is the one caller that
-// submits and waits with every lock held.
+// submits and waits with every lock held; CommitRootUnforced is the one
+// outcome that goes through plain Append, because nobody waits for it.
 type AckJournal interface {
 	Journal
 	AppendAck(rec JournalRecord) Ack
@@ -591,7 +592,20 @@ func (e *Engine) RecordUndo(t *Tx, inverse compat.Invocation) {
 // this record, so it can neither be acknowledged nor survive a crash
 // without this root (DESIGN.md §3.7). Values the root's calls returned
 // are tentative until CommitRoot itself returns.
-func (e *Engine) CommitRoot(t *Tx) error {
+func (e *Engine) CommitRoot(t *Tx) error { return e.commitRoot(t, true) }
+
+// CommitRootUnforced is CommitRoot without the device wait: the
+// JRootCommit record is appended like any non-outcome record — its
+// position fixed, its flush left to the next batch — and the call
+// returns at once. It is for the two commits nobody has to wait for: a
+// two-phase-commit branch whose commit the coordinator's decision log
+// already made durable (DecideRoot), and a root that executed nothing
+// (Tx.Idle), which read nothing a crash could take back. Dependents are
+// ordered behind the record by the journal prefix exactly as behind a
+// forced one.
+func (e *Engine) CommitRootUnforced(t *Tx) error { return e.commitRoot(t, false) }
+
+func (e *Engine) commitRoot(t *Tx, forced bool) error {
 	if !t.IsRoot() {
 		return fmt.Errorf("core: CommitRoot on non-root %s", t)
 	}
@@ -605,7 +619,12 @@ func (e *Engine) CommitRoot(t *Tx) error {
 	// the journal still lists as losers.
 	var out pendingOutcome
 	if e.journal != nil {
-		out = e.journalSubmit(t, JournalRecord{Kind: JRootCommit, Node: t.id})
+		rec := JournalRecord{Kind: JRootCommit, Node: t.id}
+		if forced {
+			out = e.journalSubmit(t, rec)
+		} else {
+			e.journalAppend(t, rec)
+		}
 	}
 	// Settle the tree's escrow reservations (fold the now-committed
 	// deltas into the counters' committed bases) before waiters wake via
@@ -632,28 +651,42 @@ func (e *Engine) CommitRoot(t *Tx) error {
 	e.stats.bump(int(t.id), cRootsCommitted)
 	// Acknowledge only when durable: the caller's Commit returns after
 	// the batch holding the record is on stable storage (at once under
-	// the synchronous log and in async mode).
+	// the synchronous log, in async mode, and for an unforced commit,
+	// which submitted nothing to wait for).
 	e.journalWait(t, out, true)
 	e.spans.FinishRoot(t.span, obs.OutcomeCommitted)
 	return nil
 }
 
-// PrepareRoot enters top-level transaction t into the prepared state
-// of a distributed two-phase commit: the JPrepare record — tagged with
-// the coordinator's global transaction id — is forced durable before
-// the call returns, after which this participant guarantees it can
-// commit t (all effects and their compensations are journaled) and
-// must not abort it unilaterally. The root stays Active and keeps
-// every lock; the coordinator resolves it with DecideRoot. Recovery of
-// a journal whose last word on t is JPrepare reports t as in-doubt
+// PrepareRoot asks top-level transaction t for its vote in a
+// distributed two-phase commit. A root with work to compensate enters
+// the prepared state: the JPrepare record — tagged with the
+// coordinator's global transaction id — is forced durable before the
+// call returns, after which this participant guarantees it can commit t
+// (all effects and their compensations are journaled) and must not
+// abort it unilaterally. The root stays Active and keeps every lock;
+// the coordinator resolves it with DecideRoot. Recovery of a journal
+// whose last word on t is JPrepare reports t as in-doubt
 // (wal.Analysis.InDoubt) for resolution against the coordinator's
 // decision log.
-func (e *Engine) PrepareRoot(t *Tx, gid uint64) error {
+//
+// A root with an empty undo list and no escrow reservation has nothing
+// either decision could change, so it votes read-only (presumed-abort
+// 2PC's read-only vote): it commits here through the ordinary
+// CommitRoot, writes no JPrepare, and takes no DecideRoot. It still
+// waits for its JRootCommit: its locks went at submission like any
+// commit's, but what it read may rest on a predecessor whose outcome is
+// not durable yet, and the coordinator acknowledges the global root on
+// the strength of this vote.
+func (e *Engine) PrepareRoot(t *Tx, gid uint64) (readOnly bool, err error) {
 	if !t.IsRoot() {
-		return fmt.Errorf("core: PrepareRoot on non-root %s", t)
+		return false, fmt.Errorf("core: PrepareRoot on non-root %s", t)
 	}
 	if t.State() != Active {
-		return fmt.Errorf("core: PrepareRoot on %s root %s", t.State(), t)
+		return false, fmt.Errorf("core: PrepareRoot on %s root %s", t.State(), t)
+	}
+	if len(t.undo) == 0 && !e.holdsEscrow(t) {
+		return true, e.CommitRoot(t)
 	}
 	if e.journal != nil {
 		// The one place an outcome-class record is submitted and waited
@@ -664,14 +697,30 @@ func (e *Engine) PrepareRoot(t *Tx, gid uint64) error {
 		out := e.journalSubmit(t, JournalRecord{Kind: JPrepare, Node: t.id, Parent: gid})
 		e.journalWait(t, out, false)
 	}
-	return nil
+	return false, nil
+}
+
+// holdsEscrow reports whether any node of t's tree holds an escrow
+// reservation (always false in static mode).
+func (e *Engine) holdsEscrow(t *Tx) bool {
+	if e.esc == nil {
+		return false
+	}
+	held := false
+	t.eachNode(func(n *Tx) { held = held || n.escrowEnt != nil })
+	return held
 }
 
 // DecideRoot applies the coordinator's two-phase-commit decision to a
-// prepared root: the JDecide record is submitted first (fixing its
-// position before the outcome record CommitRoot/AbortRoot forces
-// durable, so a journal never shows an outcome without its decision),
-// then the root commits or aborts exactly as in the single-node path.
+// prepared root: the JDecide record is appended first (a journal never
+// shows an outcome without its decision), then the root commits or
+// aborts as in the single-node path — except that a commit forces
+// nothing and waits for nothing. The coordinator's decision log is the
+// commit point and is already durable, so a crash that loses the JDecide
+// and JRootCommit leaves the branch in doubt behind its durable
+// JPrepare, and recovery resolves it to commit against that log; a
+// forced flush here would buy no guarantee. An abort decision still
+// returns only when its JNodeAborted is durable, like any root abort.
 func (e *Engine) DecideRoot(t *Tx, gid uint64, commit bool) error {
 	if !t.IsRoot() {
 		return fmt.Errorf("core: DecideRoot on non-root %s", t)
@@ -680,7 +729,7 @@ func (e *Engine) DecideRoot(t *Tx, gid uint64, commit bool) error {
 		e.journalAppend(t, JournalRecord{Kind: JDecide, Node: t.id, Parent: gid, Splice: commit})
 	}
 	if commit {
-		return e.CommitRoot(t)
+		return e.CommitRootUnforced(t)
 	}
 	return e.AbortRoot(t)
 }

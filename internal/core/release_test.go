@@ -175,11 +175,12 @@ func TestOutcomeObservableAtSubmitAckedWhenDurable(t *testing.T) {
 
 // TestReleaseToDurableObserved pins what the commit pipeline reports:
 // semcc_core_release_to_durable_ns takes one observation per root
-// outcome that was made observable ahead of its durability — commits,
-// root aborts and decided 2PC branches, never PrepareRoot (which
-// releases nothing) and never while obs is disabled — and the root
-// span is still charged the whole submit-to-durable interval as WAL
-// time.
+// outcome that was made observable ahead of its durability — commits
+// (a read-only vote is one) and root aborts; never a PrepareRoot that
+// prepares (it releases nothing), never a decided 2PC branch (its
+// commit forces and awaits nothing: DecideRoot returns with no future
+// outstanding) and never while obs is disabled — and the root span is
+// still charged the whole submit-to-durable interval as WAL time.
 func TestReleaseToDurableObserved(t *testing.T) {
 	o := obs.New(obs.Config{})
 	j := newGatedJournal()
@@ -217,18 +218,45 @@ func TestReleaseToDurableObserved(t *testing.T) {
 	r = e.BeginRoot()
 	outcome(func() error { return e.AbortRoot(r) })
 	want(2, "a root abort")
+	prepare := func(r *Tx, wantReadOnly bool) func() error {
+		return func() error {
+			readOnly, err := e.PrepareRoot(r, 7)
+			if readOnly != wantReadOnly {
+				t.Errorf("PrepareRoot voted read-only=%v, want %v", readOnly, wantReadOnly)
+			}
+			return err
+		}
+	}
 	r = e.BeginRoot()
-	outcome(func() error { return e.PrepareRoot(r, 7) })
-	want(2, "a prepare")
-	outcome(func() error { return e.DecideRoot(r, 7, true) })
+	outcome(prepare(r, true))
+	want(3, "a read-only vote")
+
+	// A root with something to compensate really prepares.
+	r = e.BeginRoot()
+	c := begin(t, e, r, compat.Inv(obj(), "C"))
+	undo := compat.Inv(c.Invocation().Object, "UndoC")
+	if err := e.CompleteChild(c, &undo); err != nil {
+		t.Fatal(err)
+	}
+	outcome(prepare(r, false))
+	want(3, "a prepare")
+	if err := e.DecideRoot(r, 7, true); err != nil {
+		t.Fatal(err)
+	}
 	want(3, "a decided branch")
+	select {
+	case rec := <-j.submitted:
+		t.Fatalf("DecideRoot(commit) submitted an awaited %v record", rec.Kind)
+	default:
+	}
 
 	recent := o.Spans.Snapshot(1).Recent
 	if len(recent) != 1 || recent[0].ID != r.ID() {
 		t.Fatalf("recent spans = %+v, want the decided root", recent)
 	}
-	// JBeginRoot, JPrepare, JDecide, JRootCommit; the two waited-for
-	// records carry their ack wait.
+	// JBeginRoot, JPrepare, JDecide, JRootCommit (the child's JBegin and
+	// JSubCommit are charged to the child); the one waited-for record
+	// carries its ack wait.
 	if sp := recent[0]; sp.WALAppends != 4 || sp.WALNanos == 0 {
 		t.Errorf("root span charged %d appends / %d ns of WAL time, want 4 appends and a non-zero time", sp.WALAppends, sp.WALNanos)
 	}

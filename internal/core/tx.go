@@ -144,6 +144,10 @@ func (t *Tx) Depth() int { return t.depth }
 // IsRoot reports whether t is a top-level transaction.
 func (t *Tx) IsRoot() bool { return t.parent == nil }
 
+// Idle reports whether the node has executed nothing: no child was ever
+// begun under it. Call from the goroutine driving the tree.
+func (t *Tx) Idle() bool { return len(t.children) == 0 }
+
 // Done returns a channel closed when the node commits or aborts.
 func (t *Tx) Done() <-chan struct{} { return t.done }
 

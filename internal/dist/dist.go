@@ -16,14 +16,17 @@ import (
 	"semcc/internal/wal"
 )
 
-// DecisionLog is the coordinator's durable record of two-phase-commit
-// outcomes under presumed abort: only commit decisions are logged, and
-// logging the decision IS the commit point. A recovering participant
-// whose journal ends in JPrepare asks the log; no entry means abort.
+// DecisionLog is the coordinator's record of two-phase-commit outcomes
+// under presumed abort: only commit decisions are logged, and logging
+// the decision IS the commit point. A recovering participant whose
+// journal ends in JPrepare asks the log; no entry means abort.
 //
-// In the in-process topology the log is a map — the coordinator does
-// not crash in our failure model, only nodes do. A real deployment
-// would force each entry to the coordinator's own disk first.
+// It is a map, which is sound only because the coordinator does not
+// crash in our failure model (nodes do), and the commit path leans on
+// it: a decided branch forces nothing further, so an acknowledged
+// cross-node root may be durable only as its JPrepare records plus the
+// entry here. A coordinator that can crash must force the entry to its
+// own disk before Commit returns (ROADMAP item 7a).
 type DecisionLog struct {
 	mu        sync.Mutex
 	committed map[uint64]bool
@@ -34,7 +37,8 @@ func NewDecisionLog() *DecisionLog {
 	return &DecisionLog{committed: make(map[uint64]bool)}
 }
 
-// Commit durably records the commit decision for a global transaction.
+// Commit records the commit decision for a global transaction (in
+// memory only: see the type's comment).
 func (d *DecisionLog) Commit(gid uint64) {
 	d.mu.Lock()
 	d.committed[gid] = true
@@ -155,24 +159,62 @@ func (c *Cluster) Close() {
 	})
 }
 
-// send routes one request through the transport, charging the hop to
-// the coordinator metrics when observability is enabled. The disabled
-// path is one nil check plus one atomic load — no allocations beyond
-// the transport's own.
-func (c *Cluster) send(node int, req Request) Response {
-	co := c.co
-	if !co.on() {
-		return c.tr.Send(node, req)
+// start hands req to node; the answer will arrive on reply. It returns
+// the hop's start instant, zero while coordinator observability is off
+// (one nil check, one atomic load, no allocation): collect then charges
+// nothing.
+func (c *Cluster) start(node int, req Request, reply chan Response) (at time.Time) {
+	if co := c.co; co.on() {
+		co.inflight.Add(1)
+		at = time.Now()
 	}
-	co.inflight.Add(1)
-	start := time.Now()
-	resp := c.tr.Send(node, req)
-	co.hop[req.Op].Observe(uint64(time.Since(start)))
+	c.tr.Start(node, req, reply)
+	return at
+}
+
+// collect receives the answer to the hop started at instant at and
+// charges the hop, start to its own reply collected, to the metrics.
+func (c *Cluster) collect(op OpKind, at time.Time, reply chan Response) Response {
+	resp := <-reply
+	if at.IsZero() {
+		return resp
+	}
+	co := c.co
+	co.hop[op].Observe(uint64(time.Since(at)))
 	co.inflight.Add(-1)
-	if resp.Err != nil && errors.Is(resp.Err, ErrNodeDown) {
+	if errors.Is(resp.Err, ErrNodeDown) {
 		co.nodeDown.Inc()
 	}
 	return resp
+}
+
+// send is one synchronous hop outside any transaction (the detector's).
+func (c *Cluster) send(node int, req Request) Response {
+	reply := make(chan Response, 1)
+	return c.collect(req.Op, c.start(node, req, reply), reply)
+}
+
+// branchState is the coordinator's view of one node's branch; zero is
+// "no live branch" (never begun, or settled). States are bits so that a
+// fan-out can address several.
+type branchState uint8
+
+const (
+	brEmpty    branchState = 1 << iota // begun, routed no operation
+	brWorked                           // routed at least one operation
+	brPrepared                         // voted yes: holds its locks until the decision
+	brFailed                           // failed its prepare
+)
+
+// branch is a transaction's slot for one node.
+type branch struct {
+	state branchState
+	// reply carries every answer of the node to this root: one goroutine
+	// drives a root, with at most one request outstanding per node.
+	reply chan Response
+	// Scratch of the fan-out in flight: hop start, phase child span.
+	at   time.Time
+	span *obs.Span
 }
 
 // Tx is a coordinator transaction: one global transaction spanning a
@@ -185,42 +227,122 @@ func (c *Cluster) send(node int, req Request) Response {
 // the one-node cluster's journal byte-identical to the direct path —
 // the ablation baseline the topology is measured against.
 type Tx struct {
-	c      *Cluster
-	gid    uint64
-	begun  []bool
-	worked []bool // node executed at least one operation
-	done   bool
+	c    *Cluster
+	gid  uint64
+	br   []branch // by node index
+	done bool
 	// span is the distributed span root (ID = GID, label "global"),
 	// nil when the coordinator's Obs is absent or disabled at Begin.
 	span *obs.Span
 }
 
 // Begin starts a global transaction with a branch on every node. If
-// any node is down, branches already begun are aborted and the begin
-// fails.
+// any node is down, the branches that did begin are aborted and the
+// begin fails.
 func (c *Cluster) Begin() (*Tx, error) {
-	t := &Tx{
-		c:      c,
-		gid:    c.gids.Add(1),
-		begun:  make([]bool, len(c.nodes)),
-		worked: make([]bool, len(c.nodes)),
+	t := &Tx{c: c, gid: c.gids.Add(1), br: make([]branch, len(c.nodes))}
+	for i := range t.br {
+		t.br[i] = branch{state: brEmpty, reply: make(chan Response, 1)}
 	}
 	if co := c.co; co.on() {
 		t.span = co.o.Spans.BeginRoot(t.gid, "global")
 	}
-	for i := range c.nodes {
-		resp := c.send(i, Request{Op: OpBegin, GID: t.gid})
-		if resp.Err != nil {
-			for j := 0; j < i; j++ {
-				c.send(j, Request{Op: OpAbort, GID: t.gid})
-			}
-			t.done = true
-			t.finishSpan(obs.OutcomeAborted)
-			return nil, fmt.Errorf("dist: begin on node %d: %w", i, resp.Err)
-		}
-		t.begun[i] = true
+	if node, err := t.fan(OpBegin, false, brEmpty); err != nil {
+		t.fan(OpAbort, false, brEmpty)
+		t.done = true
+		t.finishSpan(obs.OutcomeAborted)
+		return nil, fmt.Errorf("dist: begin on node %d: %w", node, err)
 	}
 	return t, nil
+}
+
+// fan runs one round of the transaction-boundary protocol: it starts op
+// on every node whose branch is in one of the states sel names, then
+// collects the answers in node order and moves each branch to its next
+// state. All requests are outstanding before the first answer is
+// awaited, so a round costs its slowest node, not the sum; phase spans
+// are created before and grafted after the round in node order, whoever
+// answered first. It returns the lowest node whose hop failed, and that
+// hop's error. A down node cannot fail an abort: its branch resolves at
+// recovery (presumed abort — no decision was logged).
+func (t *Tx) fan(op OpKind, commit bool, sel branchState) (failed int, err error) {
+	c, co := t.c, t.c.co
+	req := Request{Op: op, GID: t.gid, Commit: commit}
+	for i := range t.br {
+		b := &t.br[i]
+		if b.state&sel == 0 {
+			continue
+		}
+		if t.span != nil && co.label[op] != nil {
+			b.span = t.span.NewChild(t.gid, co.label[op][i])
+		}
+		b.at = c.start(i, req, b.reply)
+	}
+	for i := range t.br {
+		b := &t.br[i]
+		if b.state&sel == 0 {
+			continue
+		}
+		resp := c.collect(op, b.at, b.reply)
+		if !b.at.IsZero() && co.phaseNs[op] != nil {
+			co.phaseNs[op][i].Observe(uint64(time.Since(b.at)))
+		}
+		if b.span != nil {
+			// The branch's finished tree, if the hop settled the branch.
+			if resp.Span != nil {
+				b.span.Children = append(b.span.Children, resp.Span)
+			}
+			out := obs.OutcomeCommitted
+			if resp.Err != nil || op == OpAbort || op == OpDecide && !commit {
+				out = obs.OutcomeAborted
+			}
+			b.span.Finish(out)
+			b.span = nil
+		}
+		switch {
+		case op == OpBegin:
+			if resp.Err != nil {
+				b.state = 0
+			}
+		case op != OpPrepare || resp.ReadOnly:
+			// Settled. A read-only voter is gone from its node even when
+			// its commit reported an error, so it is never sent a decision.
+			b.state = 0
+		case resp.Err != nil:
+			b.state = brFailed
+		default:
+			b.state = brPrepared
+		}
+		if resp.Err != nil && err == nil && !(op == OpAbort && errors.Is(resp.Err, ErrNodeDown)) {
+			failed, err = i, resp.Err
+		}
+	}
+	return failed, err
+}
+
+// hop routes one operation of the transaction to node n.
+func (t *Tx) hop(n int, req Request) Response {
+	b := &t.br[n]
+	if b.state == brEmpty {
+		b.state = brWorked
+	}
+	return t.c.collect(req.Op, t.c.start(n, req, b.reply), b.reply)
+}
+
+// finish counts the root's outcome — aborted, or committed with (twoPC)
+// or without a logged decision — and publishes its span.
+func (t *Tx) finish(out obs.Outcome, twoPC bool) {
+	if co := t.c.co; co.on() {
+		switch {
+		case out == obs.OutcomeAborted:
+			co.aborts.Inc()
+		case twoPC:
+			co.commits2PC.Inc()
+		default:
+			co.commitsSingle.Inc()
+		}
+	}
+	t.finishSpan(out)
 }
 
 // finishSpan publishes the distributed span, if one was begun.
@@ -230,26 +352,12 @@ func (t *Tx) finishSpan(out obs.Outcome) {
 	}
 }
 
-// graft finishes a phase child span, hanging the node's branch tree
-// (when the node collected one) beneath it. Nil-safe in ps.
-func graft(ps *obs.Span, branch *obs.Span, out obs.Outcome) {
-	if ps == nil {
-		return
-	}
-	if branch != nil {
-		ps.Children = append(ps.Children, branch)
-	}
-	ps.Finish(out)
-}
-
 // GID returns the coordinator-assigned global transaction id.
 func (t *Tx) GID() uint64 { return t.gid }
 
 // invoke routes one invocation to the owner of its receiver.
 func (t *Tx) invoke(inv compat.Invocation) (val.V, error) {
-	n := t.c.Owner(inv.Object)
-	t.worked[n] = true
-	resp := t.c.send(n, Request{Op: OpInvoke, GID: t.gid, Inv: inv})
+	resp := t.hop(t.c.Owner(inv.Object), Request{Op: OpInvoke, GID: t.gid, Inv: inv})
 	return resp.Val, resp.Err
 }
 
@@ -302,204 +410,85 @@ func (t *Tx) Remove(set oid.OID, key val.V) error {
 
 // Scan enumerates a set (bypass).
 func (t *Tx) Scan(set oid.OID) ([]objstore.SetEntry, error) {
-	n := t.c.Owner(set)
-	t.worked[n] = true
-	resp := t.c.send(n, Request{Op: OpScan, GID: t.gid, Inv: compat.Inv(set, compat.OpScan)})
+	resp := t.hop(t.c.Owner(set), Request{Op: OpScan, GID: t.gid, Inv: compat.Inv(set, compat.OpScan)})
 	return resp.Entries, resp.Err
 }
 
 // Exec runs an arbitrary invocation (routed).
 func (t *Tx) Exec(inv compat.Invocation) (val.V, error) { return t.invoke(inv) }
 
-// Commit commits the global transaction. Roots whose work touched at
-// most one node commit that node's branch directly — no prepare, no
-// decision record, a journal indistinguishable from the single-engine
-// path. Roots spanning two or more working nodes run two-phase commit
-// with presumed abort: prepare every working branch (forcing JPrepare
-// durable), log the commit decision (the commit point), then decide
-// commit everywhere. A prepare failure — including a node crash —
-// decides abort. A node crash after the decision is logged does not
-// revoke the commit: the crashed branch recovers as in-doubt and
-// resolves to commit against the decision log.
+// Commit commits the global transaction, waiting for the log device
+// once. A root that worked on at most one node commits that branch
+// directly: no prepare, no decision record, a journal indistinguishable
+// from the single-engine path. Two or more working nodes run two-phase
+// commit with presumed abort. Prepare goes to every working branch at
+// once and is the root's one device wait: a branch with work to
+// compensate forces its JPrepare, one without votes read-only, commits
+// on the spot and leaves the protocol. If any branch prepared, the
+// decision is logged — the commit point, which outlives any node crash —
+// and decide-commit goes to the prepared branches at once, forcing and
+// awaiting nothing (core.DecideRoot). All voters read-only: nothing to
+// decide, the root counts as single-path. A prepare failure (a node
+// crash included) decides abort once every vote is in. Branches that
+// did no work commit last on either path, unforced too.
 func (t *Tx) Commit() error {
 	if t.done {
 		return fmt.Errorf("dist: commit of finished global tx %d", t.gid)
 	}
 	t.done = true
 
-	var workful []int
-	for i, w := range t.worked {
-		if w {
-			workful = append(workful, i)
+	working, decided := 0, false
+	for i := range t.br {
+		if t.br[i].state == brWorked {
+			working++
 		}
 	}
-
-	co := t.c.co
-	on := co.on()
-
-	if len(workful) <= 1 {
-		// Single-participant fast path: no prepare, no decision record.
-		var firstErr error
-		for i := range t.begun {
-			if !t.begun[i] {
-				continue
-			}
-			var ps *obs.Span
+	if working > 1 {
+		if node, err := t.fan(OpPrepare, false, brWorked); err != nil {
+			// Decide abort, logging nothing (presumed abort): prepared
+			// branches get the decision record they promised to wait for,
+			// failed ones roll back plainly, read-only voters are gone.
+			t.fan(OpDecide, false, brPrepared)
+			t.fan(OpAbort, false, brFailed)
+			t.fan(OpCommit, false, brEmpty)
+			t.finish(obs.OutcomeAborted, false)
+			return fmt.Errorf("dist: prepare on node %d: %w", node, err)
+		}
+		for i := range t.br {
+			decided = decided || t.br[i].state == brPrepared
+		}
+		if decided {
+			var ds *obs.Span
 			if t.span != nil {
-				ps = t.span.NewChild(t.gid, co.commitLabel[i])
+				ds = t.span.NewChild(t.gid, "decision-log")
 			}
-			resp := t.c.send(i, Request{Op: OpCommit, GID: t.gid})
-			graft(ps, resp.Span, spanOutcome(resp.Err))
-			if resp.Err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("dist: commit on node %d: %w", i, resp.Err)
-			}
-		}
-		if on {
-			if firstErr == nil {
-				co.commitsSingle.Inc()
-			} else {
-				co.aborts.Inc()
-			}
-		}
-		t.finishSpan(spanOutcome(firstErr))
-		return firstErr
-	}
-
-	// Phase 1: prepare every working branch, in node-index order.
-	for k, i := range workful {
-		var ps *obs.Span
-		if t.span != nil {
-			ps = t.span.NewChild(t.gid, co.prepLabel[i])
-		}
-		var start time.Time
-		if on {
-			start = time.Now()
-		}
-		resp := t.c.send(i, Request{Op: OpPrepare, GID: t.gid})
-		if on {
-			co.prepNs[i].Observe(uint64(time.Since(start)))
-		}
-		graft(ps, nil, spanOutcome(resp.Err))
-		if resp.Err != nil {
-			// Decide abort: prepared branches get the decision record
-			// (they promised not to abort unilaterally), the failed and
-			// unprepared ones roll back plainly. Presumed abort logs
-			// nothing.
-			for _, j := range workful[:k] {
-				var as *obs.Span
-				if t.span != nil {
-					as = t.span.NewChild(t.gid, co.decLabel[j])
-				}
-				dresp := t.c.send(j, Request{Op: OpDecide, GID: t.gid, Commit: false})
-				graft(as, dresp.Span, obs.OutcomeAborted)
-			}
-			for _, j := range workful[k:] {
-				var as *obs.Span
-				if t.span != nil {
-					as = t.span.NewChild(t.gid, co.abortLabel[j])
-				}
-				aresp := t.c.send(j, Request{Op: OpAbort, GID: t.gid})
-				graft(as, aresp.Span, obs.OutcomeAborted)
-			}
-			t.finishEmpties(workful)
-			if on {
-				co.aborts.Inc()
-			}
-			t.finishSpan(obs.OutcomeAborted)
-			return fmt.Errorf("dist: prepare on node %d: %w", i, resp.Err)
+			t.c.dlog.Commit(t.gid)
+			ds.Finish(obs.OutcomeCommitted)
+			t.fan(OpDecide, true, brPrepared) // a node dying here changes nothing
 		}
 	}
-
-	// Commit point: the decision outlives any node crash.
-	var ds *obs.Span
-	if t.span != nil {
-		ds = t.span.NewChild(t.gid, "decision-log")
+	// Left: a single-participant root's working branch, and the idle ones.
+	node, err := t.fan(OpCommit, false, brWorked|brEmpty)
+	if err != nil && !decided {
+		t.finish(obs.OutcomeAborted, false)
+		return fmt.Errorf("dist: commit on node %d: %w", node, err)
 	}
-	t.c.dlog.Commit(t.gid)
-	ds.Finish(obs.OutcomeCommitted)
-
-	// Phase 2: apply the decision. Errors here (a node dying between
-	// prepare and decide) do not change the outcome — the in-doubt
-	// branch resolves to commit at recovery.
-	for _, i := range workful {
-		var ps *obs.Span
-		if t.span != nil {
-			ps = t.span.NewChild(t.gid, co.decLabel[i])
-		}
-		var start time.Time
-		if on {
-			start = time.Now()
-		}
-		resp := t.c.send(i, Request{Op: OpDecide, GID: t.gid, Commit: true})
-		if on {
-			co.decNs[i].Observe(uint64(time.Since(start)))
-		}
-		graft(ps, resp.Span, obs.OutcomeCommitted)
-	}
-	t.finishEmpties(workful)
-	if on {
-		co.commits2PC.Inc()
-	}
-	t.finishSpan(obs.OutcomeCommitted)
+	t.finish(obs.OutcomeCommitted, decided)
 	return nil
 }
 
-// spanOutcome maps a protocol error to the span outcome of the step.
-func spanOutcome(err error) obs.Outcome {
-	if err != nil {
-		return obs.OutcomeAborted
-	}
-	return obs.OutcomeCommitted
-}
-
-// finishEmpties commits the branches that did no work (their commit
-// releases nothing and journals only the root outcome).
-func (t *Tx) finishEmpties(workful []int) {
-	isWorkful := make(map[int]bool, len(workful))
-	for _, i := range workful {
-		isWorkful[i] = true
-	}
-	for i := range t.begun {
-		if t.begun[i] && !isWorkful[i] {
-			var ps *obs.Span
-			if t.span != nil {
-				ps = t.span.NewChild(t.gid, t.c.co.commitLabel[i])
-			}
-			resp := t.c.send(i, Request{Op: OpCommit, GID: t.gid})
-			graft(ps, resp.Span, spanOutcome(resp.Err))
-		}
-	}
-}
-
-// Abort rolls the global transaction back on every node. A down node
-// is fine: its branch resolves at recovery (presumed abort — no
-// decision was logged).
+// Abort rolls the global transaction back on every node at once.
 func (t *Tx) Abort() error {
 	if t.done {
 		return fmt.Errorf("dist: abort of finished global tx %d", t.gid)
 	}
 	t.done = true
-	co := t.c.co
-	var firstErr error
-	for i := range t.begun {
-		if !t.begun[i] {
-			continue
-		}
-		var ps *obs.Span
-		if t.span != nil {
-			ps = t.span.NewChild(t.gid, co.abortLabel[i])
-		}
-		resp := t.c.send(i, Request{Op: OpAbort, GID: t.gid})
-		graft(ps, resp.Span, obs.OutcomeAborted)
-		if resp.Err != nil && firstErr == nil && !errors.Is(resp.Err, ErrNodeDown) {
-			firstErr = fmt.Errorf("dist: abort on node %d: %w", i, resp.Err)
-		}
+	node, err := t.fan(OpAbort, false, brWorked|brEmpty)
+	t.finish(obs.OutcomeAborted, false)
+	if err != nil {
+		return fmt.Errorf("dist: abort on node %d: %w", node, err)
 	}
-	if co.on() {
-		co.aborts.Inc()
-	}
-	t.finishSpan(obs.OutcomeAborted)
-	return firstErr
+	return nil
 }
 
 // RecoverNode restarts a crashed node: reopen the database over the

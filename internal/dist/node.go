@@ -107,6 +107,9 @@ func (n *Node) Handle(req Request) (resp Response) {
 
 	switch req.Op {
 	case OpBegin:
+		if tx != nil { // a second branch would strand the first one's locks
+			return Response{Err: fmt.Errorf("dist: node %d already has a branch for global tx %d", n.index, req.GID)}
+		}
 		t := db.Begin()
 		n.mu.Lock()
 		n.byGID[req.GID] = t
@@ -147,30 +150,33 @@ func (n *Node) Handle(req Request) (resp Response) {
 		entries, err := tx.Scan(req.Inv.Object)
 		return Response{Entries: entries, Err: err}
 	case OpCommit:
-		err := tx.Commit()
-		n.drop(req.GID, tx)
-		// The branch is settled, so its span tree (if the node's Obs
-		// collected one) is finished and immutable — hand it to the
-		// coordinator for grafting into the distributed span.
-		return Response{Err: err, Span: tx.Root().Span()}
+		if tx.Root().Idle() { // read nothing: nobody waits for its outcome
+			return n.settled(req.GID, tx, db.Engine().CommitRootUnforced(tx.Root()))
+		}
+		return n.settled(req.GID, tx, tx.Commit())
 	case OpAbort:
-		err := tx.Abort()
-		n.drop(req.GID, tx)
-		return Response{Err: err, Span: tx.Root().Span()}
+		return n.settled(req.GID, tx, tx.Abort())
 	case OpPrepare:
-		return Response{Err: db.Engine().PrepareRoot(tx.Root(), req.GID)}
+		readOnly, err := db.Engine().PrepareRoot(tx.Root(), req.GID)
+		if !readOnly {
+			return Response{Err: err}
+		}
+		resp := n.settled(req.GID, tx, err)
+		resp.ReadOnly = true
+		return resp
 	case OpDecide:
-		err := db.Engine().DecideRoot(tx.Root(), req.GID, req.Commit)
-		n.drop(req.GID, tx)
-		return Response{Err: err, Span: tx.Root().Span()}
+		return n.settled(req.GID, tx, db.Engine().DecideRoot(tx.Root(), req.GID, req.Commit))
 	}
 	return Response{Err: fmt.Errorf("dist: unknown op %d", req.Op)}
 }
 
-// drop removes a settled branch from the directory.
-func (n *Node) drop(gid uint64, tx *oodb.Tx) {
+// settled drops a branch whose outcome call returned err from the
+// directory. Its span tree (if the node's Obs collected one) is finished
+// and immutable by now: the coordinator gets it for grafting.
+func (n *Node) settled(gid uint64, tx *oodb.Tx, err error) Response {
 	n.mu.Lock()
 	delete(n.byGID, gid)
 	delete(n.gidOf, tx.Root().ID())
 	n.mu.Unlock()
+	return Response{Err: err, Span: tx.Root().Span()}
 }

@@ -37,8 +37,8 @@ type clusterObs struct {
 	commitsSingle *obs.Counter
 	commits2PC    *obs.Counter
 	aborts        *obs.Counter
-	prepNs        []*obs.Hist // per node
-	decNs         []*obs.Hist // per node
+	// phaseNs[op]: per-node round trips of a 2PC phase (prepare, decide).
+	phaseNs [numOps][]*obs.Hist
 
 	sweeps  *obs.Counter
 	cycles  *obs.Counter
@@ -49,9 +49,9 @@ type clusterObs struct {
 	indoubtCommit *obs.Counter
 	indoubtAbort  *obs.Counter
 
-	// Pre-built span labels, one per node, so the enabled path does not
-	// concatenate strings per transaction.
-	commitLabel, abortLabel, prepLabel, decLabel []string
+	// label[op]: pre-built phase span labels per node ("commit:node0"), so
+	// the enabled path concatenates nothing; nil for ops without a phase.
+	label [numOps][]string
 }
 
 // on reports whether gated collection is live: nil check plus one
@@ -73,8 +73,9 @@ func (c *Cluster) AttachObs(o *obs.Obs) {
 	}
 	co.inflight = r.Gauge("semcc_dist_inflight", "Transport requests currently in flight.")
 	co.nodeDown = r.Counter("semcc_dist_node_down_total", "Requests answered ErrNodeDown.")
-	co.commitsSingle = r.Counter("semcc_dist_commits_total", "Global transactions committed, by commit path.", obs.L("path", "single"))
-	co.commits2PC = r.Counter("semcc_dist_commits_total", "Global transactions committed, by commit path.", obs.L("path", "2pc"))
+	const commitsHelp = "Global transactions committed, by commit path: 2pc = a decision was logged, single = none was needed (at most one working node, or every voter read-only)."
+	co.commitsSingle = r.Counter("semcc_dist_commits_total", commitsHelp, obs.L("path", "single"))
+	co.commits2PC = r.Counter("semcc_dist_commits_total", commitsHelp, obs.L("path", "2pc"))
 	co.aborts = r.Counter("semcc_dist_aborts_total", "Global transactions aborted (voluntary aborts plus failed commits).")
 	co.sweeps = r.Counter("semcc_dist_deadlock_sweeps_total", "Cross-node deadlock detection passes.")
 	co.cycles = r.Counter("semcc_dist_deadlock_cycles_total", "Cycles found in the merged waits-for graph (including single-node cycles left to the local detectors).")
@@ -85,12 +86,11 @@ func (c *Cluster) AttachObs(o *obs.Obs) {
 	co.indoubtAbort = r.Counter("semcc_dist_indoubt_total", "In-doubt roots resolved at recovery, by outcome.", obs.L("outcome", "abort"))
 	for i := range c.nodes {
 		ns := strconv.Itoa(i)
-		co.prepNs = append(co.prepNs, r.Hist("semcc_dist_prepare_ns", "2PC prepare round-trip per node, nanoseconds.", obs.L("node", ns)))
-		co.decNs = append(co.decNs, r.Hist("semcc_dist_decide_ns", "2PC decide round-trip per node, nanoseconds.", obs.L("node", ns)))
-		co.commitLabel = append(co.commitLabel, "commit:node"+ns)
-		co.abortLabel = append(co.abortLabel, "abort:node"+ns)
-		co.prepLabel = append(co.prepLabel, "prepare:node"+ns)
-		co.decLabel = append(co.decLabel, "decide:node"+ns)
+		co.phaseNs[OpPrepare] = append(co.phaseNs[OpPrepare], r.Hist("semcc_dist_prepare_ns", "2PC prepare round-trip per node, nanoseconds.", obs.L("node", ns)))
+		co.phaseNs[OpDecide] = append(co.phaseNs[OpDecide], r.Hist("semcc_dist_decide_ns", "2PC decide round-trip per node, nanoseconds.", obs.L("node", ns)))
+		for _, op := range []OpKind{OpCommit, OpAbort, OpPrepare, OpDecide} {
+			co.label[op] = append(co.label[op], op.String()+":node"+ns)
+		}
 	}
 
 	// Cluster rollups: func-backed sums over the live node engines.

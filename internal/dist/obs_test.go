@@ -276,6 +276,78 @@ func TestDistSpanFastPath(t *testing.T) {
 	}
 }
 
+// TestDistSpanReadOnlyVote: a read-only voter settles at prepare, so
+// its finished branch tree comes back with the vote and hangs under
+// prepare:nodeI, and it gets no decide child. With one voter read-only
+// and one prepared the decision is still logged (path 2pc); with both
+// read-only there is no decision-log child and the root counts on the
+// single path.
+func TestDistSpanReadOnlyVote(t *testing.T) {
+	c, co, atoms := obsCluster(t, 2)
+	defer c.Close()
+	run := func(write1 bool) *obs.Span {
+		t.Helper()
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Get(atoms[0]); err != nil {
+			t.Fatal(err)
+		}
+		if write1 {
+			_, err = tx.Add(atoms[1], 1)
+		} else {
+			_, err = tx.Get(atoms[1])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		root := co.Spans.Snapshot(1).Recent[0]
+		if root.ID != tx.GID() {
+			t.Fatalf("most recent root id = %d, want %d", root.ID, tx.GID())
+		}
+		return root
+	}
+	voted := func(root *obs.Span, node int) {
+		t.Helper()
+		prep := findChild(root, fmt.Sprintf("prepare:node%d", node))
+		if prep == nil {
+			t.Fatalf("no prepare:node%d child (children: %v)", node, labelsOf(root))
+		}
+		if len(prep.Children) != 1 || prep.Children[0].Label != "root" {
+			t.Errorf("prepare:node%d carries %d branch trees, want the read-only voter's", node, len(prep.Children))
+		}
+		if findChild(root, fmt.Sprintf("decide:node%d", node)) != nil {
+			t.Errorf("read-only voter on node %d was sent a decide", node)
+		}
+	}
+
+	root := run(true)
+	voted(root, 0)
+	if findChild(root, "decision-log") == nil || findChild(root, "decide:node1") == nil {
+		t.Errorf("mixed vote: children %v, want a decision-log and decide:node1", labelsOf(root))
+	}
+	if p := findChild(root, "prepare:node1"); p == nil || len(p.Children) != 0 {
+		t.Errorf("prepare:node1 of a prepared branch carries a branch tree")
+	}
+	if st := c.DistStats(); st.Commits2PC != 1 || st.SingleCommits != 0 {
+		t.Errorf("mixed vote: stats = %+v, want one 2pc commit", st)
+	}
+
+	root = run(false)
+	voted(root, 0)
+	voted(root, 1)
+	if findChild(root, "decision-log") != nil {
+		t.Errorf("all voters read-only, yet a decision was logged (children: %v)", labelsOf(root))
+	}
+	if st := c.DistStats(); st.Commits2PC != 1 || st.SingleCommits != 1 {
+		t.Errorf("all read-only: stats = %+v, want the root on the single path", st)
+	}
+}
+
 // TestDistAbortAndRecoverObs: voluntary aborts, node-down hops, and
 // recovery resolutions all land in the coordinator counters.
 func TestDistAbortAndRecoverObs(t *testing.T) {

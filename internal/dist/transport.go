@@ -48,12 +48,12 @@ const (
 	OpCommit
 	// OpAbort rolls the branch back with compensation.
 	OpAbort
-	// OpPrepare forces the branch's JPrepare record durable; after a
-	// successful prepare the node must not abort the branch
-	// unilaterally.
+	// OpPrepare asks the branch for its vote: a branch with work to
+	// compensate forces its JPrepare record durable and may no longer be
+	// aborted unilaterally; one without commits and answers ReadOnly.
 	OpPrepare
 	// OpDecide applies the coordinator's decision (Request.Commit) to a
-	// prepared branch.
+	// prepared branch. Read-only voters get none.
 	OpDecide
 	// OpEdges snapshots the node's waits-for edges, mapped into the
 	// coordinator's global transaction id space.
@@ -110,10 +110,14 @@ type Response struct {
 	Val     val.V
 	Entries []objstore.SetEntry // OpScan
 	Edges   []waitgraph.Edge    // OpEdges, in GID space
+	// ReadOnly is OpPrepare's read-only vote: the branch is committed
+	// and gone from the node, and must not be sent a decision.
+	ReadOnly bool
 	// Span is the branch's finished span tree, carried back by the
-	// settling ops (OpCommit, OpAbort, OpDecide) when the node's engine
-	// collected one, so the coordinator can graft it into the global
-	// transaction's distributed span. Nil when the node's Obs is off.
+	// settling ops (OpCommit, OpAbort, OpDecide, and an OpPrepare that
+	// voted read-only) when the node's engine collected one, so the
+	// coordinator can graft it into the global transaction's
+	// distributed span. Nil when the node's Obs is off.
 	// The tree is immutable once the branch finishes, so sharing the
 	// pointer across the in-process transport is safe; a wire transport
 	// would serialise it like any other result field.
@@ -121,12 +125,15 @@ type Response struct {
 	Err  error
 }
 
-// Transport delivers requests to nodes and returns their responses.
-// Send blocks until the node answers — invocations can wait on locks
-// for arbitrarily long, so implementations must not serialise requests
-// to one node behind each other.
+// Transport delivers requests to nodes and their responses back. Start
+// hands req to the node and returns without waiting for the answer,
+// which arrives as exactly one Response on reply (it must have room:
+// capacity 1, nothing else outstanding on it) — so a coordinator can
+// have a request in flight on every node at once. Invocations can wait
+// on locks for arbitrarily long, so implementations must not serialise
+// requests to one node behind each other.
 type Transport interface {
-	Send(node int, req Request) Response
+	Start(node int, req Request, reply chan<- Response)
 	Close()
 }
 
@@ -143,7 +150,7 @@ type chanTransport struct {
 
 type envelope struct {
 	req   Request
-	reply chan Response
+	reply chan<- Response
 }
 
 func newChanTransport(nodes []*Node) *chanTransport {
@@ -168,14 +175,12 @@ func newChanTransport(nodes []*Node) *chanTransport {
 	return t
 }
 
-func (t *chanTransport) Send(node int, req Request) Response {
-	reply := make(chan Response, 1)
+func (t *chanTransport) Start(node int, req Request, reply chan<- Response) {
 	t.chans[node] <- envelope{req: req, reply: reply}
-	return <-reply
 }
 
 // Close shuts the acceptors down after in-flight requests drain. The
-// caller must have stopped issuing Sends.
+// caller must have stopped issuing requests.
 func (t *chanTransport) Close() {
 	t.once.Do(func() {
 		for _, ch := range t.chans {

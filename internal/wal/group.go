@@ -464,11 +464,20 @@ func (g *GroupLog) Stats() JournalStats {
 // the writer first, and submissions racing the truncation have
 // undefined batch boundaries (though never lost records — a stale
 // writer position is clamped to the live journal length at flush).
+//
+// The record and image buffers are emptied, not dropped: a journal that
+// is cut epoch after epoch refills the memory it already has. Growing
+// the two slices from nothing every time charged each epoch about five
+// times its own journal in reallocation (append grows a large slice by
+// a quarter), and how much exactly depended on the growth step the
+// epoch's last record fell into — run-to-run noise that had nothing to
+// do with the work done.
 func (g *GroupLog) Reset() {
 	g.Sync()
 	g.mu.Lock()
-	g.recs = nil
-	g.durable = nil
+	clear(g.recs) // drop the invocations the records point to
+	g.recs = g.recs[:0]
+	g.durable = g.durable[:0]
 	g.durableRecs = 0
 	g.flushCount = 0
 	g.mu.Unlock()

@@ -291,11 +291,13 @@ func (l *Log) Stats() JournalStats {
 	return JournalStats{Records: len(l.recs), Durable: len(l.recs), Flushes: l.flushes}
 }
 
-// Reset truncates the log (checkpoint after successful recovery).
+// Reset truncates the log (checkpoint after successful recovery). Like
+// GroupLog.Reset it empties the buffers and keeps their memory.
 func (l *Log) Reset() {
 	l.mu.Lock()
-	l.recs = nil
-	l.durable = nil
+	clear(l.recs)
+	l.recs = l.recs[:0]
+	l.durable = l.durable[:0]
 	l.flushes = 0
 	l.mu.Unlock()
 }

@@ -349,3 +349,48 @@ func TestUnmarshalCorruptLengths(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRefillsInPlace pins the epoch behaviour of both journals: a
+// Reset leaves an empty journal that keeps the memory its buffers grew
+// to — regrowing them every epoch cost several times the journal's own
+// bytes, an amount that moved with the growth step the epoch's length
+// fell into — and nothing of the old epoch shows in the next one.
+func TestResetRefillsInPlace(t *testing.T) {
+	const n = 2000
+	for _, mode := range []Mode{ModeSync, ModeGroup} {
+		t.Run(mode.String(), func(t *testing.T) {
+			j := New(Config{Mode: mode})
+			defer j.Close()
+			epoch := func(first uint64) []core.JournalRecord {
+				for i := first; i < first+n; i++ {
+					j.Append(core.JournalRecord{Kind: core.JBegin, Node: i, Parent: i / 2})
+				}
+				j.Sync()
+				log, _, err := UnmarshalDurable(j.DurableBytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := log.Records(); !reflect.DeepEqual(got, j.Records()) || len(got) != n || got[0].Node != first {
+					t.Fatalf("epoch from %d: image holds %d records, journal %d", first, len(got), j.Len())
+				}
+				return log.Records()
+			}
+			epoch(1)
+			j.Reset()
+			if j.Len() != 0 || len(j.DurableBytes()) != 0 || j.Stats() != (JournalStats{}) {
+				t.Fatalf("after Reset: %d records, %d image bytes, %+v", j.Len(), len(j.DurableBytes()), j.Stats())
+			}
+			var recs, image int
+			switch l := j.(type) {
+			case *Log:
+				recs, image = cap(l.recs), cap(l.durable)
+			case *GroupLog:
+				recs, image = cap(l.recs), cap(l.durable)
+			}
+			if recs < n || image < n {
+				t.Fatalf("Reset dropped the buffers: room for %d records and %d image bytes left", recs, image)
+			}
+			epoch(n + 1)
+		})
+	}
+}
