@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race flake vet staticcheck bench benchmark bench-store bench-obs bench-obs-dist bench-wal bench-compat bench-dist fuzz-regress race-recovery fuzz chaos BENCH_6.json BENCH_8.json BENCH_9.json BENCH_10.json
+.PHONY: check build test race flake vet staticcheck bench benchmark bench-store bench-obs bench-wal bench-compat bench-dist fuzz-regress race-recovery fuzz chaos BENCH_6.json BENCH_8.json BENCH_9.json
 
 # The full gate: what CI (and every PR) must pass. `race` runs the
 # whole suite (including the recovery and crash-point tests) under the
@@ -40,9 +40,11 @@ race:
 # commuting must never deadlock on their leaf accesses (the concurrent
 # tests assert Deadlocks == 0), and one run in two used to. Then the
 # deterministic channel-stepped tests forty times: outcomes observable
-# at submission and acknowledged when durable, and a holder's
-# re-request granted past the request queued on it (core); recovery of
-# dependent losers at every crash cut (wal). They step real goroutines
+# at submission and acknowledged when durable, a holder's re-request
+# granted past the request queued on it, and the decision events and
+# wait accounting of a conflict, a deadlock victim and a request whose
+# root is aborted while it is queued (core); recovery of dependent
+# losers at every crash cut (wal). They step real goroutines
 # through channels, so a schedule-dependent failure would show here and
 # nowhere else. Last the workload test that failed one run in two
 # before the FCFS conversion rule: its clients run free, so it is the
@@ -51,7 +53,7 @@ race:
 # outstanding at once, none handed out for an unforced one.
 flake:
 	$(GO) test -race -count=20 ./adts
-	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable|TestFCFSConversionRule' ./internal/core
+	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable|TestFCFSConversionRule|TestConflictEvents|TestWaitChargedOnEveryExit' ./internal/core
 	$(GO) test -race -count=40 -run 'TestCommitWaitsForTheDeviceOnce' ./internal/dist
 	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser' ./internal/wal
 	$(GO) test -race -count=40 -run 'TestClientErrorsAggregated' ./internal/workload
@@ -108,26 +110,12 @@ bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkInvokeGetPut$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/oodb ./internal/dist
 
 # The observability cost contract: the disjoint-atom transaction cycle
-# with no Obs / disabled Obs / enabled Obs (and the tracer's analogue),
-# plus the per-site disabled-gate micro-benchmarks. none vs disabled
-# is the regression to watch; the disabled path must stay at a few
-# ns/op with zero allocations.
+# with no Obs / disabled Obs / enabled Obs, plus the per-site
+# disabled-gate micro-benchmarks. none vs disabled is the regression to
+# watch; the disabled path must stay at a few ns/op with zero
+# allocations.
 bench-obs:
 	$(GO) test -run=NONE -bench 'Overhead|DisabledSite' -benchmem -cpu 4 . ./internal/obs
-
-# The cluster observability cost contract (E10): the transport hop
-# with no coordinator Obs / attached-but-disabled / fully enabled
-# (none vs disabled is the regression to watch, backed by the
-# disabled-path zero-alloc test), then the quick E10 overhead sweep —
-# paired off/on cluster runs across topologies and MPLs.
-bench-obs-dist:
-	$(GO) test -run 'TestDisabledPathAllocs' -bench 'BenchmarkDistHop' -benchmem -cpu 4 ./internal/dist
-	$(GO) run ./cmd/semcc-bench -exp E10 -quick
-
-# Regenerate the checked-in E10 cluster observability overhead sweep
-# (full parameter grid; the acceptance bar is <3% overhead at nodes=2).
-BENCH_10.json:
-	$(GO) run ./cmd/semcc-bench -exp E10 -json > $@
 
 # The commit-path durability comparison: the disjoint-object parallel
 # method workload across journal modes (none / sync / group / async),

@@ -207,59 +207,13 @@ func BenchmarkLockAcquireReleaseParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkTracerOverheadParallel — the tracing-disabled overhead
+// BenchmarkObsOverheadParallel — the observability overhead
 // criterion: the same disjoint-atom parallel cycle as
-// BenchmarkLockAcquireReleaseParallel run with no tracer, with a
-// tracer attached but disabled (the production configuration — every
-// emission site costs one nil check plus one atomic load), and with
-// the tracer enabled. none vs disabled is the regression the
-// observability layer must keep under a few percent.
-func BenchmarkTracerOverheadParallel(b *testing.B) {
-	for _, mode := range []string{"none", "disabled", "enabled"} {
-		b.Run(mode, func(b *testing.B) {
-			var tr *semcc.Tracer
-			if mode != "none" {
-				tr = semcc.NewTracer(semcc.TraceConfig{Protocol: "semantic"})
-				tr.SetEnabled(mode == "enabled")
-			}
-			db := oodb.Open(oodb.Options{Protocol: core.Semantic, Tracer: tr})
-			const nAtoms = 512
-			atoms := make([]semcc.OID, nAtoms)
-			for i := range atoms {
-				a, err := db.Store().NewAtomic(semcc.Int(0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				atoms[i] = a
-			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				a := atoms[int(next.Add(1)-1)%nAtoms]
-				var i int64
-				for pb.Next() {
-					tx := db.Begin()
-					if err := tx.Put(a, semcc.Int(i)); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkObsOverheadParallel — the span-layer analogue of
-// BenchmarkTracerOverheadParallel: the same disjoint-atom parallel
-// cycle with no Obs (the DB's private disabled handle), with an Obs
-// attached but disabled (one nil check plus one atomic load per
-// site), and with it enabled (full span trees plus gated histograms).
-// none vs disabled is the regression the acceptance criterion bounds.
+// BenchmarkLockAcquireReleaseParallel with no Obs (the DB's private
+// disabled handle), with an Obs attached but disabled (the production
+// configuration — one nil check plus one atomic load per site), and
+// with it enabled (full span trees plus gated histograms). none vs
+// disabled is the regression the acceptance criterion bounds.
 func BenchmarkObsOverheadParallel(b *testing.B) {
 	for _, mode := range []string{"none", "disabled", "enabled"} {
 		b.Run(mode, func(b *testing.B) {

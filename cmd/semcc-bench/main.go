@@ -1,5 +1,5 @@
 // Command semcc-bench runs the performance experiments (DESIGN.md §4,
-// E1–E10) and prints their tables. Every experiment compares the
+// E1–E9) and prints their tables. Every experiment compares the
 // paper's semantic open-nested protocol against the conventional
 // baselines on the order-entry workload.
 //
@@ -21,15 +21,13 @@
 //	                               # (the checked-in BENCH_8.json)
 //	semcc-bench -exp E9 -json      # topology sweep as JSON
 //	                               # (the checked-in BENCH_9.json)
-//	semcc-bench -exp E10 -json     # cluster observability overhead sweep
-//	                               # as JSON (the checked-in BENCH_10.json)
 //	semcc-bench -nodes 2           # run every experiment point on a
 //	                               # two-node cluster behind the 2PC
 //	                               # coordinator (0 = direct engine)
 //	semcc-bench -hot               # contention profile per protocol:
 //	                               # top-K hottest objects + per-case
 //	                               # wait-time histograms + case mix
-//	semcc-bench -hot -trace 20     # ... plus the last 20 trace events
+//	semcc-bench -hot -trace 20     # ... plus the last 20 decision events
 //	semcc-bench -hot -json         # ... as an expvar-style JSON snapshot
 //	semcc-bench -serve :8080       # live observability endpoint while the
 //	                               # experiments run (Prometheus text at
@@ -46,6 +44,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +54,6 @@ import (
 
 	"semcc/internal/compat"
 	"semcc/internal/core"
-	"semcc/internal/core/trace"
 	"semcc/internal/harness"
 	"semcc/internal/obs"
 	"semcc/internal/oodb"
@@ -64,7 +62,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (E1..E10); empty runs all")
+	exp := flag.String("exp", "", "experiment id (E1..E9); empty runs all")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
 	compatFlag := flag.String("compat", "static", "compatibility regime: static (matrix only) or escrow (state-dependent admission)")
 	nodes := flag.Int("nodes", 0, "node count: 0 runs one engine directly; N >= 1 shards every experiment point over an N-node cluster behind the 2PC coordinator")
@@ -72,8 +70,8 @@ func main() {
 	walBatch := flag.Int("walbatch", 0, "with -wal=group|async: records per batch before a forced flush (0 = default)")
 	walDelay := flag.Duration("waldelay", 0, "with -wal=group|async: max age of an unflushed record (0 = default)")
 	hot := flag.Bool("hot", false, "run the contention profiler instead of the experiment tables")
-	traceN := flag.Int("trace", 0, "with -hot: also print the last N trace events")
-	asJSON := flag.Bool("json", false, "with -hot: the expvar-style JSON snapshot; with -exp E7|E8|E9|E10: the sweep as its checked-in BENCH_*.json document")
+	traceN := flag.Int("trace", 0, "with -hot: also print the last N decision events")
+	asJSON := flag.Bool("json", false, "with -hot: the expvar-style JSON snapshot; with -exp E7|E8|E9: the sweep as its checked-in BENCH_*.json document")
 	topK := flag.Int("topk", 10, "with -hot: number of hottest objects to report")
 	items := flag.Int("items", 4, "with -hot: number of items (contention falls as it grows)")
 	mpl := flag.Int("mpl", 16, "with -hot: multiprogramming level")
@@ -126,9 +124,9 @@ func main() {
 	// refuse it where there is none rather than print tables instead.
 	sweepJSON := jsonSweeps[*exp]
 	if *asJSON && !*hot && *traceN == 0 && sweepJSON == nil {
-		fmt.Fprintf(os.Stderr, "semcc-bench: -json needs -hot or an experiment with a JSON form (-exp E7, E8, E9 or E10); got -exp %q\n", *exp)
-		fmt.Fprintln(os.Stderr, "usage: semcc-bench -exp E7|E8|E9|E10 [-quick] -json   # the BENCH_*.json document")
-		fmt.Fprintln(os.Stderr, "       semcc-bench -hot [-trace N] -json               # the contention-profile snapshot")
+		fmt.Fprintf(os.Stderr, "semcc-bench: -json needs -hot or an experiment with a JSON form (-exp E7, E8 or E9); got -exp %q\n", *exp)
+		fmt.Fprintln(os.Stderr, "usage: semcc-bench -exp E7|E8|E9 [-quick] -json   # the BENCH_*.json document")
+		fmt.Fprintln(os.Stderr, "       semcc-bench -hot [-trace N] -json           # the contention-profile snapshot")
 		os.Exit(2)
 	}
 
@@ -225,42 +223,54 @@ func main() {
 }
 
 // jsonSweeps maps the experiments that have a checked-in JSON document
-// (BENCH_6/8/9/10.json) to the sweep that renders it.
+// (BENCH_6/8/9.json) to the sweep that renders it.
 var jsonSweeps = map[string]func(harness.Base, bool) ([]byte, error){
-	"E7":  harness.WALSweepJSON,
-	"E8":  harness.CompatSweepJSON,
-	"E9":  harness.DistSweepJSON,
-	"E10": harness.ObsDistSweepJSON,
+	"E7": harness.WALSweepJSON,
+	"E8": harness.CompatSweepJSON,
+	"E9": harness.DistSweepJSON,
 }
 
-// runHot executes one contended workload point per protocol with the
-// tracer enabled and prints each protocol's contention profile: the
-// topK hottest objects, the per-case wait-time histograms, and the
-// Fig. 9 case-mix ratio.
-func runHot(items, mpl, topK, traceN int, quick, asJSON bool, o *obs.Obs) error {
+// runHot executes one contended workload point per protocol with
+// observability enabled and prints each protocol's contention profile:
+// the topK hottest objects, the per-cause wait-time histograms (the
+// registry's semcc_lock_wait_ns family), and the Fig. 9 case-mix
+// ratio. Without -serve every protocol gets its own Obs; the one
+// -serve shares accumulates over the protocols run so far.
+func runHot(items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) error {
 	txPer := 300
 	if quick {
 		txPer = 100
 	}
 	for _, p := range core.Protocols() {
-		tr := trace.New(trace.Config{Protocol: p.String()})
-		tr.SetEnabled(true)
+		o := served
+		if o == nil {
+			o = obs.New(obs.Config{})
+			o.SetEnabled(true)
+		}
 		m, err := workload.Run(workload.Config{
-			Options: oodb.Options{Protocol: p, Tracer: tr, Obs: o},
+			Options: oodb.Options{Protocol: p, Obs: o},
 			Items:   items, Clients: mpl, TxPerClient: txPer, Seed: 42, Validate: true,
 		})
 		if err != nil {
 			return fmt.Errorf("hot %s: %w", p, err)
 		}
 		if asJSON {
-			out, err := tr.JSON(topK, traceN)
+			var hists []obs.MetricSnap
+			for _, ms := range o.Registry.Snapshot() {
+				if ms.Name == "semcc_lock_wait_ns" {
+					hists = append(hists, ms)
+				}
+			}
+			out, err := json.MarshalIndent(map[string]any{
+				"protocol": p.String(), "trace": o.Events(topK, traceN), "wait_histograms": hists,
+			}, "", "  ")
 			if err != nil {
 				return err
 			}
 			fmt.Println(string(out))
 			continue
 		}
-		fmt.Print(tr.Snapshot(topK, traceN))
+		fmt.Printf("== contention profile: %s ==\n%s", p, o.ContentionReport(topK, traceN))
 		fmt.Printf("case mix (case1/case2/root-wait): %s   tps=%.0f blocks/tx=%.2f\n\n",
 			m.CaseMix(), m.Throughput, m.BlockRate())
 	}

@@ -1,6 +1,6 @@
 package core
 
-import "semcc/internal/core/trace"
+import "semcc/internal/obs"
 
 // testConflict implements the paper's Figure 9 for the semantic
 // protocol, and the corresponding tests for the baseline protocols.
@@ -48,12 +48,12 @@ func (m *lockMgr) testConflict(h *lock, r *lock, stripe int, probe bool) *Tx {
 		// bounds interval simultaneously — the operations commute in
 		// the current state even though the static matrix conflicts
 		// them. Like case-1 grants, these leave no block/grant pair
-		// behind, so the trace tags them here (the tracer's stripe
+		// behind, so the event names them here (the sink's stripe
 		// mutex is a leaf: emitting under the shard mutex cannot
 		// deadlock).
 		m.bumpStat(stripe, cEscrowAdmits, probe)
-		if !probe && m.tr.On() {
-			m.tr.Emit(stripe, trace.Event{Kind: trace.KEscrow, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
+		if !probe && m.obs.On() {
+			m.obs.Emit(stripe, obs.Event{Kind: obs.EvEscrow, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
 		}
 		return nil
 	}
@@ -78,12 +78,12 @@ func (m *lockMgr) testConflict(h *lock, r *lock, stripe int, probe bool) *Tx {
 					// pseudo-conflict; the committed commutative
 					// ancestor has already made the subtransaction's
 					// effects semantically visible. Case-1 grants leave
-					// no block/grant pair behind, so the trace tags
-					// them here (the tracer's stripe mutex is a leaf:
+					// no block/grant pair behind, so the event names
+					// them here (the sink's stripe mutex is a leaf:
 					// emitting under the shard mutex cannot deadlock).
 					m.bumpStat(stripe, cCase1Grants, probe)
-					if !probe && m.tr.On() {
-						m.tr.Emit(stripe, trace.Event{Kind: trace.KCase1, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
+					if !probe && m.obs.On() {
+						m.obs.Emit(stripe, obs.Event{Kind: obs.EvCase1, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
 					}
 					return nil
 				}

@@ -9,7 +9,6 @@ import (
 	"semcc/internal/clock"
 	"semcc/internal/compat"
 	"semcc/internal/core/locktable"
-	"semcc/internal/core/trace"
 	"semcc/internal/core/waitgraph"
 	"semcc/internal/history"
 	"semcc/internal/obs"
@@ -178,15 +177,11 @@ type Config struct {
 	// Journal, when set, receives write-ahead-log records for restart
 	// recovery (see internal/wal).
 	Journal Journal
-	// Tracer, when set, receives structured observability events
-	// (internal/core/trace). A disabled tracer costs one atomic load
-	// per emission site; nil costs a pointer check.
-	Tracer *trace.Tracer
 	// Obs, when set, hosts the engine's registry metrics (the striped
 	// Stats counters, read at exposition time) and, while enabled,
-	// records per-transaction span trees. Same cost contract as the
-	// tracer: disabled is one atomic load per site, nil a pointer
-	// check.
+	// records per-transaction span trees and the lock manager's
+	// decision events. Disabled is one atomic load per site, nil a
+	// pointer check.
 	Obs *obs.Obs
 	// Compat selects the compatibility regime: CompatStatic (default)
 	// consults only the static matrices; CompatEscrow additionally
@@ -229,7 +224,7 @@ type Engine struct {
 	// ackJournal is the journal's AckJournal view, resolved once at
 	// construction; nil when the journal (or none) is submit==durable.
 	ackJournal AckJournal
-	tr         *trace.Tracer
+	obs        *obs.Obs          // nil when none is attached
 	spans      *obs.SpanRecorder // nil when no Obs is attached
 	// releaseNs is the time a root outcome spent observable but not yet
 	// durable (journalWait); nil when no Obs is attached, observed only
@@ -289,7 +284,7 @@ func New(cfg Config) *Engine {
 		tbl:      locktable.New[*lock](0),
 		wfg:      waitgraph.New(),
 		stats:    stats,
-		tr:       cfg.Tracer,
+		obs:      cfg.Obs,
 		clk:      clk,
 		esc:      esc,
 		escTab:   escTab,
@@ -299,7 +294,7 @@ func New(cfg Config) *Engine {
 		table:      cfg.Table,
 		record:     cfg.Record,
 		journal:    cfg.Journal,
-		tr:         cfg.Tracer,
+		obs:        cfg.Obs,
 		lm:         lm,
 		wfg:        lm.wfg,
 		stats:      stats,
@@ -433,10 +428,6 @@ func (e *Engine) journalWait(t *Tx, p pendingOutcome, released bool) {
 	}
 	t.span.AddWAL(uint64(e.clk.Since(p.at)))
 }
-
-// Tracer returns the attached observability tracer (nil when none was
-// configured).
-func (e *Engine) Tracer() *trace.Tracer { return e.tr }
 
 // BeginRoot starts a top-level transaction: a node operating on the
 // database pseudo-object (paper §3, footnote 2). Roots acquire no
@@ -788,8 +779,8 @@ func (e *Engine) abortNode(t *Tx) error {
 		if err == nil && e.journal != nil {
 			e.journalAppend(t, JournalRecord{Kind: JCompensated, Node: t.id})
 		}
-		if e.tr.On() {
-			e.tr.Emit(int(t.root.id), trace.Event{Kind: trace.KComp, Node: t.id, Root: t.root.id, Obj: undo[i].Object})
+		if e.obs.On() {
+			e.obs.Emit(int(t.root.id), obs.Event{Kind: obs.EvComp, Node: t.id, Root: t.root.id, Obj: undo[i].Object})
 		}
 		t.span.AddComp(1)
 		e.stats.bump(int(t.root.id), cCompensations)

@@ -10,7 +10,6 @@ import (
 	"semcc/internal/clock"
 	"semcc/internal/compat"
 	"semcc/internal/core/locktable"
-	"semcc/internal/core/trace"
 	"semcc/internal/core/waitgraph"
 	"semcc/internal/obs"
 	"semcc/internal/oid"
@@ -110,43 +109,45 @@ type lockMgr struct {
 	tbl   *locktable.Table[*lock]
 	wfg   *waitgraph.Graph
 	stats *Stats
-	tr    *trace.Tracer
+	obs   *obs.Obs // decision events; nil when none is attached
 	// clk supplies wait-time *measurements* (blockedAt, wait nanos).
 	// The waitAll recheck timer deliberately stays on real time: it is
 	// a scheduling decision, not a measurement (see internal/clock).
 	clk clock.Clock
 }
 
-// obsCause maps a trace wait cause to the span layer's classification.
-func obsCause(c trace.Cause) obs.WaitCause {
-	switch c {
-	case trace.CauseCase2:
-		return obs.WaitCase2
-	case trace.CauseRoot:
-		return obs.WaitRoot
-	default:
-		return obs.WaitOther
-	}
-}
-
-// classifyWaits maps a waits-for set to its trace cause and a
+// classifyWaits maps a waits-for set to its wait cause and a
 // representative peer: any root target means the request waits for a
 // top-level commit (the Fig. 9 worst case); otherwise every target is
 // a subtransaction whose subcommit will release the request (case 2).
-// Only called when tracing or span collection is enabled.
-func classifyWaits(waits []*Tx) (trace.Cause, uint64) {
-	cause := trace.CauseCase2
+// Only called when event or span collection is enabled.
+func classifyWaits(waits []*Tx) (obs.WaitCause, uint64) {
+	cause := obs.WaitCase2
 	peer := uint64(0)
 	for _, w := range waits {
 		if peer == 0 {
 			peer = w.id
 		}
 		if w.IsRoot() {
-			cause = trace.CauseRoot
+			cause = obs.WaitRoot
 			peer = w.id
 		}
 	}
 	return cause, peer
+}
+
+// endWait closes the books of a request that blocked at since for
+// cause. Every exit of such a request comes through here, so its
+// blocked time is charged exactly once: to Stats.WaitNanos, to the
+// node's span, and — through the event — to the per-cause histogram
+// and the object's contention profile.
+func (m *lockMgr) endWait(t *Tx, stripe int, since time.Time, cause obs.WaitCause, kind obs.EventKind) {
+	waited := uint64(m.clk.Since(since))
+	m.stats.add(stripe, cWaitNanos, waited)
+	t.span.AddLockWait(cause, waited)
+	if m.obs.On() {
+		m.obs.Emit(stripe, obs.Event{Kind: kind, Cause: cause, Node: t.id, Root: t.root.id, Obj: t.own.inv.Object, Nanos: waited})
+	}
 }
 
 // waitSet computes the waits-for set of request l: the distinct
@@ -225,9 +226,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 	l := &t.own
 	*l = lock{inv: lockInv, owner: t}
 	m.stats.bump(stripe, cLockRequests)
-	if m.tr.On() {
-		m.tr.Emit(stripe, trace.Event{Kind: trace.KRequest, Node: t.id, Root: t.root.id, Obj: obj})
-	}
 
 	// Escrow eligibility is a pure function of the invocation; resolve
 	// it once. Only method invocations declared by their type's
@@ -243,7 +241,7 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 
 	first := true
 	var blockedAt time.Time
-	blockCause := trace.CauseNone
+	blockCause := obs.WaitOther
 	for {
 		var (
 			waits   []*Tx
@@ -325,14 +323,15 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 		})
 		if aborted {
 			m.escRelease(t)
+			if !first {
+				m.endWait(t, stripe, blockedAt, blockCause, obs.EvAborted)
+			}
 			return fmt.Errorf("core: %s aborted while acquiring %s", t, lockInv)
 		}
 		if escErr != nil {
 			m.stats.bump(stripe, cEscrowDenials)
 			if !first {
-				waited := uint64(m.clk.Since(blockedAt))
-				m.stats.add(stripe, cWaitNanos, waited)
-				t.span.AddLockWait(obsCause(blockCause), waited)
+				m.endWait(t, stripe, blockedAt, blockCause, obs.EvEscrowDeny)
 			}
 			return escErr
 		}
@@ -340,16 +339,8 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			t.locks = append(t.locks, l)
 			if first {
 				m.stats.bump(stripe, cImmediateGrants)
-				if m.tr.On() {
-					m.tr.Emit(stripe, trace.Event{Kind: trace.KGrant, Node: t.id, Root: t.root.id, Obj: obj})
-				}
 			} else {
-				waited := uint64(m.clk.Since(blockedAt))
-				m.stats.add(stripe, cWaitNanos, waited)
-				t.span.AddLockWait(obsCause(blockCause), waited)
-				if m.tr.On() {
-					m.tr.Emit(stripe, trace.Event{Kind: trace.KGrant, Cause: blockCause, Node: t.id, Root: t.root.id, Obj: obj, Nanos: waited})
-				}
+				m.endWait(t, stripe, blockedAt, blockCause, obs.EvGrant)
 			}
 			return nil
 		}
@@ -357,11 +348,11 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			first = false
 			blockedAt = m.clk.Now()
 			m.stats.bump(stripe, cBlocks)
-			if m.tr.On() || t.span != nil {
-				cause, peer := classifyWaits(waits)
-				blockCause = cause
-				if m.tr.On() {
-					m.tr.Emit(stripe, trace.Event{Kind: trace.KBlock, Cause: cause, Node: t.id, Root: t.root.id, Obj: obj, Peer: peer})
+			if m.obs.On() || t.span != nil {
+				var peer uint64
+				blockCause, peer = classifyWaits(waits)
+				if m.obs.On() {
+					m.obs.Emit(stripe, obs.Event{Kind: obs.EvBlock, Cause: blockCause, Node: t.id, Root: t.root.id, Obj: obj, Peer: peer})
 				}
 			}
 		}
@@ -378,10 +369,7 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			m.dequeue(l)
 			m.escRelease(t)
 			m.stats.bump(stripe, cDeadlocks)
-			t.span.AddLockWait(obsCause(blockCause), uint64(m.clk.Since(blockedAt)))
-			if m.tr.On() {
-				m.tr.Emit(stripe, trace.Event{Kind: trace.KDeadlock, Cause: blockCause, Node: t.id, Root: t.root.id, Obj: obj})
-			}
+			m.endWait(t, stripe, blockedAt, blockCause, obs.EvDeadlock)
 			return ErrDeadlock
 		}
 		m.stats.add(stripe, cWaitEvents, uint64(len(waits)))
@@ -413,10 +401,7 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			m.dequeue(l)
 			m.escRelease(t)
 			m.stats.bump(stripe, cDeadlocks)
-			t.span.AddLockWait(obsCause(blockCause), uint64(m.clk.Since(blockedAt)))
-			if m.tr.On() {
-				m.tr.Emit(stripe, trace.Event{Kind: trace.KDeadlock, Cause: blockCause, Node: t.id, Root: t.root.id, Obj: obj})
-			}
+			m.endWait(t, stripe, blockedAt, blockCause, obs.EvDeadlock)
 			return ErrDeadlock
 		case waitForce:
 			// Last-resort for a cycle consisting only of compensating
@@ -432,12 +417,7 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			})
 			t.locks = append(t.locks, l)
 			m.stats.bump(stripe, cForcedGrants)
-			waited := uint64(m.clk.Since(blockedAt))
-			m.stats.add(stripe, cWaitNanos, waited)
-			t.span.AddLockWait(obsCause(blockCause), waited)
-			if m.tr.On() {
-				m.tr.Emit(stripe, trace.Event{Kind: trace.KForce, Cause: blockCause, Node: t.id, Root: t.root.id, Obj: obj, Nanos: waited})
-			}
+			m.endWait(t, stripe, blockedAt, blockCause, obs.EvForce)
 			return nil
 		}
 		m.wfg.Clear(t.id)
@@ -543,10 +523,6 @@ func (m *lockMgr) Retain(t *Tx) {
 		// owner's Committed state (paper §4.1).
 		if len(t.locks) > 0 {
 			m.stats.bump(int(t.root.id), cRetains)
-			if m.tr.On() {
-				o := t.locks[0].inv.Object
-				m.tr.Emit(m.tbl.ShardOf(o), trace.Event{Kind: trace.KRetain, Node: t.id, Root: t.root.id, Obj: o})
-			}
 		}
 	case OpenNoRetain:
 		// Paper §3: the locks of the actions *in* the subtransaction

@@ -22,9 +22,9 @@ var perfProtocols = []core.ProtocolKind{
 // Experiment.Run and the *SweepJSON functions; tests pass the zero
 // value. There is no other channel: a point is a copy of the base with
 // its workload shape filled in (see point), and an experiment that
-// owns an axis (E7 the journal, E8 the compat regime, E9 the topology,
-// E10 topology and observability) overwrites that field on its copy,
-// so a flag cannot leak underneath the axis being swept.
+// owns an axis (E7 the journal, E8 the compat regime, E9 the topology)
+// overwrites that field on its copy, so a flag cannot leak underneath
+// the axis being swept.
 type Base struct {
 	// Config carries the flag-selected engine options and topology:
 	// Compat (-compat), Nodes (-nodes), Obs and NodeObs (-serve). The

@@ -22,7 +22,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"E1", "E10", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "chaos"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "chaos"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))

@@ -8,10 +8,9 @@ import (
 // Hist is a log₂-bucketed uint64 histogram (typically of nanosecond
 // durations): bucket i counts values v with bits.Len64(v) == i, i.e.
 // v ∈ [2^(i-1), 2^i), with bucket 0 counting exact zeros. It is the
-// one histogram implementation shared by the trace subsystem
-// (per-cause wait histograms), the span recorder (transaction
-// latency), and the registry (WAL append / pool fault / store scan
-// latency). Observe is two atomic adds; the zero value is ready to
+// one histogram implementation shared by the event sink (per-cause
+// lock waits), the span recorder (transaction latency), and the
+// registry (WAL append / pool fault / store scan latency). Observe is two atomic adds; the zero value is ready to
 // use.
 type Hist struct {
 	b   [histBuckets]atomic.Uint64

@@ -1,20 +1,20 @@
 // Package obs is the process-wide observability layer: one metrics
 // registry (counters, gauges, and the shared log₂ histogram) covering
-// the engine, WAL, buffer pools, and object store, plus a span
-// recorder that captures each top-level transaction's open-nested
-// invocation tree with lock-wait, WAL, storage, and compensation time
-// attributed to the owning (sub)transaction.
+// the engine, WAL, buffer pools, and object store, a span recorder
+// that captures each top-level transaction's open-nested invocation
+// tree with lock-wait, WAL, storage, and compensation time attributed
+// to the owning (sub)transaction, and an event sink recording the lock
+// manager's decisions with a per-object contention profile (events.go).
 //
-// Cost model (the same contract as internal/core/trace): an engine
-// built without an Obs pays a nil check per site; one built with a
-// disabled Obs pays a nil check plus a single atomic load
-// (Obs.On / SpanRecorder.BeginRoot) and allocates nothing —
+// Cost model: an engine built without an Obs pays a nil check per
+// site; one built with a disabled Obs pays a nil check plus a single
+// atomic load (Obs.On / SpanRecorder.BeginRoot) and allocates nothing —
 // BenchmarkObsOverheadParallel and the AllocsPerRun test pin this.
 // Metrics registered via CounterFunc/GaugeFunc read counters that the
 // subsystems maintain anyway (striped engine stats, pool partition
 // atomics), so they cost nothing extra even when enabled; only the
-// gated extras (histograms, per-shard op counts, spans) switch with
-// SetEnabled.
+// gated extras (histograms, per-shard op counts, spans, events) switch
+// with SetEnabled.
 //
 // Exposition: Prometheus text + JSON snapshot + net/http/pprof on an
 // opt-in HTTP endpoint (Serve), a slow-transaction log of span trees,
@@ -56,6 +56,12 @@ type Obs struct {
 	// Spans records root transaction trees.
 	Spans *SpanRecorder
 
+	// The event sink (events.go): a sequence counter, the per-cause
+	// wait histograms semcc_lock_wait_ns{cause}, and the ring stripes.
+	evSeq  atomic.Uint64
+	waitNs [numWaitCauses]*Hist
+	evs    [evStripes]evStripe
+
 	mu       sync.Mutex
 	consts   map[string]string
 	sections map[string]func(Params) any
@@ -69,13 +75,16 @@ func New(cfg Config) *Obs {
 		sections: make(map[string]func(Params) any),
 	}
 	o.Spans = newSpanRecorder(o, cfg)
+	for c := range o.waitNs {
+		o.waitNs[c] = o.Registry.Hist("semcc_lock_wait_ns", "Time blocked lock requests waited, nanoseconds.", L("cause", WaitCause(c).String()))
+	}
 	return o
 }
 
-// SetEnabled switches gated collection (spans, latency histograms,
-// per-shard op counts) on or off. Func-backed metrics are live either
-// way. Concurrent with instrumentation; an in-flight site may complete
-// after SetEnabled(false) returns.
+// SetEnabled switches gated collection (spans, events, latency
+// histograms, per-shard op counts) on or off. Func-backed metrics are
+// live either way. Concurrent with instrumentation; an in-flight site
+// may complete after SetEnabled(false) returns.
 func (o *Obs) SetEnabled(on bool) {
 	if o != nil {
 		o.enabled.Store(on)
@@ -109,16 +118,16 @@ func (o *Obs) SetConst(key, value string) {
 
 // Params parameterises snapshot-time rendering of sections.
 type Params struct {
-	// TopK bounds ranked lists (the tracer's hot-object table).
+	// TopK bounds ranked lists (the hot-object table).
 	TopK int
-	// Recent bounds recent-item lists (trace events, span trees).
+	// Recent bounds recent-item lists (events, span trees).
 	Recent int
 }
 
 // Section registers (or replaces) a named JSON section rendered at
 // export time. Subsystems with their own snapshot shapes (engine
-// stats, tracer) register here so ObservabilityJSON is assembled by
-// the Obs rather than by hand in the facade.
+// stats) register here so ObservabilityJSON is assembled by the Obs
+// rather than by hand in the facade.
 func (o *Obs) Section(name string, fn func(Params) any) {
 	if o == nil {
 		return
@@ -129,7 +138,7 @@ func (o *Obs) Section(name string, fn func(Params) any) {
 }
 
 // snapshot builds the merged export map: consts, registered sections,
-// the metric registry, and the span recorder.
+// the metric registry, the span recorder, and the event sink ("trace").
 func (o *Obs) snapshot(p Params) map[string]any {
 	out := map[string]any{}
 	if o == nil {
@@ -150,6 +159,7 @@ func (o *Obs) snapshot(p Params) map[string]any {
 	out["enabled"] = o.On()
 	out["metrics"] = o.Registry.Snapshot()
 	out["spans"] = o.Spans.Snapshot(p.Recent)
+	out["trace"] = o.Events(p.TopK, p.Recent)
 	return out
 }
 

@@ -34,8 +34,8 @@ func (o Outcome) String() string {
 	}
 }
 
-// WaitCause classifies a lock wait charged to a span, mirroring the
-// Fig. 9 outcomes of trace.Cause (the engine maps one onto the other).
+// WaitCause classifies a lock wait by the Fig. 9 outcome that caused
+// it: the one cause enum of the engine, its spans and its events.
 type WaitCause uint8
 
 const (
@@ -61,6 +61,9 @@ func (c WaitCause) String() string {
 		return "other"
 	}
 }
+
+// MarshalText renders the cause by name in the JSON export.
+func (c WaitCause) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
 
 // WaitStat accumulates lock waits of one cause.
 type WaitStat struct {

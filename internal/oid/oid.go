@@ -68,6 +68,9 @@ func (o OID) String() string {
 	return fmt.Sprintf("%s:%d", o.K, o.N)
 }
 
+// MarshalText renders the OID in its diagnostic form (JSON exports).
+func (o OID) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
 // DB is the OID of the database pseudo-object; transaction roots are
 // modelled as actions on it (paper §3, footnote 2).
 var DB = OID{K: Database, N: 0}

@@ -7,7 +7,6 @@ import (
 	"semcc/internal/clock"
 	"semcc/internal/compat"
 	"semcc/internal/core"
-	"semcc/internal/core/trace"
 	"semcc/internal/objstore"
 	"semcc/internal/obs"
 	"semcc/internal/oid"
@@ -30,18 +29,15 @@ type Options struct {
 	// Journal, when set, receives write-ahead-log records for restart
 	// recovery (internal/wal).
 	Journal core.Journal
-	// Tracer, when set, attaches the observability subsystem
-	// (internal/core/trace): structured event trace, per-object
-	// contention profile, wait-time histograms. Disabled tracers cost
-	// one atomic load per engine emission site.
-	Tracer *trace.Tracer
 	// Obs, when set, attaches the cross-layer observability handle
 	// (internal/obs): unified metrics registry over engine, WAL,
-	// buffer pool, and object store, plus per-transaction span trees.
-	// When nil the DB creates a private disabled Obs, so
-	// ObservabilityJSON and ServeObservability always work; gated
-	// collection (spans, latency histograms, per-shard op counts)
-	// starts only after Obs.SetEnabled(true) or ServeObservability.
+	// buffer pool, and object store, per-transaction span trees, and
+	// the lock manager's decision events with the per-object
+	// contention profile. When nil the DB creates a private disabled
+	// Obs, so ObservabilityJSON and ServeObservability always work;
+	// gated collection (spans, events, latency histograms, per-shard op
+	// counts) starts only after Obs.SetEnabled(true) or
+	// ServeObservability.
 	Obs *obs.Obs
 	// Compat selects the compatibility regime: static matrices only
 	// (default), or escrow mode, which additionally admits
@@ -125,8 +121,8 @@ func Reopen(old *DB, opts Options) *DB {
 // finishOpen builds the engine and wires the observability handle:
 // engine stats register as func-backed metrics, the journal (if it
 // implements obs.Attacher, as *wal.Log does) registers its own, and
-// the protocol plus the engine-stats and tracer sections feed the
-// merged JSON export.
+// the protocol plus the engine-stats section feed the merged JSON
+// export.
 func (db *DB) finishOpen(opts Options) {
 	db.engine = core.New(core.Config{
 		Kind:             opts.Protocol,
@@ -135,7 +131,6 @@ func (db *DB) finishOpen(opts Options) {
 		Record:           opts.Record,
 		NoAncestorRelief: opts.NoAncestorRelief,
 		Journal:          opts.Journal,
-		Tracer:           opts.Tracer,
 		Obs:              db.obs,
 		Compat:           opts.Compat,
 		EscrowRead:       db.escrowRead,
@@ -151,9 +146,6 @@ func (db *DB) finishOpen(opts Options) {
 	}
 	db.obs.SetConst("protocol", db.engine.Kind().String())
 	db.obs.Section("stats", func(obs.Params) any { return db.engine.Stats() })
-	if tr := db.engine.Tracer(); tr != nil {
-		db.obs.Section("trace", func(p obs.Params) any { return tr.Snapshot(p.TopK, p.Recent) })
-	}
 }
 
 // escrowRead supplies the engine's escrow table with a counter's
@@ -270,8 +262,8 @@ func (db *DB) Obs() *obs.Obs { return db.obs }
 
 // ObservabilityJSON renders the merged observability snapshot: the
 // protocol, the engine's monotone concurrency-control counters
-// ("stats"), the tracer's contention profile when one is attached
-// ("trace"), and the unified registry + span sections covering lock
+// ("stats"), the decision events and contention profile ("trace"),
+// and the unified registry + span sections covering lock
 // manager, WAL, buffer pool, and object store ("metrics", "spans").
 // Safe to call while transactions run; counters are then monotone per
 // field but not a single consistent cut (see core.Stats).

@@ -123,16 +123,16 @@ func InventoryMix() Mix {
 // Config parameterises one workload run.
 type Config struct {
 	// Options configure the run's engine — protocol, compatibility
-	// regime, E5's NoAncestorRelief, tracer, … — and are the one place
-	// an engine setting lives: Run opens the direct database, or every
-	// node of the cluster, from this value. Three fields are
+	// regime, E5's NoAncestorRelief, … — and are the one place an
+	// engine setting lives: Run opens the direct database, or every
+	// node of the cluster, from this value. Two fields are
 	// topology-sensitive on a cluster run (Nodes ≥ 1): Journal is
 	// ignored (each node needs its own — use NodeJournal; the caller
 	// owns every journal's lifecycle and closes group-commit ones after
-	// the run), Obs becomes the COORDINATOR's Obs (cluster.AttachObs:
-	// hop/2PC metrics and the distributed span trees land there, nodes
-	// get NodeObs), and Tracer attaches to node 0 only. When Obs is
-	// enabled, span collection yields the run's latency percentiles
+	// the run), and Obs becomes the COORDINATOR's Obs
+	// (cluster.AttachObs: hop/2PC metrics and the distributed span
+	// trees land there, nodes get NodeObs). When Obs is enabled, span
+	// collection yields the run's latency percentiles
 	// (Metrics.P50Ns/P99Ns).
 	oodb.Options
 	// Nodes selects the topology: 0 (the zero value) runs on one
@@ -327,9 +327,6 @@ func Run(cfg Config) (Metrics, error) {
 			}
 			if cfg.NodeObs != nil {
 				opts.Obs = cfg.NodeObs(i)
-			}
-			if i != 0 {
-				opts.Tracer = nil
 			}
 			return opts
 		})

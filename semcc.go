@@ -37,7 +37,6 @@ package semcc
 import (
 	"semcc/internal/compat"
 	"semcc/internal/core"
-	"semcc/internal/core/trace"
 	"semcc/internal/dist"
 	"semcc/internal/obs"
 	"semcc/internal/oid"
@@ -144,33 +143,15 @@ var ErrDeadlock = core.ErrDeadlock
 // Stats is a snapshot of engine counters.
 type Stats = core.StatsSnapshot
 
-// Tracer is the engine observability subsystem: a structured event
-// trace of concurrency-control decisions plus per-object contention
-// profiling. Attach one via Options.Tracer, switch it on with
-// SetEnabled, and read it back with Snapshot/JSON or through
-// DB.ObservabilityJSON.
-type Tracer = trace.Tracer
-
-// TraceConfig parameterises NewTracer.
-type TraceConfig = trace.Config
-
-// TraceEvent is one structured trace record.
-type TraceEvent = trace.Event
-
-// TraceSnapshot is a copyable view of a Tracer (hot objects, wait
-// histograms, recent events).
-type TraceSnapshot = trace.Snapshot
-
-// NewTracer builds an observability tracer. It starts disabled; a
-// disabled tracer costs one atomic load per engine emission site.
-func NewTracer(cfg TraceConfig) *Tracer { return trace.New(cfg) }
-
 // Obs is the cross-layer observability handle: one metrics registry
-// (engine, WAL, buffer pool, object store) plus a per-transaction
-// span recorder capturing the open-nested invocation tree. Attach one
-// via Options.Obs, switch gated collection on with SetEnabled, and
-// read it back through DB.ObservabilityJSON, Obs.WriteProm, or the
-// live HTTP endpoint (DB.ServeObservability).
+// (engine, WAL, buffer pool, object store), a per-transaction span
+// recorder capturing the open-nested invocation tree, and the lock
+// manager's decision events (blocks, waited grants, Fig. 9 case-1 and
+// escrow admissions, deadlock victims) with a per-object contention
+// profile. Attach one via Options.Obs, switch gated collection on
+// with SetEnabled, and read it back through DB.ObservabilityJSON,
+// Obs.Events, Obs.WriteProm, or the live HTTP endpoint
+// (DB.ServeObservability).
 type Obs = obs.Obs
 
 // ObsConfig parameterises NewObs (slow-span threshold and log, span

@@ -166,73 +166,110 @@ func TestPublicValueConstructors(t *testing.T) {
 	}
 }
 
-// TestObservabilityThroughFacade drives a tracer-attached database
-// through the public façade only: Options.Tracer wiring, live event
-// collection, the DB.ObservabilityJSON snapshot, and tracer disable.
+// TestObservabilityThroughFacade drives an Obs-attached database
+// through the public façade only: Options.Obs wiring, the decision
+// events of one real lock conflict (an uncontended root leaves none),
+// the DB.ObservabilityJSON snapshot, the per-cause wait histogram in
+// the Prometheus export, and disabling.
 func TestObservabilityThroughFacade(t *testing.T) {
-	tr := semcc.NewTracer(semcc.TraceConfig{Protocol: "semantic"})
-	tr.SetEnabled(true)
-	db := semcc.Open(semcc.Options{Protocol: semcc.Semantic, Tracer: tr})
+	o := semcc.NewObs(semcc.ObsConfig{})
+	o.SetEnabled(true)
+	db := semcc.Open(semcc.Options{Protocol: semcc.Semantic, Obs: o})
 
 	a, err := db.Store().NewAtomic(semcc.Int(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 3; i++ {
-		tx := db.Begin()
-		if err := tx.Put(a, semcc.Int(i)); err != nil {
+	// contend makes one root wait for another's commit on a: the
+	// holder writes a, a second root's write blocks (seen on the
+	// engine's block counter), the holder commits, the waiter follows.
+	contend := func(blocks uint64) {
+		t.Helper()
+		holder := db.Begin()
+		if err := holder.Put(a, semcc.Int(1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Commit(); err != nil {
+		done := make(chan error, 1)
+		go func() {
+			tx := db.Begin()
+			err := tx.Put(a, semcc.Int(2))
+			if err == nil {
+				err = tx.Commit()
+			}
+			done <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); db.Engine().Stats().Blocks < blocks; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the second writer never blocked")
+			}
+		}
+		if err := holder.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	snap := tr.Snapshot(5, 10)
-	if snap.Emitted == 0 {
-		t.Fatal("no trace events collected through the facade")
+	tx := db.Begin()
+	if err := tx.Put(a, semcc.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Events(0, 0).Emitted; n != 0 {
+		t.Fatalf("an uncontended root emitted %d events, want none", n)
+	}
+
+	contend(1)
+	snap := o.Events(5, 10)
+	if snap.Emitted != 2 || len(snap.Recent) != 2 || len(snap.Hot) != 1 || snap.Hot[0].Blocks != 1 {
+		t.Fatalf("one conflict left %+v, want a block and a grant on one hot object", snap)
 	}
 	raw, err := db.ObservabilityJSON(5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"kind": "grant"`) {
-		t.Errorf("observability JSON contains no grant event:\n%s", raw)
+	for _, want := range []string{`"kind": "block"`, `"kind": "grant"`, `"cause": "root-wait"`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("observability JSON is missing %s:\n%s", want, raw)
+		}
 	}
 	// The trace section uses symbolic names (write-only diagnostics),
 	// so decode it loosely.
-	var obs struct {
+	var doc struct {
 		Protocol string      `json:"protocol"`
 		Stats    semcc.Stats `json:"stats"`
 		Trace    *struct {
 			Emitted uint64 `json:"events_emitted"`
 		} `json:"trace"`
 	}
-	if err := json.Unmarshal(raw, &obs); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("ObservabilityJSON is not valid JSON: %v\n%s", err, raw)
 	}
-	if obs.Protocol != "semantic" {
-		t.Errorf("protocol = %q, want semantic", obs.Protocol)
+	if doc.Protocol != "semantic" {
+		t.Errorf("protocol = %q, want semantic", doc.Protocol)
 	}
-	if obs.Stats.RootsCommitted < 3 {
-		t.Errorf("stats.RootsCommitted = %d, want >= 3", obs.Stats.RootsCommitted)
+	if doc.Stats.RootsCommitted != 3 || doc.Stats.Blocks != 1 {
+		t.Errorf("stats = %d roots committed, %d blocks; want 3 and 1", doc.Stats.RootsCommitted, doc.Stats.Blocks)
 	}
-	if obs.Trace == nil || obs.Trace.Emitted != snap.Emitted {
-		t.Errorf("trace snapshot missing or stale in ObservabilityJSON: %+v", obs.Trace)
+	if doc.Trace == nil || doc.Trace.Emitted != snap.Emitted {
+		t.Errorf("trace section missing or stale in ObservabilityJSON: %+v", doc.Trace)
+	}
+	var prom strings.Builder
+	if err := o.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := `semcc_lock_wait_ns_count{cause="root-wait"} 1`; !strings.Contains(prom.String(), want) {
+		t.Errorf("Prometheus export is missing %s", want)
 	}
 
 	// Disabling stops collection without detaching.
-	tr.SetEnabled(false)
-	before := tr.Snapshot(0, 0).Emitted
-	tx := db.Begin()
-	if err := tx.Put(a, semcc.Int(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if after := tr.Snapshot(0, 0).Emitted; after != before {
-		t.Errorf("disabled tracer still collecting: %d -> %d", before, after)
+	o.SetEnabled(false)
+	contend(2)
+	if after := o.Events(0, 0).Emitted; after != snap.Emitted {
+		t.Errorf("disabled Obs still collecting: %d -> %d events", snap.Emitted, after)
 	}
 }
 
