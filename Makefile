@@ -46,16 +46,19 @@ race:
 # root is aborted while it is queued (core); recovery of dependent
 # losers at every crash cut (wal). They step real goroutines
 # through channels, so a schedule-dependent failure would show here and
-# nowhere else. Last the workload test that failed one run in two
-# before the FCFS conversion rule: its clients run free, so it is the
-# rule's coverage under real schedules; and the two-node commit stepped
-# through one gated journal per node (dist): every awaited record
-# outstanding at once, none handed out for an unforced one.
+# nowhere else. With them the journal's Close and Sync racing appends in
+# every durability mode (wal): free-running, so forty repeats are their
+# coverage of the sendMu/closed interleavings. Last the workload test
+# that failed one run in two before the FCFS conversion rule: its
+# clients run free, so it is the rule's coverage under real schedules;
+# and the two-node commit stepped through one gated journal per node
+# (dist): every awaited record outstanding at once, none handed out for
+# an unforced one.
 flake:
 	$(GO) test -race -count=20 ./adts
 	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable|TestFCFSConversionRule|TestConflictEvents|TestWaitChargedOnEveryExit' ./internal/core
 	$(GO) test -race -count=40 -run 'TestCommitWaitsForTheDeviceOnce' ./internal/dist
-	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser' ./internal/wal
+	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser|Test(AppendsRacingClose|SyncOnClosedCoversInlineAppends)' ./internal/wal
 	$(GO) test -race -count=40 -run 'TestClientErrorsAggregated' ./internal/workload
 
 # Focused, -short-gated race run of the journaling/recovery surface —
@@ -102,12 +105,13 @@ benchmark:
 # Then the single-threaded per-layer ones, benchstat-comparable across
 # commits (ns/op, B/op, allocs/op): page insert and grow-on-a-full-page
 # (storage), one root invoking a two-leaf method (core through oodb),
-# and one whole two-node root per commit path over free-flush journals
-# (dist: single, readonly2, update2).
+# two journal appends per durability mode over a free device (wal: sync,
+# group, async), and one whole two-node root per commit path over
+# free-flush journals (dist: single, readonly2, update2).
 bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkStoreParallel|BenchmarkPool(Fetch|Evict)Parallel' -benchmem -cpu 4 ./internal/objstore ./internal/storage
 	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
-	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkInvokeGetPut$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/oodb ./internal/dist
+	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkInvokeGetPut$$|BenchmarkJournalAppend$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/oodb ./internal/wal ./internal/dist
 
 # The observability cost contract: the disjoint-atom transaction cycle
 # with no Obs / disabled Obs / enabled Obs, plus the per-site

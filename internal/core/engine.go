@@ -80,9 +80,9 @@ type JournalRecord struct {
 // Journal receives engine journal records. Implementations must be
 // safe for concurrent use. Append fixes the record's position in the
 // journal's total order before it returns; whether the record is also
-// *durable* on return is the implementation's durability mode (the
-// synchronous log forces every record, the group-commit log defers to
-// a batched flush — see AckJournal).
+// *durable* on return is the journal's durability mode (sync mode
+// forces every record, group mode defers to a batched flush — see
+// AckJournal).
 type Journal interface {
 	Append(rec JournalRecord)
 }
@@ -384,11 +384,11 @@ type pendingOutcome struct {
 // journalSubmit is the submit half of the outcome pipeline (submit →
 // make observable → wait): it hands rec to the journal, which fixes
 // its position in the journal's total order before returning, and
-// returns the durability future without waiting on it. Under the
-// synchronous log (and any journal that is not an AckJournal) the
-// record is durable on return and the future is already resolved;
-// under the group-commit log it resolves when the covering batch is
-// flushed; under async durability it resolves before the flush. This
+// returns the durability future without waiting on it. In sync mode
+// (and under any journal that is not an AckJournal) the record is
+// durable on return and the future is already resolved; in group mode
+// it resolves when the covering batch is flushed; under async
+// durability it resolves before the flush. This
 // is the engine's only AppendAck call site. Call only when e.journal
 // is non-nil.
 func (e *Engine) journalSubmit(t *Tx, rec JournalRecord) pendingOutcome {
@@ -641,8 +641,8 @@ func (e *Engine) commitRoot(t *Tx, forced bool) error {
 	close(t.done)
 	e.stats.bump(int(t.id), cRootsCommitted)
 	// Acknowledge only when durable: the caller's Commit returns after
-	// the batch holding the record is on stable storage (at once under
-	// the synchronous log, in async mode, and for an unforced commit,
+	// the batch holding the record is on stable storage (at once in
+	// sync mode, in async mode, and for an unforced commit,
 	// which submitted nothing to wait for).
 	e.journalWait(t, out, true)
 	e.spans.FinishRoot(t.span, obs.OutcomeCommitted)

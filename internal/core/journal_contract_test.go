@@ -1,11 +1,10 @@
-// Cross-implementation journal contract tests. The in-package tests
-// of journal_test.go pin the engine's emission discipline against an
+// Cross-mode journal contract tests. The in-package tests of
+// journal_test.go pin the engine's emission discipline against an
 // in-memory recorder; this file (an external test package, because
 // internal/wal imports internal/core) runs the same contract against
-// all three real core.Journal implementations — the synchronous log,
-// the group-commit pipeline, and its async-durability mode — via a
-// table, so the -wal ablation axis cannot drift in what, or in what
-// order, it journals.
+// the real journal in all three modes — sync, the group-commit
+// pipeline, and its async-durability variant — via a table, so the -wal
+// ablation axis cannot drift in what, or in what order, it journals.
 package core_test
 
 import (
@@ -19,7 +18,7 @@ import (
 	"semcc/internal/wal"
 )
 
-// journalImpls enumerates the three -wal implementations. MaxBatch 3
+// journalImpls enumerates the three -wal modes. MaxBatch 3
 // with an effectively infinite delay exercises real batch coalescing
 // (several flushes per scenario) while keeping the single-goroutine
 // runs deterministic.
@@ -93,7 +92,7 @@ func indexOf(recs []core.JournalRecord, kind core.JournalKind, node uint64) int 
 }
 
 // TestJournalContractAcrossImplementations holds the three journal
-// implementations to one contract: the emission order of the
+// modes to one contract: the emission order of the
 // winner/loser scenario is identical across all of them (down to the
 // serialised bytes — the durability mode must not change *what* is
 // journaled), every record is in the durable image after a Sync
@@ -156,7 +155,7 @@ func TestJournalContractAcrossImplementations(t *testing.T) {
 				t.Fatalf("kinds = %v: outcome order commit=%d abortStart=%d aborted=%d", kinds, ci, as, ai)
 			}
 
-			// Cross-implementation: serialised journals are
+			// Cross-mode: serialised journals are
 			// byte-identical — the ablation changes when bytes become
 			// durable, never which bytes.
 			flat := wal.NewLog()
@@ -167,7 +166,7 @@ func TestJournalContractAcrossImplementations(t *testing.T) {
 			if refBytes == nil {
 				refBytes, refName = got, impl.name
 			} else if !bytes.Equal(got, refBytes) {
-				t.Fatalf("journal bytes diverge from the %s implementation (%d vs %d records)",
+				t.Fatalf("journal bytes diverge from the %s mode (%d vs %d records)",
 					refName, len(recs), durable.Len())
 			}
 		})

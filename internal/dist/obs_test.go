@@ -540,13 +540,15 @@ func TestDetectorStopIdempotent(t *testing.T) {
 	c, _, _ := obsCluster(t, 2)
 	defer c.Close()
 	stop := c.StartDetector(time.Millisecond)
-	time.Sleep(3 * time.Millisecond)
-	stop()
-	stop()
-	st := c.DistStats()
-	if st.DeadlockSweeps == 0 {
-		t.Error("detector ran no sweeps before stop")
+	// Wait for a sweep rather than for a time: under -race on a loaded
+	// box the first tick can be many milliseconds late.
+	for deadline := time.Now().Add(10 * time.Second); c.DistStats().DeadlockSweeps == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("detector ran no sweeps in 10s")
+		}
 	}
+	stop()
+	stop()
 }
 
 // BenchmarkDistHop measures the transport hop under the three

@@ -1,7 +1,7 @@
 // The -wal durability-mode ablation axis and experiment E7: the
-// group-commit study of the journal. The axis swaps one implementation
-// under an otherwise identical stack — the core.Journal the engine's
-// commit path blocks on — so the sweep isolates what the durability
+// group-commit study of the journal. The axis switches the mode of the
+// one journal under an otherwise identical stack — the core.Journal the
+// engine's commit path blocks on — so the sweep isolates what the durability
 // discipline itself costs: per-commit flushes (sync), batched flushes
 // with commits parked until their batch is durable (group), and
 // acknowledge-before-flush (async, the upper bound a journal-less run

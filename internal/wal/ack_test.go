@@ -98,7 +98,7 @@ func TestCommitAckDurability(t *testing.T) {
 // mode accepts by design), the record's position in the journal order
 // is nevertheless fixed, and a Sync barrier makes everything durable.
 func TestAsyncAckBeforeFlush(t *testing.T) {
-	g := NewGroupLog(Config{Mode: ModeAsync, MaxBatch: 1 << 12, MaxDelay: time.Hour})
+	g := New(Config{Mode: ModeAsync, MaxBatch: 1 << 12, MaxDelay: time.Hour})
 	defer g.Close()
 	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Journal: g})
 

@@ -185,7 +185,7 @@ func (e depEnv) FinalState() (string, error) {
 }
 
 // cutJournal is the journal of the sweeps. Records go to a real
-// GroupLog, which frames them into the durable image; an outcome
+// group-mode Log, which frames them into the durable image; an outcome
 // record's ack is held by the test's gate, so a committer parks — its
 // locks released, its record submitted — for as long as the test
 // likes. With limit > 0 it is also a crashJournal: the limit-th record
@@ -193,7 +193,7 @@ func (e depEnv) FinalState() (string, error) {
 // goroutine panics with errCrash and every other goroutine of the run
 // is told through crashed to stop.
 type cutJournal struct {
-	g     *GroupLog
+	g     Journal
 	limit int
 
 	mu      sync.Mutex
@@ -206,7 +206,7 @@ func newCutJournal(maxBatch, limit int) *cutJournal {
 	return &cutJournal{
 		// MaxDelay is effectively infinite, as in runGroupScenario: a
 		// batch closes when it fills or at a root outcome, nowhere else.
-		g:       NewGroupLog(Config{Mode: ModeGroup, MaxBatch: maxBatch, MaxDelay: time.Hour}),
+		g:       New(Config{Mode: ModeGroup, MaxBatch: maxBatch, MaxDelay: time.Hour}),
 		limit:   limit,
 		crashed: make(chan struct{}),
 		gate:    make(chan struct{}),

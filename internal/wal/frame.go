@@ -1,10 +1,9 @@
 // Batch framing for the durable image.
 //
-// Both journal implementations write the same on-"disk" layout: a
-// sequence of self-delimiting batch frames, one per flush. The
-// synchronous Log emits one single-record frame per append; the
-// group-commit GroupLog emits one frame per coalesced batch. A frame
-// is
+// The journal's on-"disk" layout in every durability mode: a sequence of
+// self-delimiting batch frames, one per flush — a single-record frame
+// per append in sync mode, one frame per coalesced batch from the
+// writer. A frame is
 //
 //	uvarint(len(body)) uvarint(crc32(body)) body
 //
@@ -19,8 +18,8 @@
 // A record's Node is written as its distance from the previous
 // record's Node, and the chain restarts at 0 in every frame body, so a
 // frame decodes without its predecessors: the first record of a frame
-// carries its absolute Node, the rest a small delta. The synchronous
-// log's one-record frames are all first records.
+// carries its absolute Node, the rest a small delta. Sync mode's
+// one-record frames are all first records.
 
 package wal
 
@@ -113,6 +112,7 @@ func UnmarshalDurable(b []byte) (*Log, []BatchInfo, error) {
 	// The decoded prefix is the returned log's own durable image, so a
 	// recovered log round-trips.
 	l.durable = append([]byte(nil), b[:p]...)
-	l.flushes = uint64(len(batches))
+	l.durableRecs = len(l.recs)
+	l.flushCount = uint64(len(batches))
 	return l, batches, nil
 }

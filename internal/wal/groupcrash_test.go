@@ -13,15 +13,15 @@ import (
 )
 
 // runGroupScenario drives the crash scenario on a database journaled
-// by a GroupLog with the given batch size, then closes the log (the
+// by a writer-mode Log with the given batch size, then closes the log (the
 // clean-shutdown flush) and returns it. MaxDelay is effectively
 // infinite so the timer never perturbs batch boundaries: in this
 // single-goroutine run a flush happens exactly when a batch fills or a
 // root outcome demands durability, which makes the boundaries
 // deterministic.
-func runGroupScenario(t *testing.T, cfg orderentry.Config, maxBatch int, mode Mode) *GroupLog {
+func runGroupScenario(t *testing.T, cfg orderentry.Config, maxBatch int, mode Mode) Journal {
 	t.Helper()
-	g := NewGroupLog(Config{Mode: mode, MaxBatch: maxBatch, MaxDelay: time.Hour})
+	g := New(Config{Mode: mode, MaxBatch: maxBatch, MaxDelay: time.Hour})
 	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Journal: g})
 	app, err := orderentry.Setup(db, cfg)
 	if err != nil {
@@ -61,12 +61,12 @@ func expectedBoundaries(recs []core.JournalRecord, maxBatch int) []int {
 	return ends
 }
 
-// TestGroupLogBatchBoundariesDeterministic pins the framing the crash
+// TestBatchBoundariesDeterministic pins the framing the crash
 // sweep below relies on: the group log journals the same record
 // sequence as the sync baseline, flushes exactly at the predicted
 // boundaries, and its flat serialisation is byte-identical to a sync
 // log holding the same records.
-func TestGroupLogBatchBoundariesDeterministic(t *testing.T) {
+func TestBatchBoundariesDeterministic(t *testing.T) {
 	cfg := orderentry.DefaultConfig()
 	dryRecs, _ := dryRun(t, cfg)
 	for _, maxBatch := range []int{1, 3, 8} {

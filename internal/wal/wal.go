@@ -17,8 +17,10 @@
 // losers. Redo logging for a no-force buffer pool is orthogonal and
 // out of scope, as is logging of schema (method bodies are code).
 //
-// There is one record codec (appendRecord, decodeRecord and its size
-// mirror recordBytes) under both serialisations: the flat Marshal
+// There is one journal type, Log (group.go), whose durability mode
+// decides who flushes and when an append is acknowledged, and one
+// record codec (appendRecord, decodeRecord and its size mirror
+// recordBytes) under both serialisations: the flat Marshal
 // format, one chain of records, and the batch frames of the durable
 // image (frame.go), one chain per frame. Node and parent ids are
 // written relative to their neighbourhood (idCodes), so the bytes a
@@ -30,84 +32,13 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"semcc/internal/clock"
 	"semcc/internal/compat"
 	"semcc/internal/core"
-	"semcc/internal/obs"
 	"semcc/internal/oid"
 	"semcc/internal/oodb"
 	"semcc/internal/val"
 )
-
-// Log is an in-memory write-ahead log implementing core.Journal in
-// the synchronous durability mode: every Append forces its record to
-// the durable image (one single-record batch frame) before returning,
-// so submit == durable and each commit pays its own flush. It is the
-// baseline the group-commit pipeline (GroupLog) is measured against.
-// Marshal/Unmarshal serialise the flat record sequence;
-// DurableBytes/UnmarshalDurable expose the framed durable image.
-type Log struct {
-	mu   sync.Mutex
-	recs []core.JournalRecord
-	// durable is the batch-framed image on simulated stable storage;
-	// for the synchronous log it always covers all of recs.
-	durable []byte
-	flushes uint64
-	// flushDelay is the simulated fixed device latency charged per
-	// flush, while holding mu — synchronous flushes serialise on the
-	// device. Zero (the default, and NewLog's only mode) makes flushes
-	// free, which is what the recovery and crash tests want. flushPark
-	// charges it by parking instead of busy-waiting (Config.DeviceSleep).
-	flushDelay time.Duration
-	flushPark  bool
-	// om carries the attached observability metrics; an atomic pointer
-	// because Append reads it before taking the log mutex.
-	om atomic.Pointer[logObs]
-	// clk times append latency for the obs metrics (measurement only;
-	// the busy-wait device simulation stays on real time). Set before
-	// concurrent use; wal.New overrides it from Config.Clock.
-	clk clock.Clock
-}
-
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{clk: clock.Wall{}} }
-
-// logObs bundles the log's registry metrics.
-type logObs struct {
-	o        *obs.Obs
-	appends  *obs.Counter
-	bytes    *obs.Counter
-	flushes  *obs.Counter
-	flushed  *obs.Counter
-	appendNs *obs.Hist
-}
-
-// AttachObs registers the log's metrics with o (implements
-// obs.Attacher; the facade attaches the journal this way because wal
-// imports oodb, so oodb cannot name *Log). Gated metrics (append
-// latency, byte counts) record only while o is enabled; the record
-// gauge is live always.
-func (l *Log) AttachObs(o *obs.Obs) {
-	if o == nil {
-		return
-	}
-	m := &logObs{
-		o:        o,
-		appends:  o.Registry.Counter("semcc_wal_appends_total", "Journal records appended (while obs is enabled)."),
-		bytes:    o.Registry.Counter("semcc_wal_append_bytes_total", "Marshalled size of appended journal records."),
-		flushes:  o.Registry.Counter("semcc_wal_flushes_total", "Durable-image flushes (one per append for the sync log, one per batch for the group log)."),
-		flushed:  o.Registry.Counter("semcc_wal_flush_bytes_total", "Bytes written by durable-image flushes."),
-		appendNs: o.Registry.Hist("semcc_wal_append_ns", "Journal append latency, nanoseconds."),
-	}
-	o.Registry.GaugeFunc("semcc_wal_records", "Journal records currently retained.", func() int64 { return int64(l.Len()) })
-	l.om.Store(m)
-}
-
-func (m *logObs) on() bool { return m != nil && m.o.On() }
 
 // uvarintLen is the encoded size of v as a binary.AppendUvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -175,133 +106,6 @@ func recordBytes(prev uint64, r core.JournalRecord) uint64 {
 	return uint64(n)
 }
 
-// Append implements core.Journal. The record is forced to the durable
-// image before Append returns — the synchronous log's whole durability
-// mode, and the per-commit serialization cost group commit amortises.
-func (l *Log) Append(rec core.JournalRecord) {
-	if m := l.om.Load(); m.on() {
-		start := l.clk.Now()
-		l.mu.Lock()
-		before := len(l.durable)
-		l.appendLocked(rec)
-		delta := len(l.durable) - before
-		l.mu.Unlock()
-		m.appendNs.Observe(uint64(l.clk.Since(start)))
-		m.appends.Inc()
-		m.bytes.Add(recordBytes(0, rec)) // a frame of its own: no neighbour
-		m.flushes.Inc()
-		m.flushed.Add(uint64(delta))
-		return
-	}
-	l.mu.Lock()
-	l.appendLocked(rec)
-	l.mu.Unlock()
-}
-
-// appendLocked appends rec and forces it durable (mu held).
-func (l *Log) appendLocked(rec core.JournalRecord) {
-	l.recs = append(l.recs, rec)
-	l.durable = appendFrame(l.durable, l.recs[len(l.recs)-1:])
-	l.flushes++
-	if l.flushDelay > 0 {
-		deviceWait(l.flushDelay, l.flushPark)
-	}
-}
-
-// busyWait burns CPU for d. The simulated device has to charge tens of
-// microseconds accurately; time.Sleep cannot — its granularity on
-// coarse-timer hosts is a millisecond or more, which would flatten
-// every FlushDelay setting to the same cost.
-func busyWait(d time.Duration) {
-	for end := time.Now().Add(d); time.Now().Before(end); {
-	}
-}
-
-// deviceWait charges one simulated device flush: busy (exact cost, CPU
-// burned) or parked (Config.DeviceSleep — the CPU is free while the
-// flush is in flight, at the host timer's granularity).
-func deviceWait(d time.Duration, park bool) {
-	if park {
-		time.Sleep(d)
-		return
-	}
-	busyWait(d)
-}
-
-// AppendAck implements core.AckJournal. The synchronous log is durable
-// when the embedded Append returns, so the Ack is already resolved.
-func (l *Log) AppendAck(rec core.JournalRecord) core.Ack {
-	l.Append(rec)
-	return core.Ack{}
-}
-
-// Len returns the number of records.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
-}
-
-// Records returns a snapshot of the log.
-func (l *Log) Records() []core.JournalRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]core.JournalRecord(nil), l.recs...)
-}
-
-// RecordsFrom returns a snapshot of the records at index i and above
-// (RecordsFrom(0) equals Records()). Incremental readers — recovery's
-// analysis pass, polling tests — use it so a repeated snapshot copies
-// only the tail it has not seen instead of the whole log every time.
-func (l *Log) RecordsFrom(i int) []core.JournalRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(l.recs) {
-		return nil
-	}
-	return append([]core.JournalRecord(nil), l.recs[i:]...)
-}
-
-// DurableBytes returns the log's durable image: the batch-framed bytes
-// the simulation treats as having reached stable storage. For the
-// synchronous log it always covers every appended record. Decode with
-// UnmarshalDurable.
-func (l *Log) DurableBytes() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]byte(nil), l.durable...)
-}
-
-// Sync is a no-op: the synchronous log is always durable.
-func (l *Log) Sync() {}
-
-// Close is a no-op: the synchronous log has no writer goroutine.
-func (l *Log) Close() {}
-
-// Mode reports ModeSync.
-func (l *Log) Mode() Mode { return ModeSync }
-
-// Stats returns a point-in-time summary.
-func (l *Log) Stats() JournalStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return JournalStats{Records: len(l.recs), Durable: len(l.recs), Flushes: l.flushes}
-}
-
-// Reset truncates the log (checkpoint after successful recovery). Like
-// GroupLog.Reset it empties the buffers and keeps their memory.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	clear(l.recs)
-	l.recs = l.recs[:0]
-	l.durable = l.durable[:0]
-	l.flushes = 0
-	l.mu.Unlock()
-}
-
 // appendRecord appends r's encoding to buf: the per-record layout
 // shared by the flat Marshal format and the batch-frame bodies,
 //
@@ -337,15 +141,6 @@ func appendRecord(buf []byte, prev uint64, r core.JournalRecord) []byte {
 		}
 	}
 	return buf
-}
-
-// Marshal serialises the log's record sequence in the flat format
-// (uvarint count followed by records). This is the analysis-side
-// serialisation; the crash-model bytes live in DurableBytes.
-func (l *Log) Marshal() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return appendRecords(nil, l.recs)
 }
 
 // appendRecords appends uvarint(len(recs)) and the records as one
@@ -388,20 +183,16 @@ func Unmarshal(b []byte) (*Log, error) {
 		p, prev = np, r.Node
 		l.recs = append(l.recs, r)
 	}
-	// Rebuild the durable image so the invariant "a sync log's durable
-	// image covers all its records" survives deserialisation. The flat
-	// Marshal format carries no batch boundaries, so the one faithful
-	// reconstruction is the synchronous log's own framing — one
-	// single-record frame per append. That makes a NewLog→Marshal→
-	// Unmarshal round-trip byte-identical in DurableBytes and exact in
-	// Stats (flushes == records), instead of fabricating one giant
-	// frame with flushes = 1. Group/async images keep their real batch
-	// boundaries through UnmarshalDurable, which decodes the framed
-	// bytes directly.
+	// The flat format carries no batch boundaries, so the one faithful
+	// durable image is sync mode's own framing — one single-record frame
+	// per append. That makes a NewLog→Marshal→Unmarshal round-trip
+	// byte-identical in DurableBytes and exact in Stats (flushes ==
+	// records), instead of fabricating one giant frame with flushes = 1.
+	// Group/async images keep their real batch boundaries through
+	// UnmarshalDurable, which decodes the framed bytes directly.
 	for i := range l.recs {
-		l.durable = appendFrame(l.durable, l.recs[i:i+1])
+		l.flushLocked(i + 1)
 	}
-	l.flushes = uint64(len(l.recs))
 	return l, nil
 }
 
@@ -573,7 +364,7 @@ type Loser struct {
 }
 
 // RecordSource is the read side Analyze and Recover need from a
-// journal; *Log and *GroupLog both provide it.
+// journal; *Log provides it.
 type RecordSource interface {
 	RecordsFrom(i int) []core.JournalRecord
 }

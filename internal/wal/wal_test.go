@@ -350,11 +350,12 @@ func TestUnmarshalCorruptLengths(t *testing.T) {
 	}
 }
 
-// TestResetRefillsInPlace pins the epoch behaviour of both journals: a
-// Reset leaves an empty journal that keeps the memory its buffers grew
-// to — regrowing them every epoch cost several times the journal's own
-// bytes, an amount that moved with the growth step the epoch's length
-// fell into — and nothing of the old epoch shows in the next one.
+// TestResetRefillsInPlace pins the epoch behaviour of the journal, with
+// and without a writer: a Reset leaves an empty journal that keeps the
+// memory its buffers grew to — regrowing them every epoch cost several
+// times the journal's own bytes, an amount that moved with the growth
+// step the epoch's length fell into — and nothing of the old epoch shows
+// in the next one.
 func TestResetRefillsInPlace(t *testing.T) {
 	const n = 2000
 	for _, mode := range []Mode{ModeSync, ModeGroup} {
@@ -380,13 +381,8 @@ func TestResetRefillsInPlace(t *testing.T) {
 			if j.Len() != 0 || len(j.DurableBytes()) != 0 || j.Stats() != (JournalStats{}) {
 				t.Fatalf("after Reset: %d records, %d image bytes, %+v", j.Len(), len(j.DurableBytes()), j.Stats())
 			}
-			var recs, image int
-			switch l := j.(type) {
-			case *Log:
-				recs, image = cap(l.recs), cap(l.durable)
-			case *GroupLog:
-				recs, image = cap(l.recs), cap(l.durable)
-			}
+			l := j.(*Log)
+			recs, image := cap(l.recs), cap(l.durable)
 			if recs < n || image < n {
 				t.Fatalf("Reset dropped the buffers: room for %d records and %d image bytes left", recs, image)
 			}
