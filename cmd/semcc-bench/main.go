@@ -1,5 +1,5 @@
 // Command semcc-bench runs the performance experiments (DESIGN.md §4,
-// E1–E9) and prints their tables. Every experiment compares the
+// E1–E6) and prints their tables. Every experiment compares the
 // paper's semantic open-nested protocol against the conventional
 // baselines on the order-entry workload.
 //
@@ -11,16 +11,9 @@
 //	semcc-bench -wal=group         # attach a group-commit journal to
 //	                               # every experiment point (-wal=sync,
 //	                               # group or async; default none)
-//	semcc-bench -wal=group -walbatch 128 -waldelay 1ms   # batch knobs
 //	semcc-bench -compat=escrow     # state-dependent escrow admission on
 //	                               # every experiment point (default
 //	                               # static: matrix-only)
-//	semcc-bench -exp E7 -json      # durability-mode sweep as JSON
-//	                               # (the checked-in BENCH_6.json)
-//	semcc-bench -exp E8 -json      # compat-regime sweep as JSON
-//	                               # (the checked-in BENCH_8.json)
-//	semcc-bench -exp E9 -json      # topology sweep as JSON
-//	                               # (the checked-in BENCH_9.json)
 //	semcc-bench -nodes 2           # run every experiment point on a
 //	                               # two-node cluster behind the 2PC
 //	                               # coordinator (0 = direct engine)
@@ -38,9 +31,10 @@
 //	semcc-bench -serve :8080 -nodes 2   # merged cluster endpoint: the
 //	                               # coordinator's metrics and distributed
 //	                               # spans plus every node's registry with
-//	                               # node="i" labels (-serve -nodes is
-//	                               # incompatible with -hot/-trace, which
-//	                               # profile a direct single engine)
+//	                               # node="i" labels
+//
+// -hot and -trace profile one direct engine without a journal; they
+// take -compat but refuse -nodes and -wal.
 package main
 
 import (
@@ -49,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -62,38 +57,31 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (E1..E9); empty runs all")
+	exp := flag.String("exp", "", "experiment id (see the list above); empty runs all")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
 	compatFlag := flag.String("compat", "static", "compatibility regime: static (matrix only) or escrow (state-dependent admission)")
 	nodes := flag.Int("nodes", 0, "node count: 0 runs one engine directly; N >= 1 shards every experiment point over an N-node cluster behind the 2PC coordinator")
 	walMode := flag.String("wal", "none", "journal attached to every experiment point: none, sync, group or async")
-	walBatch := flag.Int("walbatch", 0, "with -wal=group|async: records per batch before a forced flush (0 = default)")
-	walDelay := flag.Duration("waldelay", 0, "with -wal=group|async: max age of an unflushed record (0 = default)")
 	hot := flag.Bool("hot", false, "run the contention profiler instead of the experiment tables")
 	traceN := flag.Int("trace", 0, "with -hot: also print the last N decision events")
-	asJSON := flag.Bool("json", false, "with -hot: the expvar-style JSON snapshot; with -exp E7|E8|E9: the sweep as its checked-in BENCH_*.json document")
+	asJSON := flag.Bool("json", false, "with -hot: the expvar-style JSON snapshot")
 	topK := flag.Int("topk", 10, "with -hot: number of hottest objects to report")
 	items := flag.Int("items", 4, "with -hot: number of items (contention falls as it grows)")
 	mpl := flag.Int("mpl", 16, "with -hot: multiprogramming level")
 	serve := flag.String("serve", "", "address for the live observability endpoint (e.g. :8080); keeps serving after the run")
 	slowms := flag.Int("slowms", 0, "with -serve: log span trees of root transactions taking >= this many milliseconds")
+	flag.Usage = usage
 	flag.Parse()
 
-	// Reject an unknown -exp up front: every later mode (-hot, -json
-	// sweeps, the table runner) would otherwise silently fall through
-	// to its default behaviour.
+	// Reject an unknown -exp up front: -hot would otherwise silently
+	// ignore it.
 	var exps []*harness.Experiment
 	if *exp == "" {
 		exps = harness.All()
 	} else {
 		e, ok := harness.Get(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; have:\n", *exp)
-			for _, e := range harness.All() {
-				fmt.Fprintf(os.Stderr, "  %s — %s\n", e.ID, e.Title)
-			}
-			fmt.Fprintln(os.Stderr, "usage: semcc-bench [-exp <id>] [-quick] [-json] ... (see -help)")
-			os.Exit(2)
+			fail("unknown experiment %q", *exp)
 		}
 		exps = []*harness.Experiment{e}
 	}
@@ -103,45 +91,32 @@ func main() {
 	var base harness.Base
 	var err error
 	if base.Compat, err = compat.ParseMode(*compatFlag); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail("%v", err)
 	}
 	if *nodes < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -nodes %d (want 0 for direct or a positive cluster size)\n", *nodes)
-		os.Exit(2)
+		fail("invalid -nodes %d (want 0 for direct or a positive cluster size)", *nodes)
 	}
 	base.Nodes = *nodes
 	if *walMode != "" && *walMode != "none" {
 		m, err := wal.ParseMode(*walMode)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fail("%v", err)
 		}
-		base.WAL = &wal.Config{Mode: m, MaxBatch: *walBatch, MaxDelay: *walDelay}
+		base.WAL = &wal.Config{Mode: m}
 	}
 
-	// -json outside -hot selects an experiment's checked-in document;
-	// refuse it where there is none rather than print tables instead.
-	sweepJSON := jsonSweeps[*exp]
-	if *asJSON && !*hot && *traceN == 0 && sweepJSON == nil {
-		fmt.Fprintf(os.Stderr, "semcc-bench: -json needs -hot or an experiment with a JSON form (-exp E7, E8 or E9); got -exp %q\n", *exp)
-		fmt.Fprintln(os.Stderr, "usage: semcc-bench -exp E7|E8|E9 [-quick] -json   # the BENCH_*.json document")
-		fmt.Fprintln(os.Stderr, "       semcc-bench -hot [-trace N] -json           # the contention-profile snapshot")
-		os.Exit(2)
+	profile := *hot || *traceN > 0
+	if *asJSON && !profile {
+		fail("-json needs -hot")
+	}
+	// The contention profiler runs one direct engine without a journal:
+	// refuse the axes it would otherwise silently drop.
+	if profile && (*nodes >= 1 || base.WAL != nil) {
+		fail("-hot/-trace profile a direct engine without a journal; drop -nodes and -wal")
 	}
 
 	var served *obs.Obs
 	if *serve != "" {
-		// -hot/-trace profile a direct single engine regardless of
-		// -nodes, so there is no cluster whose merged registry the
-		// endpoint could serve: refuse the combination rather than
-		// silently serving something else.
-		if *nodes >= 1 && (*hot || *traceN > 0) {
-			fmt.Fprintln(os.Stderr, "semcc-bench: -serve with -nodes >= 1 cannot serve -hot/-trace (the contention profiler runs a direct single engine, not the cluster)")
-			fmt.Fprintln(os.Stderr, "usage: semcc-bench -serve :8080 -nodes 2 [-exp <id>] [-quick]   # merged cluster endpoint")
-			fmt.Fprintln(os.Stderr, "       semcc-bench -serve :8080 -hot [-trace N]                 # direct-engine profile")
-			os.Exit(2)
-		}
 		served = obs.New(obs.Config{
 			SlowSpan: time.Duration(*slowms) * time.Millisecond,
 			SlowLog:  os.Stderr,
@@ -184,8 +159,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "observability: http://%s/ (metrics, json, slow, debug/pprof)\n", srv.Addr())
 	}
 
-	if *hot || *traceN > 0 {
-		if err := runHot(*items, *mpl, *topK, *traceN, *quick, *asJSON, served); err != nil {
+	if profile {
+		if err := runHot(base.Compat, *items, *mpl, *topK, *traceN, *quick, *asJSON, served); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -193,16 +168,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "profile done; observability endpoint still serving (^C to exit)")
 			select {}
 		}
-		return
-	}
-
-	if *asJSON {
-		out, err := sweepJSON(base, *quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
 		return
 	}
 
@@ -222,21 +187,38 @@ func main() {
 	}
 }
 
-// jsonSweeps maps the experiments that have a checked-in JSON document
-// (BENCH_6/8/9.json) to the sweep that renders it.
-var jsonSweeps = map[string]func(harness.Base, bool) ([]byte, error){
-	"E7": harness.WALSweepJSON,
-	"E8": harness.CompatSweepJSON,
-	"E9": harness.DistSweepJSON,
+// usage prints the command lines, the experiments and the flags.
+func usage() {
+	var ids []string
+	for _, e := range harness.All() {
+		ids = append(ids, e.ID)
+	}
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "usage: semcc-bench [-exp %s] [-quick] [-compat static|escrow] [-nodes N] [-wal none|sync|group|async] [-serve addr [-slowms N]]\n", strings.Join(ids, "|"))
+	fmt.Fprintln(out, "       semcc-bench -hot [-trace N] [-json] [-quick] [-compat static|escrow] [-items N] [-mpl N] [-topk N] [-serve addr]")
+	fmt.Fprintln(out, "experiments:")
+	for _, e := range harness.All() {
+		fmt.Fprintf(out, "  %s — %s\n", e.ID, e.Title)
+	}
+	fmt.Fprintln(out, "flags:")
+	flag.PrintDefaults()
+}
+
+// fail reports a usage error and exits 2, as the flag package does.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "semcc-bench: "+format+"\n", args...)
+	usage()
+	os.Exit(2)
 }
 
 // runHot executes one contended workload point per protocol with
 // observability enabled and prints each protocol's contention profile:
 // the topK hottest objects, the per-cause wait-time histograms (the
 // registry's semcc_lock_wait_ns family), and the Fig. 9 case-mix
-// ratio. Without -serve every protocol gets its own Obs; the one
-// -serve shares accumulates over the protocols run so far.
-func runHot(items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) error {
+// ratio, under the given compatibility regime. Without -serve every
+// protocol gets its own Obs; the one -serve shares accumulates over the
+// protocols run so far.
+func runHot(mode compat.Mode, items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) error {
 	txPer := 300
 	if quick {
 		txPer = 100
@@ -248,7 +230,7 @@ func runHot(items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) e
 			o.SetEnabled(true)
 		}
 		m, err := workload.Run(workload.Config{
-			Options: oodb.Options{Protocol: p, Obs: o},
+			Options: oodb.Options{Protocol: p, Compat: mode, Obs: o},
 			Items:   items, Clients: mpl, TxPerClient: txPer, Seed: 42, Validate: true,
 		})
 		if err != nil {
@@ -271,8 +253,8 @@ func runHot(items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) e
 			continue
 		}
 		fmt.Printf("== contention profile: %s ==\n%s", p, o.ContentionReport(topK, traceN))
-		fmt.Printf("case mix (case1/case2/root-wait): %s   tps=%.0f blocks/tx=%.2f\n\n",
-			m.CaseMix(), m.Throughput, m.BlockRate())
+		fmt.Printf("case %s: %s   tps=%.0f blocks/tx=%.2f\n\n",
+			workload.CaseMixHeader(), m.CaseMix(), m.Throughput, m.BlockRate())
 	}
 	return nil
 }

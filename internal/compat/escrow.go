@@ -24,7 +24,7 @@ import "fmt"
 
 // Mode selects the compatibility regime: the paper's static matrices
 // alone, or the matrices extended with state-dependent escrow
-// admission. It is an ablation axis (E8) — the admitted histories
+// admission. It is an ablation axis (-compat) — the admitted histories
 // differ, but both regimes are semantically serializable.
 type Mode int
 

@@ -134,3 +134,18 @@ func TestParallelDisjointObjects(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkTableWith is the lock table's per-layer micro-benchmark: one
+// op grants a lock on one head and releases it, two With calls as the
+// lock manager makes them, so the head is created on the grant and
+// evicted on the release. Run with -cpu 1 (make bench-store).
+func BenchmarkTableWith(b *testing.B) {
+	tbl := New[int](0)
+	o := gen.New(oid.Atomic)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.With(o, func(h *Head[int]) { h.Granted = append(h.Granted, 1) })
+		tbl.With(o, func(h *Head[int]) { h.RemoveGranted(1) })
+	}
+}

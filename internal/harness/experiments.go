@@ -19,22 +19,19 @@ var perfProtocols = []core.ProtocolKind{
 
 // Base is the configuration every experiment point starts from.
 // semcc-bench builds one value from its flags and hands it to
-// Experiment.Run and the *SweepJSON functions; tests pass the zero
-// value. There is no other channel: a point is a copy of the base with
-// its workload shape filled in (see point), and an experiment that
-// owns an axis (E7 the journal, E8 the compat regime, E9 the topology)
-// overwrites that field on its copy, so a flag cannot leak underneath
-// the axis being swept.
+// Experiment.Run; tests pass the zero value or set the axes directly.
+// There is no other channel: a point is a copy of the base with its
+// workload shape filled in (see point), and only the flags write the
+// compat regime, journal and topology.
 type Base struct {
 	// Config carries the flag-selected engine options and topology:
 	// Compat (-compat), Nodes (-nodes), Obs and NodeObs (-serve). The
 	// workload-shape fields are filled per point (see point).
 	workload.Config
 	// WAL, when non-nil, attaches a fresh journal of this configuration
-	// to every engine of every point that brings none of its own
-	// (-wal). The default is no journal: the paper's performance study
-	// models an in-memory engine, so durability cost is opt-in, not
-	// baked into E1–E6.
+	// to every engine of every point (-wal). The default is no journal:
+	// the paper's performance study models an in-memory engine, so
+	// durability cost is opt-in, not baked into E1–E6.
 	WAL *wal.Config
 }
 
@@ -47,29 +44,28 @@ func (b Base) point(p core.ProtocolKind, items, clients, txPer int) Base {
 
 // runPoint executes one point (conservation-validated). A point
 // without an Obs gets a fresh enabled one so the p50/p99 column is
-// always populated; a point without journals gets its WAL's, one per
-// engine.
+// always populated; with a WAL every engine gets a fresh journal of it.
 func runPoint(pt Base) (workload.Metrics, error) {
 	pt.Validate = true
 	if pt.Obs == nil {
 		pt.Obs = obs.New(obs.Config{})
 		pt.Obs.SetEnabled(true)
 	}
-	if pt.Nodes >= 1 {
-		if pt.NodeJournal == nil && pt.WAL != nil {
-			var journals []wal.Journal
-			pt.NodeJournal = func(int) core.Journal {
-				j := wal.New(*pt.WAL)
-				journals = append(journals, j)
-				return j
-			}
-			defer func() {
-				for _, j := range journals {
-					j.Close()
-				}
-			}()
+	switch {
+	case pt.WAL == nil:
+	case pt.Nodes >= 1:
+		var journals []wal.Journal
+		pt.NodeJournal = func(int) core.Journal {
+			j := wal.New(*pt.WAL)
+			journals = append(journals, j)
+			return j
 		}
-	} else if pt.Journal == nil && pt.WAL != nil {
+		defer func() {
+			for _, j := range journals {
+				j.Close()
+			}
+		}()
+	default:
 		j := wal.New(*pt.WAL)
 		defer j.Close()
 		pt.Journal = j

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"semcc/internal/compat"
+	"semcc/internal/core"
+	"semcc/internal/wal"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -22,7 +26,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "chaos"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
@@ -80,5 +84,63 @@ func TestExperimentsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDistPointSmoke is the CI smoke for the topology axis (-nodes):
+// one small standard-mix point runs direct, as a one-node cluster, and
+// as a two-node cluster. runPoint validates the conservation invariant
+// against the merged snapshot, so a lost branch (a root committed on
+// one node but not the other) fails the test, and all three topologies
+// must commit work.
+func TestDistPointSmoke(t *testing.T) {
+	for _, n := range []int{0, 1, 2} {
+		var base Base
+		base.Nodes = n
+		m, err := runPoint(base.point(core.Semantic, 8, 8, 40))
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", n, err)
+		}
+		if m.Committed == 0 {
+			t.Fatalf("nodes=%d: no commits", n)
+		}
+		t.Logf("nodes=%d tps=%.0f commits=%d blocks/tx=%.2f deadlocks=%d",
+			n, m.Throughput, m.Committed, m.BlockRate(), m.Engine.Deadlocks)
+	}
+}
+
+// TestBaseAxesQuick runs quick E4 with every flag axis set at once —
+// a group-commit journal and escrow admission, on a two-node cluster
+// and on the direct engine, so both of runPoint's Base.WAL branches
+// attach journals — and every point must still commit the whole
+// offered load (16 clients × 150 tx).
+func TestBaseAxesQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments skipped in -short mode")
+	}
+	e, _ := Get("E4")
+	for _, nodes := range []int{2, 0} {
+		var base Base
+		base.Nodes, base.Compat = nodes, compat.CompatEscrow
+		base.WAL = &wal.Config{Mode: wal.ModeGroup}
+		tables, err := e.Run(base, true)
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", nodes, err)
+		}
+		tab := tables[0]
+		col := -1
+		for i, h := range tab.Header {
+			if h == "commits" {
+				col = i
+			}
+		}
+		if col < 0 || len(tab.Rows) == 0 {
+			t.Fatalf("nodes=%d: E4 table has no commits column or no rows:\n%s", nodes, tab)
+		}
+		for _, row := range tab.Rows {
+			if row[col] != "2400" {
+				t.Errorf("nodes=%d: %s committed %s, want 2400", nodes, row[0], row[col])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"semcc/internal/compat"
@@ -33,5 +34,37 @@ func BenchmarkJournalAppend(b *testing.B) {
 				j.Append(core.JournalRecord{Kind: core.JSubCommit, Node: n, Inv: inv})
 			}
 		})
+	}
+}
+
+// BenchmarkRecordCodec is the record codec's per-layer micro-benchmark:
+// one op encodes the 75 records of testdata/golden/flat.bin — the
+// dryRun order-entry scenario — as one chain (appendRecords, the flat
+// format and the body of a batch frame) and decodes them back with
+// decodeRecord. No journal, no framing, no checksum: the per-record
+// encode and decode alone. Run with -cpu 1 (make bench-store).
+func BenchmarkRecordCodec(b *testing.B) {
+	l, err := Unmarshal(golden(b, "flat.bin"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := l.recs
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendRecords(buf[:0], recs)
+		n, p := binary.Uvarint(buf)
+		prev := uint64(0)
+		for j := uint64(0); j < n; j++ {
+			r, np, err := decodeRecord(buf, p, j, prev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, prev = np, r.Node
+		}
+		if n != uint64(len(recs)) || p != len(buf) {
+			b.Fatalf("decoded %d records ending at %d, want %d ending at %d", n, p, len(recs), len(buf))
+		}
 	}
 }

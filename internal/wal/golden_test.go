@@ -19,7 +19,7 @@ import (
 // ModeGroup journal with MaxBatch 3 and MaxDelay 1h. A change that
 // moves these bytes changes the on-disk format; regenerate them only
 // with that intent.
-func golden(t *testing.T, name string) []byte {
+func golden(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 	if err != nil {

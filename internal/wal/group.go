@@ -110,12 +110,12 @@ type Config struct {
 	// of the default busy-wait. A parked flush models a device the CPU
 	// is free to leave while the write is in flight: concurrent
 	// transactions keep executing and queue into the next batch, which
-	// is the regime group commit batches in (and the one the E8 escrow
-	// study measures lock-hold cost against). The host timer's
+	// is the regime group commit batches in (and the one the benchmark's
+	// hot-durable and cluster-2pc workloads run on). The host timer's
 	// granularity floors a parked flush — a millisecond or more on
-	// coarse-timer hosts — so parked sweeps measure batching structure
+	// coarse-timer hosts — so parked runs measure batching structure
 	// and lock-hold amplification, not microsecond device accuracy. The
-	// default busy-wait keeps E7's exact per-flush charging.
+	// default busy-wait charges each flush exactly.
 	DeviceSleep bool
 	// Clock supplies the journal's wall-time *measurements* (append,
 	// ack and flush latency metrics). Nil selects the real clock.

@@ -9,12 +9,13 @@ import (
 )
 
 // TestMultiNodeWorkload runs the full contended mix through the
-// two-phase-commit coordinator over 2 and 3 nodes. Validation replays
-// the conservation invariant against the merged snapshot, so a lost
-// branch (a root committed on one node but not another) surfaces as a
-// QOH mismatch.
+// two-phase-commit coordinator over 1, 2 and 3 nodes (one node is the
+// coordinator-of-one path, which skips 2PC). Validation replays the
+// conservation invariant against the merged snapshot, so a lost branch
+// (a root committed on one node but not another) surfaces as a QOH
+// mismatch.
 func TestMultiNodeWorkload(t *testing.T) {
-	for _, nodes := range []int{2, 3} {
+	for _, nodes := range []int{1, 2, 3} {
 		for _, k := range []core.ProtocolKind{core.Semantic, core.TwoPLObject} {
 			t.Run(k.String(), func(t *testing.T) {
 				m, err := Run(Config{

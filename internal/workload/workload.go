@@ -108,17 +108,8 @@ func BypassOnlyMix() Mix { return Mix{KindBypassRead: 50, KindBypassWrite: 50} }
 // HotCounterMix hammers the items' stock counters: mostly debits with
 // some restocking credits. Under the static compat regime every pair
 // of updates to one item conflicts; under escrow all of them are
-// admitted together as long as the deltas fit the QOH interval — the
-// E8 hot-spot experiment.
+// admitted together as long as the deltas fit the QOH interval.
 func HotCounterMix() Mix { return Mix{KindDebit: 90, KindCredit: 10} }
-
-// InventoryMix is an auction/inventory-style workload: inventory
-// drains (debits) dominate, restocks trickle in, and readers total the
-// item — mixing escrow-admissible counter traffic with statically
-// conflicting scans.
-func InventoryMix() Mix {
-	return Mix{KindDebit: 50, KindCredit: 20, KindT5: 15, KindNewOrder: 15}
-}
 
 // Config parameterises one workload run.
 type Config struct {
@@ -230,7 +221,7 @@ type Metrics struct {
 	// debits) the run's Debit/Credit transactions applied. Combined with
 	// the conservation check it is a fingerprint of the final balances:
 	// two runs with equal NetStock ended with identical QOH per item —
-	// the E8 cross-mode equivalence assertion.
+	// the static/escrow equivalence TestCompatEquivalence asserts.
 	NetStock map[int64]int64
 }
 
