@@ -108,14 +108,16 @@ benchmark:
 # commits (ns/op, B/op, allocs/op): page insert and grow-on-a-full-page
 # (storage), a lock granted and released on one head (core/locktable),
 # one root invoking a two-leaf method (core through oodb), the record
-# codec encoding and decoding a 75-record journal (wal), two journal
+# codec encoding and decoding a 75-record journal (wal: /encode, whose
+# allocs/op is a flush's, and /decode, recovery's), two journal
 # appends per durability mode over a free device (wal: sync, group,
 # async), and one whole two-node root per commit path over free-flush
 # journals (dist: single, readonly2, update2).
 bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkStoreParallel|BenchmarkPool(Fetch|Evict)Parallel' -benchmem -cpu 4 ./internal/objstore ./internal/storage
 	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
-	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkTableWith$$|BenchmarkInvokeGetPut$$|BenchmarkRecordCodec$$|BenchmarkJournalAppend$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/core/locktable ./internal/oodb ./internal/wal ./internal/dist
+	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkTableWith$$|BenchmarkInvokeGetPut$$|BenchmarkJournalAppend$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/core/locktable ./internal/oodb ./internal/wal ./internal/dist
+	$(GO) test -run=NONE -bench 'BenchmarkRecordCodec/(encode|decode)$$' -benchmem -cpu 1 ./internal/wal
 
 # The observability cost contract: the disjoint-atom transaction cycle
 # with no Obs / disabled Obs / enabled Obs, plus the per-site

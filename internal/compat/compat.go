@@ -223,17 +223,24 @@ func GenericMatrix() *Matrix {
 	return m
 }
 
-// readOps and writeOps classify the generic operations for the
-// read/write baseline protocols.
-var readOps = map[string]bool{OpGet: true, OpSelect: true, OpScan: true}
+// writeOps classifies the generic writes for the read/write baseline
+// protocols.
 var writeOps = map[string]bool{OpPut: true, OpAdd: true, OpInsert: true, OpRemove: true}
 
 // IsGenericOp reports whether method is one of the generic leaf
 // operations (Get/Put/Add/Select/Insert/Remove/Scan).
-func IsGenericOp(method string) bool { return readOps[method] || writeOps[method] }
+func IsGenericOp(method string) bool { return IsReadOp(method) || writeOps[method] }
 
 // IsReadOp reports whether method is a generic read (Get/Select/Scan).
-func IsReadOp(method string) bool { return readOps[method] }
+// A switch, not a map: the engine asks once per subtransaction begin
+// and end.
+func IsReadOp(method string) bool {
+	switch method {
+	case OpGet, OpSelect, OpScan:
+		return true
+	}
+	return false
+}
 
 // IsWriteOp reports whether method is a generic write
 // (Put/Add/Insert/Remove).

@@ -23,7 +23,9 @@ type JournalKind uint8
 const (
 	// JBeginRoot: a top-level transaction started.
 	JBeginRoot JournalKind = iota
-	// JBegin: a subtransaction started (Node, Parent, Inv).
+	// JBegin: a subtransaction started (Node, Parent). Recovery needs
+	// only its place in the tree, so the engine writes no Inv; generic
+	// read leaves write no JBegin at all (Engine.journals).
 	JBegin
 	// JSubCommit: a subtransaction committed; Inv is its registered
 	// inverse, Splice true when the children's inverses move up
@@ -358,6 +360,18 @@ func (e *Engine) SetExec(f func(parent *Tx, inv compat.Invocation) error) { e.ex
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() StatsSnapshot { return e.stats.Snapshot() }
 
+// journals reports whether t's begin, subcommit and abort are
+// journaled: always, when there is a journal, except for a generic read
+// leaf (Get, Select, Scan). Recovery compensates a loser's committed
+// work and nothing else, and a read leaf has none: no inverse, no
+// children, no escrow hold. Any write that depends on what it read is
+// journaled where it happens, after the read's lock was granted, so the
+// loser order of DESIGN.md §3.7 still rests on journaled records. The
+// read keeps its lock exactly as a journaled node does.
+func (e *Engine) journals(t *Tx) bool {
+	return e.journal != nil && !compat.IsReadOp(t.inv.Method)
+}
+
 // journalAppend appends rec, charging the append's wall-clock time to
 // t's span when span collection is on. Call only when e.journal is
 // non-nil; the write-ahead-ordering comments at the call sites govern
@@ -502,8 +516,8 @@ func (e *Engine) BeginChild(parent *Tx, inv compat.Invocation) (*Tx, error) {
 			return t, err
 		}
 	}
-	if e.journal != nil {
-		e.journalAppend(t, JournalRecord{Kind: JBegin, Node: t.id, Parent: parent.id, Inv: &inv})
+	if e.journals(t) {
+		e.journalAppend(t, JournalRecord{Kind: JBegin, Node: t.id, Parent: parent.id})
 		if t.escrowEnt != nil {
 			// The reservation is journalled as an OpAdd invocation on the
 			// counter object carrying the reserved delta, reusing the
@@ -546,7 +560,7 @@ func (e *Engine) CompleteChild(t *Tx, inverse *compat.Invocation) error {
 	// reverse order would let a crash produce observed effects the
 	// journal knows nothing about, which undo-based recovery can never
 	// fix.
-	if e.journal != nil {
+	if e.journals(t) {
 		e.journalAppend(t, JournalRecord{Kind: JSubCommit, Node: t.id, Inv: inverse, Splice: inverse == nil})
 	}
 
@@ -758,7 +772,8 @@ func (e *Engine) abortNode(t *Tx) error {
 	undo := t.undo
 	t.undo = nil
 	t.compensating = true
-	if e.journal != nil {
+	journaled := e.journals(t)
+	if journaled {
 		e.journalAppend(t, JournalRecord{Kind: JAbortStart, Node: t.id})
 	}
 
@@ -776,7 +791,7 @@ func (e *Engine) abortNode(t *Tx) error {
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: compensation %s failed: %w", undo[i], err)
 		}
-		if err == nil && e.journal != nil {
+		if err == nil && journaled {
 			e.journalAppend(t, JournalRecord{Kind: JCompensated, Node: t.id})
 		}
 		if e.obs.On() {
@@ -806,7 +821,7 @@ func (e *Engine) abortNode(t *Tx) error {
 		e.esc.releaseTree(t)
 	}
 	var out pendingOutcome
-	if firstErr == nil && e.journal != nil {
+	if firstErr == nil && journaled {
 		// Root aborts are top-level outcomes like commits: submitted
 		// here, waited for below once the rollback is observable (see
 		// CommitRoot). Subtransaction rollbacks stay fire-and-forget —

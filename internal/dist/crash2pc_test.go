@@ -19,19 +19,41 @@ import (
 var errCrash = errors.New("dist: injected crash")
 
 // crashJournal records appends like a real synchronous log and
-// simulates a node crash by panicking once the limit-th record is
-// durable: the record IS in the log, and nothing after the Append
-// runs. limit 0 never crashes.
+// simulates a node crash by panicking at the limit-th crash point:
+// nothing after it runs. Every record is a crash point once it is
+// durable — the record IS in the log. With before set, the moment an
+// Append is entered is a crash point too — the record is not in the
+// log — unless the record makes a store change undoable (crashBefore).
+// points counts the crash points passed. limit 0 never crashes.
 type crashJournal struct {
-	limit int
-	recs  []core.JournalRecord
+	limit  int
+	before bool
+	points int
+	recs   []core.JournalRecord
 }
 
 func (j *crashJournal) Append(r core.JournalRecord) {
+	if j.before && crashBefore(r) {
+		j.point()
+	}
 	j.recs = append(j.recs, r)
-	if j.limit > 0 && len(j.recs) == j.limit {
+	j.point()
+}
+
+func (j *crashJournal) point() {
+	j.points++
+	if j.limit > 0 && j.points == j.limit {
 		panic(errCrash)
 	}
+}
+
+// crashBefore reports whether a crash just before r is in the log is
+// one the sweep models. The node keeps its store across the crash, so
+// the store already holds the change a JSubCommit (a leaf's effect) or
+// a JCompensated (an applied inverse) records; a real node could not
+// have written that change out ahead of its record.
+func crashBefore(r core.JournalRecord) bool {
+	return r.Kind != core.JSubCommit && r.Kind != core.JCompensated
 }
 
 func (j *crashJournal) asLog(t *testing.T) *wal.Log {
@@ -159,13 +181,18 @@ func checkSweepState(t *testing.T, c *dist.Cluster, sh sweepShape, a, b oid.OID)
 }
 
 // runSweepCut opens a fresh two-node cluster whose crashNode runs on a
-// journal that panics at the cut-th append, runs the scenario, then
+// journal that panics at crash point cut, runs the scenario, then
 // recovers every node from its own journal and the coordinator's
 // decision log. It returns the cluster and whether the crash fired.
+// The crash points include the moments before appends: one differs
+// from the point after the previous record in what the node did in
+// between — the reads a read-only voter serves journal nothing, so only
+// the point before its vote kills it after serving them.
 func runSweepCut(t *testing.T, sh sweepShape, crashNode, cut int) (c *dist.Cluster, a, b oid.OID, crashed bool) {
 	t.Helper()
 	journals := []*crashJournal{{}, {}}
 	journals[crashNode].limit = cut
+	journals[crashNode].before = true
 	c = dist.OpenCluster(2, func(i int) oodb.Options {
 		return oodb.Options{Protocol: core.Semantic, Journal: journals[i]}
 	})
@@ -198,11 +225,11 @@ func runSweepCut(t *testing.T, sh sweepShape, crashNode, cut int) (c *dist.Clust
 	return c, a, b, crashed
 }
 
-// totalAppends dry-runs the scenario and returns each node's journal
-// record count.
-func totalAppends(t *testing.T, sh sweepShape) [2]int {
+// totalPoints dry-runs the scenario and returns each node's count of
+// crash points.
+func totalPoints(t *testing.T, sh sweepShape) [2]int {
 	t.Helper()
-	journals := []*crashJournal{{}, {}}
+	journals := []*crashJournal{{before: true}, {before: true}}
 	c := dist.OpenCluster(2, func(i int) oodb.Options {
 		return oodb.Options{Protocol: core.Semantic, Journal: journals[i]}
 	})
@@ -213,14 +240,15 @@ func totalAppends(t *testing.T, sh sweepShape) [2]int {
 			t.Fatalf("dry run: root %d did not commit", o.gid)
 		}
 	}
-	return [2]int{len(journals[0].recs), len(journals[1].recs)}
+	return [2]int{journals[0].points, journals[1].points}
 }
 
-// crashSweep kills one node at every journal-record boundary of the
-// shape's scenario and asserts the all-or-nothing outcome after
-// recovery.
+// crashSweep kills one node at every crash point of the shape's
+// scenario — after every journal append, and before every append but
+// the ones crashBefore excludes — and asserts the all-or-nothing
+// outcome after recovery.
 func crashSweep(t *testing.T, sh sweepShape) {
-	totals := totalAppends(t, sh)
+	totals := totalPoints(t, sh)
 	for crashNode := 0; crashNode < 2; crashNode++ {
 		for cut := 1; cut <= totals[crashNode]; cut++ {
 			t.Run(fmt.Sprintf("node%d/cut%d", crashNode, cut), func(t *testing.T) {
@@ -235,8 +263,8 @@ func crashSweep(t *testing.T, sh sweepShape) {
 	}
 }
 
-// TestTwoPhaseCommitCrashSweep kills one node at every journal-record
-// boundary of a two-root cross-node scenario — which covers every
+// TestTwoPhaseCommitCrashSweep kills one node at every crash point
+// (crashSweep) of a two-root cross-node scenario — which covers every
 // prepare and decide boundary on each node — and asserts that after
 // recovery every root is all-or-nothing across the cluster: both atoms
 // reflect the same prefix of committed roots, the prefix the decision
@@ -244,10 +272,11 @@ func crashSweep(t *testing.T, sh sweepShape) {
 // land exactly where the coordinator's decision log says.
 func TestTwoPhaseCommitCrashSweep(t *testing.T) { crashSweep(t, shapeUpdateUpdate) }
 
-// TestTwoPhaseCommitCrashSweepReadOnlyVote runs the same every-append
+// TestTwoPhaseCommitCrashSweepReadOnlyVote runs the same crash-point
 // sweep over the two shapes with read-only voters. In read+update node
-// 0 votes read-only — its cuts kill a voter before its vote (the reads)
-// and at it (the forced JRootCommit; the coordinator then sees a failed
+// 0 votes read-only — its cuts kill a voter before its vote (before or
+// after the reads it serves, which journal nothing) and at it (the
+// forced JRootCommit; the coordinator then sees a failed
 // prepare and decides abort, harmlessly, since the voter changed
 // nothing) — while node 1 prepares alone and is decided by a logged
 // decision. In read+read both vote read-only, no decision is logged,
@@ -258,8 +287,8 @@ func TestTwoPhaseCommitCrashSweepReadOnlyVote(t *testing.T) {
 	}
 }
 
-// TestAcknowledgedCommitSurvivesUnflushedTail is the crash the every-
-// append sweep cannot produce: Commit has returned nil, and the records
+// TestAcknowledgedCommitSurvivesUnflushedTail is the crash the crash-
+// point sweep cannot produce: Commit has returned nil, and the records
 // it no longer waits for — a decided branch's JDecide and JRootCommit —
 // are still in the group writer's open batch when a node dies. Per
 // shape, MaxBatch (MaxDelay an hour, so only a full batch or an awaited

@@ -11,15 +11,16 @@ import (
 
 // callAllocBudget bounds the heap allocations of one tx.Call of a
 // two-leaf method (Reg.AddN: navigate, Get, Put) with an Obs attached
-// but disabled, the benchmark's configuration. Measured: 23. Each of
-// the three subtransactions costs its Tx, its done channel and the
-// copy of the invocation its journal record would point at; each
+// but disabled, the benchmark's configuration. Measured: 19. Each of
+// the three subtransactions costs its Tx and its done channel; each
 // object's granted list takes the lock (which itself lives in the Tx);
 // the rest is the method's Ctx, the value read, the two inverses with
 // their argument slices, and the parent's children and undo lists
-// growing. Raise the budget only with a reason: 760 allocations per
-// root were 64% garbage from two sites nobody was watching.
-const callAllocBudget = 24
+// growing. The invocation is not copied for the journal: a JBegin
+// record carries none (it was 23 while it did). Raise the budget only
+// with a reason: 760 allocations per root were 64% garbage from two
+// sites nobody was watching.
+const callAllocBudget = 20
 
 func newAllocDB() *DB {
 	o := obs.New(obs.Config{})

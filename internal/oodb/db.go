@@ -69,6 +69,9 @@ type DB struct {
 	reg    *typeRegistry
 	engine *core.Engine
 	obs    *obs.Obs
+	// clk times the store operations charged to spans: the engine's
+	// clock, Options.Clock or the wall clock.
+	clk clock.Clock
 
 	mu    sync.RWMutex
 	named map[string]oid.OID
@@ -124,6 +127,7 @@ func Reopen(old *DB, opts Options) *DB {
 // the protocol plus the engine-stats section feed the merged JSON
 // export.
 func (db *DB) finishOpen(opts Options) {
+	db.clk = clock.Or(opts.Clock)
 	db.engine = core.New(core.Config{
 		Kind:             opts.Protocol,
 		Table:            db.reg,
@@ -135,7 +139,7 @@ func (db *DB) finishOpen(opts Options) {
 		Compat:           opts.Compat,
 		EscrowRead:       db.escrowRead,
 		Hooks:            opts.Hooks,
-		Clock:            opts.Clock,
+		Clock:            db.clk,
 	})
 	db.engine.SetExec(func(parent *core.Tx, inv compat.Invocation) error {
 		_, err := db.invoke(parent, inv)

@@ -2,12 +2,14 @@ package oodb
 
 import (
 	"errors"
-
 	"strings"
 	"testing"
+	"time"
 
+	"semcc/internal/clock"
 	"semcc/internal/compat"
 	"semcc/internal/core"
+	"semcc/internal/obs"
 	"semcc/internal/oid"
 	"semcc/internal/val"
 )
@@ -404,5 +406,44 @@ func TestCommutingMethodsRunConcurrently(t *testing.T) {
 	}
 	if st := db.Engine().Stats(); st.RootWaits != 0 {
 		t.Errorf("top-level waits = %d, want 0", st.RootWaits)
+	}
+}
+
+// TestStoreTimeOnInjectedClock: a span's store time is read from
+// Options.Clock, like every other timing the engine charges. A fake
+// clock moves only when it is read, so on it a traced Get's and Scan's
+// store time is exactly 0; on the wall clock it is the operation's real
+// duration.
+func TestStoreTimeOnInjectedClock(t *testing.T) {
+	o := obs.New(obs.Config{})
+	o.SetEnabled(true)
+	db := Open(Options{Obs: o, Clock: clock.NewFake(time.Unix(0, 0), time.Microsecond)})
+	a, err := db.Store().NewAtomic(val.OfInt(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := db.Store().NewSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if _, err := tx.Get(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Scan(set); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	recent := o.Spans.Snapshot(0).Recent
+	if len(recent) != 1 || len(recent[0].Children) != 2 {
+		t.Fatalf("want one root span with two children, got %d roots", len(recent))
+	}
+	for _, sp := range recent[0].Children {
+		if sp.StoreOps != 1 || sp.StoreNanos != 0 {
+			t.Errorf("span %q: %d store ops in %d ns, want 1 op in 0 ns on a clock nobody read in between",
+				sp.Label, sp.StoreOps, sp.StoreNanos)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package oodb
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"semcc/internal/compat"
 	"semcc/internal/core"
@@ -236,16 +235,16 @@ func (db *DB) invoke(parent *core.Tx, inv compat.Invocation) (val.V, error) {
 
 // run dispatches an invocation to a generic operation or a registered
 // method body. Generic operations touch the object store directly;
-// when the node carries a span their wall time is charged to it as
-// storage time (method bodies are not bracketed — their cost shows up
-// as the child actions they spawn).
+// when the node carries a span their time on the DB's clock is charged
+// to it as storage time (method bodies are not bracketed — their cost
+// shows up as the child actions they spawn).
 func (db *DB) run(node *core.Tx, inv compat.Invocation) (val.V, error) {
 	switch inv.Method {
 	case compat.OpGet, compat.OpPut, compat.OpAdd, compat.OpSelect, compat.OpInsert, compat.OpRemove, compat.OpScan:
 		if sp := node.Span(); sp != nil {
-			start := time.Now()
+			start := db.clk.Now()
 			v, err := db.runGeneric(inv)
-			sp.AddStore(uint64(time.Since(start)), 1)
+			sp.AddStore(uint64(db.clk.Since(start)), 1)
 			return v, err
 		}
 		return db.runGeneric(inv)
@@ -336,9 +335,9 @@ func (db *DB) scan(parent *core.Tx, set oid.OID) ([]objstore.SetEntry, error) {
 	}
 	var entries []objstore.SetEntry
 	if sp := node.Span(); sp != nil {
-		start := time.Now()
+		start := db.clk.Now()
 		entries, err = db.store.SetScan(set)
-		sp.AddStore(uint64(time.Since(start)), 1)
+		sp.AddStore(uint64(db.clk.Since(start)), 1)
 	} else {
 		entries, err = db.store.SetScan(set)
 	}

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -218,15 +219,44 @@ func (v V) String() string {
 // Marshal serialises v into a compact binary form for the storage
 // layer. The format is: 1 type byte followed by a type-specific
 // payload.
-func (v V) Marshal() []byte {
-	buf := []byte{byte(v.T)}
+func (v V) Marshal() []byte { return v.AppendTo(nil) }
+
+// Size is len(v.Marshal()), computed without encoding.
+func (v V) Size() int {
+	n := 1
+	switch v.T {
+	case Int:
+		n += varintLen(v.i)
+	case Float:
+		n += 8
+	case Str:
+		n += uvarintLen(uint64(len(v.s))) + len(v.s)
+	case Bool:
+		n++
+	case Ref:
+		n += 1 + uvarintLen(v.r.N)
+	case Events:
+		n += uvarintLen(uint64(len(v.ev)))
+		for _, e := range v.ev {
+			n += uvarintLen(uint64(len(e))) + len(e)
+		}
+	}
+	return n
+}
+
+// uvarintLen and varintLen are the sizes binary.AppendUvarint and
+// binary.AppendVarint would write.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(x int64) int   { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// AppendTo appends v's Marshal encoding to buf.
+func (v V) AppendTo(buf []byte) []byte {
+	buf = append(buf, byte(v.T))
 	switch v.T {
 	case Int:
 		buf = binary.AppendVarint(buf, v.i)
 	case Float:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.f))
-		buf = append(buf, b[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.f))
 	case Str:
 		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 		buf = append(buf, v.s...)

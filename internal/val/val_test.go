@@ -1,8 +1,12 @@
 package val
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +50,80 @@ func TestMarshalRoundTrip(t *testing.T) {
 		return err == nil && n == len(v.Marshal()) && got.Equal(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// marshalRef is the encoder Marshal was before AppendTo and Size
+// existed, kept verbatim as the reference both are held to: the journal
+// and the store write these bytes, so they must not move.
+func marshalRef(v V) []byte {
+	buf := []byte{byte(v.T)}
+	switch v.T {
+	case Int:
+		buf = binary.AppendVarint(buf, v.i)
+	case Float:
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.f))
+		buf = append(buf, b[:]...)
+	case Str:
+		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
+		buf = append(buf, v.s...)
+	case Bool:
+		if v.b {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	case Ref:
+		buf = append(buf, byte(v.r.K))
+		buf = binary.AppendUvarint(buf, v.r.N)
+	case Events:
+		buf = binary.AppendUvarint(buf, uint64(len(v.ev)))
+		for _, e := range v.ev {
+			buf = binary.AppendUvarint(buf, uint64(len(e)))
+			buf = append(buf, e...)
+		}
+	}
+	return buf
+}
+
+// Property: AppendTo(nil) writes exactly the reference encoding, Size
+// is its length, and AppendTo leaves what buf already held alone. The
+// fixed cases cover every Type at the edges of its varint widths; the
+// quick check the rest.
+func TestAppendToMatchesMarshal(t *testing.T) {
+	check := func(v V) bool {
+		want := marshalRef(v)
+		prefix := []byte{0xAA, 0xBB}
+		got := v.AppendTo(prefix[:2:2])
+		return bytes.Equal(v.AppendTo(nil), want) && bytes.Equal(v.Marshal(), want) &&
+			v.Size() == len(want) && bytes.Equal(got[:2], prefix) && bytes.Equal(got[2:], want)
+	}
+	long := strings.Repeat("x", 200)
+	fixed := []V{
+		NullV,
+		OfInt(0), OfInt(1), OfInt(-1), OfInt(63), OfInt(64), OfInt(-64), OfInt(-65),
+		OfInt(math.MaxInt64), OfInt(math.MinInt64),
+		OfFloat(0), OfFloat(-2.5), OfFloat(math.Inf(1)), OfFloat(math.NaN()),
+		OfStr(""), OfStr("a"), OfStr(long),
+		OfBool(false), OfBool(true),
+		OfRef(oid.Nil), OfRef(oid.DB), OfRef(oid.OID{K: oid.Set, N: 1 << 40}),
+		OfEvents(), OfEvents(""), OfEvents("paid", "shipped", "paid"), OfEvents(Event(long)),
+	}
+	seen := map[Type]bool{}
+	for _, v := range fixed {
+		seen[v.T] = true
+		if !check(v) {
+			t.Errorf("%s (%s): AppendTo % x, Size %d; reference % x", v, v.T, v.AppendTo(nil), v.Size(), marshalRef(v))
+		}
+	}
+	for ty := Null; ty <= Events; ty++ {
+		if !seen[ty] {
+			t.Errorf("no fixed case of type %s", ty)
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
 }

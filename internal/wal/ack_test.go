@@ -160,25 +160,37 @@ func TestDurablePrefixOrdersLockSuccessors(t *testing.T) {
 
 	// checkImage decodes one durable image and walks it in journal
 	// order: holders lists the roots in the order they were granted the
-	// hot atom's lock (a root journals its Put only once granted).
-	checkImage := func(img []byte) error {
+	// hot atom's lock (a root journals its Put only once granted). A Put
+	// is found by its subcommit, whose inverse names the hot atom, and
+	// attributed to its root through the node's JBegin. It returns how
+	// many roots the image holds committed, each of which must have put.
+	checkImage := func(img []byte) (int, error) {
 		l, _, err := UnmarshalDurable(img)
 		if err != nil {
-			return fmt.Errorf("decode durable image: %w", err)
+			return 0, fmt.Errorf("decode durable image: %w", err)
 		}
 		committed := make(map[uint64]bool)
+		parent := make(map[uint64]uint64)
+		put := make(map[uint64]bool)
 		var holders []uint64
 		for i, r := range l.RecordsFrom(0) {
 			switch {
 			case r.Kind == core.JRootCommit:
 				committed[r.Node] = true
-			case r.Kind == core.JBegin && r.Inv != nil && r.Inv.Object == hot:
+			case r.Kind == core.JBegin:
+				parent[r.Node] = r.Parent
+			case r.Kind == core.JSubCommit && r.Inv != nil && r.Inv.Object == hot:
+				root, ok := parent[r.Node]
+				if !ok {
+					return 0, fmt.Errorf("record %d: subcommit of %d without its begin", i, r.Node)
+				}
 				for _, p := range holders {
 					if !committed[p] {
-						return fmt.Errorf("record %d: root %d works on the hot atom before root %d's outcome is in the journal", i, r.Parent, p)
+						return 0, fmt.Errorf("record %d: root %d works on the hot atom before root %d's outcome is in the journal", i, root, p)
 					}
 				}
-				holders = append(holders, r.Parent)
+				holders = append(holders, root)
+				put[root] = true
 			}
 		}
 		for k, h := range holders {
@@ -187,11 +199,16 @@ func TestDurablePrefixOrdersLockSuccessors(t *testing.T) {
 			}
 			for _, p := range holders[:k] {
 				if !committed[p] {
-					return fmt.Errorf("root %d is committed in the image, its lock predecessor %d is not", h, p)
+					return 0, fmt.Errorf("root %d is committed in the image, its lock predecessor %d is not", h, p)
 				}
 			}
 		}
-		return nil
+		for c := range committed {
+			if !put[c] {
+				return 0, fmt.Errorf("root %d is committed in the image and no Put of the hot atom was found for it", c)
+			}
+		}
+		return len(committed), nil
 	}
 
 	const goroutines, commits = 8, 6
@@ -219,7 +236,7 @@ func TestDurablePrefixOrdersLockSuccessors(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d commit %d: root %d acked but not durable (decode: %v)", i, c, id, err)
 					return
 				}
-				if err := checkImage(img); err != nil {
+				if _, err := checkImage(img); err != nil {
 					errs <- fmt.Errorf("goroutine %d commit %d: %w", i, c, err)
 					return
 				}
@@ -228,7 +245,7 @@ func TestDurablePrefixOrdersLockSuccessors(t *testing.T) {
 	}
 	running := make(chan struct{})
 	go func() { wg.Wait(); close(running) }()
-	samples := 0
+	samples, last := 0, 0
 	for sampling := true; sampling; {
 		select {
 		case <-running:
@@ -236,16 +253,20 @@ func TestDurablePrefixOrdersLockSuccessors(t *testing.T) {
 		default:
 		}
 		// The last sample is taken after every committer has returned.
-		if err := checkImage(j.DurableBytes()); err != nil {
+		n, err := checkImage(j.DurableBytes())
+		if err != nil {
 			errs <- fmt.Errorf("sample %d: %w", samples, err)
 			sampling = false
 		}
-		samples++
+		samples, last = samples+1, n
 	}
 	<-running
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if last != goroutines*commits {
+		t.Errorf("the last image holds %d committed roots with their Puts, want %d", last, goroutines*commits)
 	}
 	s := db.Engine().Stats()
 	if s.Deadlocks != 0 || s.RootsCommitted != goroutines*commits {

@@ -37,34 +37,71 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordCodec is the record codec's per-layer micro-benchmark:
-// one op encodes the 75 records of testdata/golden/flat.bin — the
-// dryRun order-entry scenario — as one chain (appendRecords, the flat
-// format and the body of a batch frame) and decodes them back with
-// decodeRecord. No journal, no framing, no checksum: the per-record
-// encode and decode alone. Run with -cpu 1 (make bench-store).
+// BenchmarkRecordCodec is the record codec's per-layer micro-benchmark
+// on the 75 records of testdata/golden/flat.bin — the dryRun
+// order-entry scenario as the engine journaled it when the image was
+// written, invocations on every JBegin. One op of encode writes them
+// as one chain (appendRecords, the flat format and the body of a batch
+// frame) into a reused buffer, what a flush does; one op of decode
+// reads that chain back with decodeRecord, what recovery does. No
+// journal, no framing, no checksum: the per-record codec alone. Run
+// with -cpu 1 (make bench-store).
 func BenchmarkRecordCodec(b *testing.B) {
-	l, err := Unmarshal(golden(b, "flat.bin"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := l.recs
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = appendRecords(buf[:0], recs)
-		n, p := binary.Uvarint(buf)
-		prev := uint64(0)
-		for j := uint64(0); j < n; j++ {
-			r, np, err := decodeRecord(buf, p, j, prev)
-			if err != nil {
-				b.Fatal(err)
+	recs := goldenRecords(b)
+	b.Run("encode", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = appendRecords(buf[:0], recs)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		buf := appendRecords(nil, recs)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n, p := binary.Uvarint(buf)
+			prev := uint64(0)
+			for j := uint64(0); j < n; j++ {
+				r, np, err := decodeRecord(buf, p, j, prev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, prev = np, r.Node
 			}
-			p, prev = np, r.Node
+			if n != uint64(len(recs)) || p != len(buf) {
+				b.Fatalf("decoded %d records ending at %d, want %d ending at %d", n, p, len(recs), len(buf))
+			}
 		}
-		if n != uint64(len(recs)) || p != len(buf) {
-			b.Fatalf("decoded %d records ending at %d, want %d ending at %d", n, p, len(recs), len(buf))
+	})
+}
+
+// TestFrameEncodeAllocs: once a journal's buffers have grown, framing
+// a batch allocates nothing. The body is encoded into the Log's own
+// buffer, every argument straight into it, and the frame appended to
+// the image. The batch is the frozen golden scenario, whose records
+// carry invocations with arguments.
+func TestFrameEncodeAllocs(t *testing.T) {
+	l := NewLog()
+	l.recs = goldenRecords(t)
+	args := 0
+	for _, r := range l.recs {
+		if r.Inv != nil {
+			args += len(r.Inv.Args)
 		}
+	}
+	if args == 0 {
+		t.Fatal("the batch carries no argument: the check would not reach val.V's encoder")
+	}
+	flush := func() {
+		l.mu.Lock()
+		l.durable, l.durableRecs = l.durable[:0], 0
+		if n, _ := l.flushLocked(len(l.recs)); n != len(l.recs) {
+			t.Fatalf("flushed %d of %d records", n, len(l.recs))
+		}
+		l.mu.Unlock()
+	}
+	flush() // grow the buffers
+	if n := testing.AllocsPerRun(100, flush); n != 0 {
+		t.Errorf("a warmed flush of %d records (%d arguments) allocates %v times, want 0", len(l.recs), args, n)
 	}
 }

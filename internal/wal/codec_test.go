@@ -70,7 +70,7 @@ func TestRecordBytesExact(t *testing.T) {
 	if got := uint64(len(l.Marshal())); got != count+sum {
 		t.Errorf("flat image is %d bytes, count + recordBytes chain = %d", got, count+sum)
 	}
-	if body, _ := binary.Uvarint(appendFrame(nil, cases)); body != count+sum {
+	if body, _ := binary.Uvarint(frameOf(nil, cases)); body != count+sum {
 		t.Errorf("frame body is %d bytes, count + recordBytes chain = %d", body, count+sum)
 	}
 }
@@ -140,7 +140,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		var img []byte
 		for at := 0; at < len(recs); {
 			end := at + 1 + rng.Intn(len(recs)-at)
-			img = appendFrame(img, recs[at:end])
+			img = frameOf(img, recs[at:end])
 			at = end
 		}
 		framed, _, err := UnmarshalDurable(img)
@@ -248,7 +248,7 @@ func TestCodecSizeIndependentOfIDMagnitude(t *testing.T) {
 			end = n
 		}
 		check(fmt.Sprintf("frame %d", frames), young[at:end], old[at:end])
-		yImg, oImg = appendFrame(yImg, young[at:end]), appendFrame(oImg, old[at:end])
+		yImg, oImg = frameOf(yImg, young[at:end]), frameOf(oImg, old[at:end])
 		at = end
 	}
 	// On the images themselves the old engine pays for the first record

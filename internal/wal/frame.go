@@ -28,13 +28,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"semcc/internal/core"
 )
 
-// appendFrame appends one batch frame covering recs to buf.
-func appendFrame(buf []byte, recs []core.JournalRecord) []byte {
-	body := appendRecords(nil, recs)
+// appendFrame appends to buf the batch frame whose body is body, an
+// appendRecords encoding.
+func appendFrame(buf, body []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = binary.AppendUvarint(buf, uint64(crc32.ChecksumIEEE(body)))
 	return append(buf, body...)

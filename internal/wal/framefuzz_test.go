@@ -13,6 +13,12 @@ import (
 	"semcc/internal/val"
 )
 
+// frameOf appends one batch frame covering recs to buf, as a flush
+// does.
+func frameOf(buf []byte, recs []core.JournalRecord) []byte {
+	return appendFrame(buf, appendRecords(nil, recs))
+}
+
 // frameSeeds builds representative durable images (batch-framed, the
 // DurableBytes format) used as fuzz seeds and, via
 // TestDurableSeedCorpus, as a plain regression suite: single-record
@@ -33,10 +39,10 @@ func frameSeeds() [][]byte {
 	}
 
 	var coalesced []byte
-	coalesced = appendFrame(coalesced, recs[:3])
-	coalesced = appendFrame(coalesced, recs[3:])
+	coalesced = frameOf(coalesced, recs[:3])
+	coalesced = frameOf(coalesced, recs[3:])
 
-	oneBatch := appendFrame(nil, recs)
+	oneBatch := frameOf(nil, recs)
 
 	seeds := [][]byte{perRecord.DurableBytes(), coalesced, oneBatch, nil}
 	// Torn tails at both a frame header and mid-body, and a corrupt
@@ -49,7 +55,7 @@ func frameSeeds() [][]byte {
 	// Interleaved roots and gids, cut mid-tree so the second frame's
 	// first record is written from 0 again.
 	il := interleavedLog().Records()
-	seeds = append(seeds, appendFrame(appendFrame(nil, il[:5]), il[5:]))
+	seeds = append(seeds, frameOf(frameOf(nil, il[:5]), il[5:]))
 	return seeds
 }
 

@@ -4,21 +4,27 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"semcc/internal/compat"
+	"semcc/internal/core"
 	"semcc/internal/orderentry"
 )
 
 // golden reads one of the frozen images of testdata/golden. They were
-// written at commit 220ec06 — the last with a separate synchronous
-// writer — from the dryRun order-entry scenario, and are the reference
-// the one journal type is held to in its place: sync.image is
-// DurableBytes of a sync journal fed the scenario, flat.bin its
-// Marshal, group-b3.image DurableBytes of the scenario run on a
-// ModeGroup journal with MaxBatch 3 and MaxDelay 1h. A change that
-// moves these bytes changes the on-disk format; regenerate them only
-// with that intent.
+// written at commit 220ec06 from the dryRun order-entry scenario:
+// sync.image is DurableBytes of a sync journal fed the scenario,
+// flat.bin its Marshal, group-b3.image DurableBytes of the scenario run
+// on a ModeGroup journal with MaxBatch 3 and MaxDelay 1h. They hold
+// the codec and the framing still: a change that moves the bytes of
+// these records changes the on-disk format; regenerate them only with
+// that intent. What the engine emits has moved on since (it no longer
+// journals read leaves or JBegin's invocation), so they are fed their
+// own frozen records, not today's dryRun; TestParentImageRecoversAlike
+// holds today's emission to what the frozen one recovers to.
 func golden(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
@@ -28,9 +34,18 @@ func golden(t testing.TB, name string) []byte {
 	return b
 }
 
+// goldenRecords decodes the frozen record sequence of flat.bin.
+func goldenRecords(t testing.TB) []core.JournalRecord {
+	t.Helper()
+	flat, err := Unmarshal(golden(t, "flat.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat.Records()
+}
+
 func TestGoldenImages(t *testing.T) {
-	cfg := orderentry.DefaultConfig()
-	recs, _ := dryRun(t, cfg)
+	recs := goldenRecords(t)
 
 	s := New(Config{Mode: ModeSync})
 	for i, r := range recs {
@@ -45,15 +60,138 @@ func TestGoldenImages(t *testing.T) {
 	if !bytes.Equal(s.(*Log).Marshal(), golden(t, "flat.bin")) {
 		t.Error("flat serialisation differs from golden/flat.bin")
 	}
-	if g := runGroupScenario(t, cfg, 3, ModeGroup); !bytes.Equal(g.DurableBytes(), golden(t, "group-b3.image")) {
-		t.Error("group-mode (MaxBatch 3) durable image differs from golden/group-b3.image")
-	}
 	flat, err := Unmarshal(golden(t, "flat.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(flat.DurableBytes(), golden(t, "sync.image")) {
 		t.Error("Unmarshal(flat.bin) does not rebuild golden/sync.image")
+	}
+
+	// The group image holds the same records in batches of at most 3,
+	// cut early at each root outcome. Re-framed batch by batch it must
+	// come back byte for byte, and so must the writer's own image when
+	// the frozen records are submitted as the engine submits them: root
+	// outcomes through AppendAck, waited for.
+	img := golden(t, "group-b3.image")
+	g, batches, err := UnmarshalDurable(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Records(), recs) {
+		t.Fatal("golden/group-b3.image and golden/flat.bin hold different records")
+	}
+	var reframed []byte
+	at := 0
+	for _, b := range batches {
+		reframed = appendFrame(reframed, appendRecords(nil, recs[at:b.End]))
+		at = b.End
+	}
+	if !bytes.Equal(reframed, img) {
+		t.Error("golden/group-b3.image re-framed batch by batch differs from itself")
+	}
+	w := New(Config{Mode: ModeGroup, MaxBatch: 3, MaxDelay: time.Hour})
+	roots := map[uint64]bool{}
+	for _, r := range recs {
+		switch {
+		case r.Kind == core.JBeginRoot:
+			roots[r.Node] = true
+			w.Append(r)
+		case r.Kind == core.JRootCommit || r.Kind == core.JNodeAborted && roots[r.Node]:
+			w.AppendAck(r).Wait()
+		default:
+			w.Append(r)
+		}
+	}
+	w.Close()
+	if !bytes.Equal(w.DurableBytes(), img) {
+		t.Error("group-mode (MaxBatch 3) image of the frozen records differs from golden/group-b3.image")
+	}
+}
+
+// TestParentImageRecoversAlike holds what the engine journals today to
+// what it journaled when the golden images were written: the same
+// scenario must recover to the same outcome at every crash point.
+// Today's journal is the frozen one with two things left out, each
+// something Analyze never read: the invocation on JBegin, and every
+// record of a generic read leaf (Get, Select, Scan). Cut after any
+// record of the frozen journal, and after the last record of today's
+// journal that survives in that prefix, the two must analyse to the
+// same winners, the same losers with the same pending compensations,
+// and the same in-doubt roots. Only journal positions (Last) may
+// differ.
+func TestParentImageRecoversAlike(t *testing.T) {
+	parent, _, err := UnmarshalDurable(golden(t, "sync.image"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := parent.Records()
+	now, _ := dryRun(t, orderentry.DefaultConfig())
+
+	readLeaves := map[uint64]bool{}
+	for _, r := range old {
+		if r.Kind == core.JBegin && r.Inv != nil && compat.IsReadOp(r.Inv.Method) {
+			readLeaves[r.Node] = true
+		}
+	}
+	if len(readLeaves) == 0 {
+		t.Fatal("the frozen journal has no read leaf: the comparison below would check nothing")
+	}
+	for i, r := range now {
+		if r.Kind == core.JBegin && r.Inv != nil {
+			t.Errorf("record %d: JBegin of %d carries an invocation (%s)", i, r.Node, r.Inv)
+		}
+		if readLeaves[r.Node] {
+			t.Errorf("record %d: %v of read leaf %d is journaled", i, r.Kind, r.Node)
+		}
+	}
+
+	// kept[p] is how many of today's records the frozen prefix old[:p]
+	// contains: today's journal must be exactly the frozen one with the
+	// read leaves dropped and JBegin stripped, in the same order.
+	kept := make([]int, len(old)+1)
+	var want []core.JournalRecord
+	for p, r := range old {
+		if !readLeaves[r.Node] {
+			if r.Kind == core.JBegin {
+				r.Inv = nil
+			}
+			want = append(want, r)
+		}
+		kept[p+1] = len(want)
+	}
+	if !reflect.DeepEqual(now, want) {
+		t.Fatalf("today's journal is not the frozen one without read leaves and JBegin invocations:\n got %v\nwant %v", now, want)
+	}
+
+	analyse := func(recs []core.JournalRecord) *Analysis {
+		t.Helper()
+		l := NewLog()
+		l.recs = recs
+		a, err := Analyze(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Losers {
+			a.Losers[i].Last = 0
+		}
+		for i := range a.InDoubt {
+			a.InDoubt[i].Last = 0
+		}
+		return a
+	}
+	losers := 0
+	for p := 0; p <= len(old); p++ {
+		a, b := analyse(old[:p]), analyse(now[:kept[p]])
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("cut after frozen record %d (today's %d): analyses differ\nfrozen %+v\ntoday  %+v", p, kept[p], a, b)
+		}
+		for _, l := range a.Losers {
+			losers += len(l.Pending)
+		}
+	}
+	if losers == 0 {
+		t.Error("no cut left a loser with pending compensations: the sweep compared only trivial analyses")
 	}
 }
 

@@ -235,6 +235,9 @@ type Log struct {
 	durable     []byte // the batch-framed image on simulated stable storage
 	durableRecs int    // recs[:durableRecs] is covered by durable
 	flushCount  uint64
+	// body is the frame body being written, kept between flushes so
+	// that encoding a batch allocates nothing once it has grown.
+	body []byte
 
 	// sendMu excludes submissions from racing Close's channel close: a
 	// sender holds the read side across its queue send, Close sets
@@ -523,7 +526,8 @@ func (l *Log) flushLocked(end int) (recs, bytes int) {
 		return 0, 0
 	}
 	before := len(l.durable)
-	l.durable = appendFrame(l.durable, l.recs[l.durableRecs:end])
+	l.body = appendRecords(l.body[:0], l.recs[l.durableRecs:end])
+	l.durable = appendFrame(l.durable, l.body)
 	l.durableRecs = end
 	l.flushCount++
 	return n, len(l.durable) - before
@@ -628,7 +632,9 @@ func (l *Log) writer() {
 	)
 	flush := func() {
 		l.flushTo(end, acks, ackAt)
-		acks, ackAt = nil, nil
+		// Reused, not regrown: every urgent submission lands here.
+		clear(acks)
+		acks, ackAt = acks[:0], ackAt[:0]
 		count = 0
 		if armed {
 			if !timer.Stop() {

@@ -2,10 +2,11 @@
 // open nested transactions — the multilevel recovery discipline the
 // paper points to as future work (§5, citing [WHBM90]).
 //
-// The engine journals the invocation hierarchy: node begins,
-// subtransaction commits with their registered inverses, abort
-// progress, and top-level outcomes. On restart, Recover replays the
-// journal to reconstruct each in-flight transaction's pending undo —
+// The engine journals the invocation hierarchy: node begins (a node's
+// place in its tree; generic reads, which have nothing to undo, write
+// nothing), subtransaction commits with their registered inverses,
+// abort progress, and top-level outcomes. On restart, Recover replays
+// the journal to reconstruct each in-flight transaction's pending undo —
 // exactly the compensation state the crashed engine held — and applies
 // the remaining inverses through a fresh engine, so loser transactions
 // are rolled back *logically*, at the highest committed level, just as
@@ -99,8 +100,8 @@ func recordBytes(prev uint64, r core.JournalRecord) uint64 {
 		n += 1 + uvarintLen(r.Inv.Object.N) + uvarintLen(uint64(len(r.Inv.Method))) + len(r.Inv.Method)
 		n += uvarintLen(uint64(len(r.Inv.Args)))
 		for _, a := range r.Inv.Args {
-			ab := a.Marshal()
-			n += uvarintLen(uint64(len(ab))) + len(ab)
+			s := a.Size()
+			n += uvarintLen(uint64(s)) + s
 		}
 	}
 	return uint64(n)
@@ -135,9 +136,8 @@ func appendRecord(buf []byte, prev uint64, r core.JournalRecord) []byte {
 		buf = append(buf, r.Inv.Method...)
 		buf = binary.AppendUvarint(buf, uint64(len(r.Inv.Args)))
 		for _, a := range r.Inv.Args {
-			ab := a.Marshal()
-			buf = binary.AppendUvarint(buf, uint64(len(ab)))
-			buf = append(buf, ab...)
+			buf = binary.AppendUvarint(buf, uint64(a.Size()))
+			buf = a.AppendTo(buf)
 		}
 	}
 	return buf
