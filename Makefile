@@ -111,13 +111,16 @@ benchmark:
 # codec encoding and decoding a 75-record journal (wal: /encode, whose
 # allocs/op is a flush's, and /decode, recovery's), two journal
 # appends per durability mode over a free device (wal: sync, group,
-# async), and one whole two-node root per commit path over free-flush
-# journals (dist: single, readonly2, update2).
+# async), one whole two-node root per commit path over free-flush
+# journals (dist: single, readonly2, update2), and one object resolved
+# through the store's directory among 2^20 (objstore: ReadAtomic,
+# TupleGet, SetSelect).
 bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkStoreParallel|BenchmarkPool(Fetch|Evict)Parallel' -benchmem -cpu 4 ./internal/objstore ./internal/storage
 	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
 	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkTableWith$$|BenchmarkInvokeGetPut$$|BenchmarkJournalAppend$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/core/locktable ./internal/oodb ./internal/wal ./internal/dist
 	$(GO) test -run=NONE -bench 'BenchmarkRecordCodec/(encode|decode)$$' -benchmem -cpu 1 ./internal/wal
+	$(GO) test -run=NONE -bench 'BenchmarkStoreLookup/(ReadAtomic|TupleGet|SetSelect)$$' -benchmem -cpu 1 ./internal/objstore
 
 # The observability cost contract: the disjoint-atom transaction cycle
 # with no Obs / disabled Obs / enabled Obs, plus the per-site

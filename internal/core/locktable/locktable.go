@@ -20,6 +20,7 @@ package locktable
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"semcc/internal/oid"
@@ -40,7 +41,9 @@ type Head[L comparable] struct {
 func (h *Head[L]) RemoveGranted(l L) bool {
 	for i, g := range h.Granted {
 		if g == l {
-			h.Granted = append(h.Granted[:i], h.Granted[i+1:]...)
+			// slices.Delete zeroes the vacated tail element, so the
+			// backing array keeps no pointer to a removed lock.
+			h.Granted = slices.Delete(h.Granted, i, i+1)
 			return true
 		}
 	}
@@ -52,7 +55,7 @@ func (h *Head[L]) RemoveGranted(l L) bool {
 func (h *Head[L]) RemoveQueued(l L) bool {
 	for i, q := range h.Queue {
 		if q == l {
-			h.Queue = append(h.Queue[:i], h.Queue[i+1:]...)
+			h.Queue = slices.Delete(h.Queue, i, i+1)
 			return true
 		}
 	}
@@ -61,7 +64,8 @@ func (h *Head[L]) RemoveQueued(l L) bool {
 
 // Empty reports whether the head holds no locks at all. Empty heads
 // are evicted from their table after each With, so the table's memory
-// stays proportional to the set of currently locked objects.
+// stays proportional to the set of currently locked objects (plus each
+// shard's few recycled heads).
 func (h *Head[L]) Empty() bool { return len(h.Granted) == 0 && len(h.Queue) == 0 }
 
 // Table maps objects to their lock heads and serialises access to
@@ -87,29 +91,48 @@ func New[L comparable](n int) *Table[L] {
 	return t
 }
 
+// maxFree caps each shard's free list of evicted heads: a few spare
+// heads, with their arrays, absorb nearly every create-and-evict cycle,
+// and the cap bounds what an idle shard keeps.
+const maxFree = 32
+
 type shard[L comparable] struct {
 	mu    sync.Mutex
 	heads map[oid.OID]*Head[L]
+	free  []*Head[L] // evicted heads, emptied, arrays kept for reuse
 	// pad the shard out to its own cache line so shard mutexes do not
 	// false-share.
-	_ [40]byte
+	_ [24]byte
 }
 
 // With runs f with exclusive access to obj's head, creating the head
 // if absent and evicting it afterwards if f left it empty. f must not
-// call back into the table (the shard mutex is held).
+// call back into the table (the shard mutex is held), and must not keep
+// h, or its Granted or Queue slices, past its return: an evicted head
+// is recycled for another object.
 func (t *Table[L]) With(obj oid.OID, f func(h *Head[L])) {
 	sh := &t.shards[hash(obj)&t.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	h, ok := sh.heads[obj]
 	if !ok {
-		h = &Head[L]{Obj: obj}
+		if n := len(sh.free); n > 0 {
+			h, sh.free = sh.free[n-1], sh.free[:n-1]
+			h.Obj = obj
+		} else {
+			h = &Head[L]{Obj: obj}
+		}
 		sh.heads[obj] = h
 	}
 	f(h)
 	if h.Empty() {
 		delete(sh.heads, obj)
+		if len(sh.free) < maxFree {
+			clear(h.Granted[:cap(h.Granted)])
+			clear(h.Queue[:cap(h.Queue)])
+			h.Granted, h.Queue = h.Granted[:0], h.Queue[:0]
+			sh.free = append(sh.free, h)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package locktable
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -137,8 +138,9 @@ func TestParallelDisjointObjects(t *testing.T) {
 
 // BenchmarkTableWith is the lock table's per-layer micro-benchmark: one
 // op grants a lock on one head and releases it, two With calls as the
-// lock manager makes them, so the head is created on the grant and
-// evicted on the release. Run with -cpu 1 (make bench-store).
+// lock manager makes them, so the head is taken from the shard's free
+// list on the grant and evicted back to it on the release. Run with
+// -cpu 1 (make bench-store).
 func BenchmarkTableWith(b *testing.B) {
 	tbl := New[int](0)
 	o := gen.New(oid.Atomic)
@@ -147,5 +149,90 @@ func BenchmarkTableWith(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl.With(o, func(h *Head[int]) { h.Granted = append(h.Granted, 1) })
 		tbl.With(o, func(h *Head[int]) { h.RemoveGranted(1) })
+	}
+}
+
+// TestRemovedLockUnreachable: a removed lock leaves no pointer behind
+// in its head's backing arrays, up to their capacity — neither right
+// after the removal nor once the emptied head has been evicted and
+// recycled for another object. A live (or recycled) head would
+// otherwise pin a finished transaction tree.
+func TestRemovedLockUnreachable(t *testing.T) {
+	tbl := New[*int](1)
+	a, b, c := new(int), new(int), new(int)
+	// stale reports a lock that is in a backing array past len, or in
+	// the other list than it was added to.
+	stale := func(h *Head[*int], granted, queued []*int) *int {
+		for _, l := range h.Granted[len(h.Granted):cap(h.Granted)] {
+			if l != nil {
+				return l
+			}
+		}
+		for _, l := range h.Queue[len(h.Queue):cap(h.Queue)] {
+			if l != nil {
+				return l
+			}
+		}
+		if !slices.Equal(h.Granted, granted) || !slices.Equal(h.Queue, queued) {
+			t.Fatalf("granted %v queue %v, want %v %v", h.Granted, h.Queue, granted, queued)
+		}
+		return nil
+	}
+	o := gen.New(oid.Atomic)
+	tbl.With(o, func(h *Head[*int]) {
+		h.Granted = append(h.Granted, a, b, c)
+		h.Queue = append(h.Queue, a, b, c)
+		h.RemoveGranted(a)
+		h.RemoveQueued(b)
+		if l := stale(h, []*int{b, c}, []*int{a, c}); l != nil {
+			t.Fatalf("head still holds removed lock %p after removal", l)
+		}
+		h.RemoveGranted(c)
+		h.RemoveGranted(b)
+		h.RemoveQueued(a)
+		h.RemoveQueued(c)
+	})
+	other := gen.New(oid.Atomic)
+	tbl.With(other, func(h *Head[*int]) {
+		if cap(h.Granted) == 0 || cap(h.Queue) == 0 {
+			t.Fatal("evicted head was not recycled with its arrays")
+		}
+		if h.Obj != other {
+			t.Fatalf("recycled head is %s's, want %s's", h.Obj, other)
+		}
+		if l := stale(h, []*int{}, []*int{}); l != nil {
+			t.Fatalf("recycled head still holds removed lock %p", l)
+		}
+	})
+}
+
+// TestTableWithAllocs: once the shard has a recycled head, granting
+// and releasing a lock on an object with no head allocates nothing.
+func TestTableWithAllocs(t *testing.T) {
+	tbl := New[int](0)
+	o := gen.New(oid.Atomic)
+	cycle := func() {
+		tbl.With(o, func(h *Head[int]) { h.Granted = append(h.Granted, 1) })
+		tbl.With(o, func(h *Head[int]) { h.RemoveGranted(1) })
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("grant/release cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestFreeListCapped: a shard keeps at most maxFree evicted heads.
+func TestFreeListCapped(t *testing.T) {
+	tbl := New[int](1)
+	objs := make([]oid.OID, 2*maxFree)
+	for i := range objs {
+		objs[i] = gen.New(oid.Atomic)
+		tbl.With(objs[i], func(h *Head[int]) { h.Granted = append(h.Granted, i) })
+	}
+	for i, o := range objs {
+		tbl.With(o, func(h *Head[int]) { h.RemoveGranted(i) })
+	}
+	if n := len(tbl.shards[0].free); n != maxFree {
+		t.Fatalf("free heads = %d, want %d", n, maxFree)
 	}
 }

@@ -26,7 +26,7 @@ import (
 // it: a decided branch forces nothing further, so an acknowledged
 // cross-node root may be durable only as its JPrepare records plus the
 // entry here. A coordinator that can crash must force the entry to its
-// own disk before Commit returns (ROADMAP item 7a).
+// own disk before Commit returns (ROADMAP item 9(a)).
 type DecisionLog struct {
 	mu        sync.Mutex
 	committed map[uint64]bool

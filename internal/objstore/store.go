@@ -10,12 +10,13 @@
 // structural operations are versioned through the same concurrency
 // control layer as atomic accesses.
 //
-// The store is sharded: each shard owns a disjoint slice of the
-// atoms/tuples/sets directories, its own OID allocation stride, and
-// its own RecordStore over the shared buffer pool. An OID's shard is a
-// pure function of the OID, so every single-object operation locks
-// exactly one shard; set scans snapshot one shard and sort outside the
-// lock (DESIGN.md §3.9).
+// The store is sharded: each shard owns a disjoint slice of the object
+// directory, its own OID allocation stride, and its own RecordStore
+// over the shared buffer pool. An OID's shard, and its entry's position
+// in that shard's directory, are pure functions of the OID — no hash
+// lookup — so every single-object operation locks exactly one shard;
+// set scans snapshot one shard and sort outside the lock (DESIGN.md
+// §3.9).
 //
 // The store itself provides only *physical* operations and
 // latch-level safety. Transactional isolation is implemented above it
@@ -25,6 +26,7 @@ package objstore
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strconv"
@@ -45,40 +47,59 @@ type SetEntry struct {
 	Member oid.OID
 }
 
-// tupleObj is a tuple's directory entry. A tuple type is a fixed
-// component list (Malta & Martinez, "Tuple-based abstract data types:
-// full parallelism"), so an instance is only a component vector:
-// component i is comps[start+i] of its shard's arena and is named
-// schemas[schema][i]. Navigation t.c is addressing into the schema,
-// not a hash lookup per instance — and the entry holds no pointer, so
-// the collector never walks the tuple directory.
-type tupleObj struct {
-	schema uint32
-	start  uint32
+// dirEntry is one object's directory entry. Its payload depends on
+// kind: an atom's home RID (a = page, b = slot); a tuple's schema (a)
+// and the start of its components in the shard's arena (b) — a tuple
+// type is a fixed component list (Malta & Martinez, "Tuple-based
+// abstract data types: full parallelism"), so navigation is addressing,
+// not a hash lookup; a set's index into the shard's sets (a). tag is
+// the caller's type tag (SetTag). The entry holds no pointer, so the
+// collector never walks the directory. Kind Invalid marks a slot whose
+// insert has not finished.
+type dirEntry struct {
+	kind oid.Kind
+	a, b uint32
+	tag  uint32
 }
 
-type setObj struct {
-	members map[string]SetEntry // canonical key string -> entry
-}
-
-// shard owns one stripe of the object directories. All fields behind
+// shard owns one stripe of the object directory. All fields behind
 // mu; next is atomic so OID allocation never waits on directory
 // traffic in other shards.
 type shard struct {
 	mu      sync.RWMutex
+	idx     int // position in Store.shards
 	records *storage.RecordStore
-	// atoms and tuples, the two directories with an entry per order,
-	// are pointer-free in key and value: their buckets are never
-	// scanned by the collector.
-	atoms  map[oid.OID]storage.RID
-	tuples map[oid.OID]tupleObj
+	// dir is indexed by allocation position: the object whose OID this
+	// shard handed out as its j-th is dir[j].
+	dir []dirEntry
 	// schemas holds each distinct component-name list once; comps is
 	// the arena of this shard's tuples' component vectors, back to
 	// back (tuples are never deleted).
 	schemas [][]string
 	comps   []oid.OID
-	sets    map[oid.OID]*setObj
-	next    atomic.Uint64 // per-shard OID sequence counter
+	sets    []map[string]SetEntry // canonical key string -> entry
+	next    atomic.Uint64         // per-shard OID sequence counter
+}
+
+// put installs e as the entry of allocation position j. Inserts finish
+// in any order, so the directory grows to j+1 with not-yet-finished
+// slots zero (kind Invalid). Caller holds mu for writing.
+func (sh *shard) put(j uint64, e dirEntry) {
+	if n := uint64(len(sh.dir)); j >= n {
+		sh.dir = append(sh.dir, make([]dirEntry, j+1-n)...)
+	}
+	sh.dir[j] = e
+}
+
+// entry returns the entry of id, at position j, if id and its entry
+// are both of kind k. Every lookup goes through it, so every call site
+// misses alike: a position past the end (or noPos), an unfinished
+// slot, a kind other than k. Caller holds mu.
+func (sh *shard) entry(id oid.OID, j uint64, k oid.Kind) (*dirEntry, bool) {
+	if j >= uint64(len(sh.dir)) || id.K != k || k == oid.Invalid || sh.dir[j].kind != k {
+		return nil, false
+	}
+	return &sh.dir[j], true
 }
 
 // schemaOf returns the number of the schema with exactly these names,
@@ -167,10 +188,10 @@ func newStoreObs(o *obs.Obs, shards int) *storeObs {
 
 func (m *storeObs) on() bool { return m != nil && m.o.On() }
 
-// op counts one operation against the shard owning id's stride slot.
-func (s *Store) op(shardIdx uint64, op int) {
+// op counts one operation against shard sh.
+func (s *Store) op(sh *shard, op int) {
 	if m := s.om; m.on() {
-		m.ops[int(shardIdx)*numStoreOps+op].Inc()
+		m.ops[sh.idx*numStoreOps+op].Inc()
 	}
 }
 
@@ -179,6 +200,7 @@ type Store struct {
 	pool   *storage.Pool
 	shards []shard
 	mask   uint64
+	shift  uint // log2(len(shards)): position >> shift indexes a shard's dir
 	om     *storeObs
 	// stride/offset interleave this store's OID sequence across a
 	// multi-node topology (Config.OIDStride/OIDOffset); stride 1,
@@ -219,16 +241,14 @@ func NewStore(cfg Config) *Store {
 		pool:   pool,
 		shards: make([]shard, n),
 		mask:   uint64(n - 1),
+		shift:  uint(bits.TrailingZeros(uint(n))),
 		stride: uint64(stride),
 		offset: uint64(cfg.OIDOffset),
 	}
 	s.AttachObs(cfg.Obs)
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.records = storage.NewRecordStore(pool)
-		sh.atoms = make(map[oid.OID]storage.RID)
-		sh.tuples = make(map[oid.OID]tupleObj)
-		sh.sets = make(map[oid.OID]*setObj)
+		s.shards[i].idx = i
+		s.shards[i].records = storage.NewRecordStore(pool)
 	}
 	return s
 }
@@ -248,36 +268,45 @@ func (s *Store) AttachObs(o *obs.Obs) {
 // PoolStats reports the shared buffer pool's hit/miss/evict counters.
 func (s *Store) PoolStats() (hits, misses, evicts uint64) { return s.pool.Stats() }
 
-// localIdx maps id to this store's shard index. The store's own local
-// 0-based allocation position is (id.N-1-offset)/stride; masking it
-// picks the shard. A foreign OID (one outside this store's stride
-// residue) still maps to *some* shard — its directory lookup simply
-// misses, which is the desired "no such object" behaviour.
-func (s *Store) localIdx(id oid.OID) uint64 {
-	return ((id.N - 1 - s.offset) / s.stride) & s.mask
-}
+// noPos is the directory position of an OID this store never
+// allocates; every lookup of it misses.
+const noPos = math.MaxUint64
 
-// shardOf returns the shard owning id. OIDs are allocated in strides
-// of len(shards): shard i hands out local positions ≡ i (mod shards),
-// so ownership is derivable from the OID alone and every
-// single-object operation is single-shard.
-func (s *Store) shardOf(id oid.OID) *shard {
-	return &s.shards[s.localIdx(id)]
+// locate returns id's shard and its position in that shard's
+// directory; the caller locks the shard and reads the entry with
+// shard.entry. The store's own 0-based allocation position is
+// (id.N-1-offset)/stride; its low bits pick the shard (so ownership is
+// derivable from the OID alone and every single-object operation is
+// single-shard) and the rest is the position there. An OID outside
+// this store's sequence — Nil, N ≤ offset, or N in another store's
+// stride residue — gets noPos.
+func (s *Store) locate(id oid.OID) (*shard, uint64) {
+	if id.N <= s.offset {
+		return &s.shards[0], noPos
+	}
+	d := id.N - 1 - s.offset
+	local := d / s.stride
+	if local*s.stride != d {
+		return &s.shards[local&s.mask], noPos
+	}
+	return &s.shards[local&s.mask], local >> s.shift
 }
 
 // alloc picks the next creation shard round-robin and allocates a
-// fresh OID of the given kind from its stride. The store's dense local
-// position sequence (0, 1, 2, …) is spread over the global OID space
-// as n = pos*stride + offset + 1, so with stride 1 the sequence is the
+// fresh OID of the given kind from its stride, returning it with its
+// position in the shard's directory. The store's dense local position
+// sequence (0, 1, 2, …) is spread over the global OID space as
+// n = pos*stride + offset + 1, so with stride 1 the sequence is the
 // classic 1, 2, 3, … and with stride N the store owns exactly the
 // residue class offset (mod N).
-func (s *Store) alloc(k oid.Kind) (*shard, oid.OID) {
+func (s *Store) alloc(k oid.Kind) (*shard, oid.OID, uint64) {
 	i := (s.rr.Add(1) - 1) & s.mask
 	sh := &s.shards[i]
-	pos := (sh.next.Add(1)-1)*uint64(len(s.shards)) + i
+	j := sh.next.Add(1) - 1
+	pos := j<<s.shift + i
 	n := pos*s.stride + s.offset + 1
-	s.op(i, opAlloc)
-	return sh, oid.OID{K: k, N: n}
+	s.op(sh, opAlloc)
+	return sh, oid.OID{K: k, N: n}, j
 }
 
 // keyString canonicalises a key value for map lookup.
@@ -285,26 +314,35 @@ func keyString(k val.V) string { return k.String() }
 
 // NewAtomic creates an atomic object with the given initial value.
 func (s *Store) NewAtomic(initial val.V) (oid.OID, error) {
-	sh, id := s.alloc(oid.Atomic)
+	sh, id, j := s.alloc(oid.Atomic)
 	rid, err := sh.records.Insert(initial.Marshal())
 	if err != nil {
 		return oid.Nil, err
 	}
 	sh.mu.Lock()
-	sh.atoms[id] = rid
+	sh.put(j, dirEntry{kind: oid.Atomic, a: rid.Page, b: uint32(rid.Slot)})
 	sh.mu.Unlock()
 	return id, nil
 }
 
+// rid returns the home RID of atomic object id. Caller holds sh.mu.
+func (sh *shard) rid(id oid.OID, j uint64) (storage.RID, error) {
+	e, ok := sh.entry(id, j, oid.Atomic)
+	if !ok {
+		return storage.RID{}, fmt.Errorf("objstore: no atomic object %s", id)
+	}
+	return storage.RID{Page: e.a, Slot: int(e.b)}, nil
+}
+
 // ReadAtomic returns the current value of atomic object id.
 func (s *Store) ReadAtomic(id oid.OID) (val.V, error) {
-	s.op(s.localIdx(id), opRead)
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opRead)
 	sh.mu.RLock()
-	rid, ok := sh.atoms[id]
+	rid, err := sh.rid(id, j)
 	sh.mu.RUnlock()
-	if !ok {
-		return val.NullV, fmt.Errorf("objstore: no atomic object %s", id)
+	if err != nil {
+		return val.NullV, err
 	}
 	raw, err := sh.records.Read(rid)
 	if err != nil {
@@ -318,15 +356,15 @@ func (s *Store) ReadAtomic(id oid.OID) (val.V, error) {
 // store's RIDs are stable (forwarding stubs), so the object→page
 // mapping used by page-level locking never changes.
 func (s *Store) WriteAtomic(id oid.OID, v val.V) error {
-	s.op(s.localIdx(id), opWrite)
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opWrite)
 	sh.mu.RLock()
-	rid, ok := sh.atoms[id]
+	rid, err := sh.rid(id, j)
 	sh.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("objstore: no atomic object %s", id)
+	if err != nil {
+		return err
 	}
-	_, err := sh.records.Update(rid, v.Marshal())
+	_, err = sh.records.Update(rid, v.Marshal())
 	return err
 }
 
@@ -337,13 +375,13 @@ func (s *Store) WriteAtomic(id oid.OID, v val.V) error {
 // leaf operation (Add/Add commutes at the lock level, so the engine
 // admits them concurrently and the store must make them atomic).
 func (s *Store) AddAtomic(id oid.OID, delta int64) (val.V, error) {
-	s.op(s.localIdx(id), opWrite)
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opWrite)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	rid, ok := sh.atoms[id]
-	if !ok {
-		return val.NullV, fmt.Errorf("objstore: no atomic object %s", id)
+	rid, err := sh.rid(id, j)
+	if err != nil {
+		return val.NullV, err
 	}
 	raw, err := sh.records.Read(rid)
 	if err != nil {
@@ -363,12 +401,12 @@ func (s *Store) AddAtomic(id oid.OID, delta int64) (val.V, error) {
 // PageOf returns the OID of the storage page holding atomic object id.
 // It is the object→page mapping used by the page-level baseline.
 func (s *Store) PageOf(id oid.OID) (oid.OID, error) {
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rid, ok := sh.atoms[id]
-	if !ok {
-		return oid.Nil, fmt.Errorf("objstore: no atomic object %s", id)
+	rid, err := sh.rid(id, j)
+	if err != nil {
+		return oid.Nil, err
 	}
 	return oid.PageOID(uint64(rid.Page)), nil
 }
@@ -383,32 +421,31 @@ func (s *Store) NewTuple(names []string, comps map[string]oid.OID) (oid.OID, err
 			return oid.Nil, fmt.Errorf("objstore: tuple component %q missing", n)
 		}
 	}
-	sh, id := s.alloc(oid.Tuple)
+	sh, id, j := s.alloc(oid.Tuple)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if len(sh.comps)+len(names) > math.MaxUint32 {
 		return oid.Nil, fmt.Errorf("objstore: tuple component arena full")
 	}
-	t := tupleObj{schema: sh.schemaOf(names), start: uint32(len(sh.comps))}
+	sh.put(j, dirEntry{kind: oid.Tuple, a: sh.schemaOf(names), b: uint32(len(sh.comps))})
 	for _, n := range names {
 		sh.comps = append(sh.comps, comps[n])
 	}
-	sh.tuples[id] = t
 	return id, nil
 }
 
 // TupleGet returns the OID of component name of tuple id.
 func (s *Store) TupleGet(id oid.OID, name string) (oid.OID, error) {
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	t, ok := sh.tuples[id]
+	t, ok := sh.entry(id, j, oid.Tuple)
 	if !ok {
 		return oid.Nil, fmt.Errorf("objstore: no tuple object %s", id)
 	}
-	for i, n := range sh.schemas[t.schema] {
+	for i, n := range sh.schemas[t.a] {
 		if n == name {
-			return sh.comps[int(t.start)+i], nil
+			return sh.comps[int(t.b)+i], nil
 		}
 	}
 	return oid.Nil, fmt.Errorf("objstore: tuple %s has no component %q", id, name)
@@ -417,74 +454,84 @@ func (s *Store) TupleGet(id oid.OID, name string) (oid.OID, error) {
 // TupleComponents returns the component names of tuple id in
 // definition order.
 func (s *Store) TupleComponents(id oid.OID) ([]string, error) {
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	t, ok := sh.tuples[id]
+	t, ok := sh.entry(id, j, oid.Tuple)
 	if !ok {
 		return nil, fmt.Errorf("objstore: no tuple object %s", id)
 	}
-	return append([]string(nil), sh.schemas[t.schema]...), nil
+	return append([]string(nil), sh.schemas[t.a]...), nil
 }
 
 // NewSet creates an empty set object.
 func (s *Store) NewSet() (oid.OID, error) {
-	sh, id := s.alloc(oid.Set)
+	sh, id, j := s.alloc(oid.Set)
 	sh.mu.Lock()
-	sh.sets[id] = &setObj{members: make(map[string]SetEntry)}
+	sh.put(j, dirEntry{kind: oid.Set, a: uint32(len(sh.sets))})
+	sh.sets = append(sh.sets, make(map[string]SetEntry))
 	sh.mu.Unlock()
 	return id, nil
+}
+
+// set returns the members of set object id. Caller holds sh.mu.
+func (sh *shard) set(id oid.OID, j uint64) (map[string]SetEntry, error) {
+	e, ok := sh.entry(id, j, oid.Set)
+	if !ok {
+		return nil, fmt.Errorf("objstore: no set object %s", id)
+	}
+	return sh.sets[e.a], nil
 }
 
 // SetInsert adds member under key to set id. Inserting an existing key
 // fails.
 func (s *Store) SetInsert(id oid.OID, key val.V, member oid.OID) error {
-	s.op(s.localIdx(id), opInsert)
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opInsert)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	set, ok := sh.sets[id]
-	if !ok {
-		return fmt.Errorf("objstore: no set object %s", id)
+	members, err := sh.set(id, j)
+	if err != nil {
+		return err
 	}
 	ks := keyString(key)
-	if _, dup := set.members[ks]; dup {
+	if _, dup := members[ks]; dup {
 		return fmt.Errorf("objstore: duplicate key %s in set %s", key, id)
 	}
-	set.members[ks] = SetEntry{Key: key, Member: member}
+	members[ks] = SetEntry{Key: key, Member: member}
 	return nil
 }
 
 // SetRemove removes the member under key from set id.
 func (s *Store) SetRemove(id oid.OID, key val.V) error {
-	s.op(s.localIdx(id), opRemove)
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opRemove)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	set, ok := sh.sets[id]
-	if !ok {
-		return fmt.Errorf("objstore: no set object %s", id)
+	members, err := sh.set(id, j)
+	if err != nil {
+		return err
 	}
 	ks := keyString(key)
-	if _, ok := set.members[ks]; !ok {
+	if _, ok := members[ks]; !ok {
 		return fmt.Errorf("objstore: no key %s in set %s", key, id)
 	}
-	delete(set.members, ks)
+	delete(members, ks)
 	return nil
 }
 
 // SetSelect returns the member stored under key, if any. This is the
 // paper's generic Select operation (§2.2).
 func (s *Store) SetSelect(id oid.OID, key val.V) (oid.OID, bool, error) {
-	s.op(s.localIdx(id), opSelect)
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opSelect)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	set, ok := sh.sets[id]
-	if !ok {
-		return oid.Nil, false, fmt.Errorf("objstore: no set object %s", id)
+	members, err := sh.set(id, j)
+	if err != nil {
+		return oid.Nil, false, err
 	}
-	e, ok := set.members[keyString(key)]
+	e, ok := members[keyString(key)]
 	if !ok {
 		return oid.Nil, false, nil
 	}
@@ -496,7 +543,6 @@ func (s *Store) SetSelect(id oid.OID, key val.V) (oid.OID, bool, error) {
 // shard lock; the O(n log n) sort runs after it is released.
 func (s *Store) SetScan(id oid.OID) ([]SetEntry, error) {
 	if m := s.om; m.on() {
-		m.ops[int(s.localIdx(id))*numStoreOps+opScan].Inc()
 		start := time.Now()
 		entries, err := s.setScan(id)
 		m.scanNs.Observe(uint64(time.Since(start)))
@@ -506,16 +552,17 @@ func (s *Store) SetScan(id oid.OID) ([]SetEntry, error) {
 }
 
 func (s *Store) setScan(id oid.OID) ([]SetEntry, error) {
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
+	s.op(sh, opScan)
 	sh.mu.RLock()
-	set, ok := sh.sets[id]
-	if !ok {
+	members, err := sh.set(id, j)
+	if err != nil {
 		sh.mu.RUnlock()
-		return nil, fmt.Errorf("objstore: no set object %s", id)
+		return nil, err
 	}
-	keys := make([]string, 0, len(set.members))
-	entries := make([]SetEntry, 0, len(set.members))
-	for k, e := range set.members {
+	keys := make([]string, 0, len(members))
+	entries := make([]SetEntry, 0, len(members))
+	for k, e := range members {
 		keys = append(keys, k)
 		entries = append(entries, e)
 	}
@@ -540,31 +587,51 @@ func (es *entrySorter) Swap(i, j int) {
 
 // SetLen returns the number of members in set id.
 func (s *Store) SetLen(id oid.OID) (int, error) {
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	set, ok := sh.sets[id]
-	if !ok {
-		return 0, fmt.Errorf("objstore: no set object %s", id)
+	members, err := sh.set(id, j)
+	if err != nil {
+		return 0, err
 	}
-	return len(set.members), nil
+	return len(members), nil
 }
 
 // Kind returns the kind of object id, or Invalid if unknown.
 func (s *Store) Kind(id oid.OID) oid.Kind {
-	sh := s.shardOf(id)
+	sh, j := s.locate(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if _, ok := sh.atoms[id]; ok {
-		return oid.Atomic
-	}
-	if _, ok := sh.tuples[id]; ok {
-		return oid.Tuple
-	}
-	if _, ok := sh.sets[id]; ok {
-		return oid.Set
+	if _, ok := sh.entry(id, j, id.K); ok {
+		return id.K
 	}
 	return oid.Invalid
+}
+
+// SetTag records tag — the caller's name for the encapsulated type
+// object id is an instance of — in id's directory entry; 0 clears it.
+func (s *Store) SetTag(id oid.OID, tag uint32) error {
+	sh, j := s.locate(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entry(id, j, id.K)
+	if !ok {
+		return fmt.Errorf("objstore: no object %s", id)
+	}
+	e.tag = tag
+	return nil
+}
+
+// Tag returns the tag SetTag recorded for object id, or 0 if it has
+// none or the store does not hold id.
+func (s *Store) Tag(id oid.OID) uint32 {
+	sh, j := s.locate(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e, ok := sh.entry(id, j, id.K); ok {
+		return e.tag
+	}
+	return 0
 }
 
 // DumpAtom renders "oid=value" for diagnostics and state comparison.

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,8 +25,10 @@ var storeConfigs = []struct {
 // TestStoreConcurrentStress hammers one store with parallel mixed
 // operations — atomic read/write, tuple navigation, set
 // insert/remove/select — plus concurrent SetScan and object creation,
-// at both store layouts. Run under -race it checks the
-// shard latching; the final sums check that no update was lost.
+// at both store layouts, then races creators against readers of the
+// objects just created. Run under -race it checks the shard latching
+// across directory growth; the final sums check that no update was
+// lost.
 func TestStoreConcurrentStress(t *testing.T) {
 	for _, sc := range storeConfigs {
 		t.Run(sc.name, func(t *testing.T) {
@@ -133,6 +136,70 @@ func TestStoreConcurrentStress(t *testing.T) {
 			}
 			if int64(total) != inserted.Load() {
 				t.Fatalf("lost set inserts: %d stored, %d inserted", total, inserted.Load())
+			}
+
+			// Creators and readers race across directory growth: every
+			// new object is looked up by another goroutine at once,
+			// while more creations keep growing the directory it sits
+			// in (on the one-shard layout every creation grows the same
+			// one).
+			const creators, perCreator = 2, 1500
+			fresh := make(chan oid.OID, 64)
+			var cwg, rwg sync.WaitGroup
+			cerrs := make(chan error, creators+workers)
+			for c := 0; c < creators; c++ {
+				cwg.Add(1)
+				go func() {
+					defer cwg.Done()
+					for i := 0; i < perCreator; i++ {
+						var id oid.OID
+						var err error
+						switch i % 3 {
+						case 0:
+							id, err = s.NewAtomic(val.OfInt(int64(i)))
+						case 1:
+							id, err = s.NewTuple([]string{"a"}, map[string]oid.OID{"a": atoms[i%nAtoms]})
+						default:
+							id, err = s.NewSet()
+						}
+						if err != nil {
+							cerrs <- err
+							return
+						}
+						fresh <- id
+					}
+				}()
+			}
+			for r := 0; r < workers; r++ {
+				rwg.Add(1)
+				go func() {
+					defer rwg.Done()
+					for id := range fresh {
+						var err error
+						switch id.K {
+						case oid.Atomic:
+							_, err = s.ReadAtomic(id)
+						case oid.Tuple:
+							_, err = s.TupleGet(id, "a")
+						case oid.Set:
+							_, err = s.SetLen(id)
+						}
+						if err == nil && s.Kind(id) != id.K {
+							err = fmt.Errorf("Kind(%s) = %s", id, s.Kind(id))
+						}
+						if err != nil {
+							cerrs <- err
+							return
+						}
+					}
+				}()
+			}
+			cwg.Wait()
+			close(fresh)
+			rwg.Wait()
+			close(cerrs)
+			for err := range cerrs {
+				t.Fatal(err)
 			}
 		})
 	}

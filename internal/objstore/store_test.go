@@ -194,14 +194,16 @@ func TestTupleSchemaShared(t *testing.T) {
 }
 
 // TestTupleDirectoryFootprint: navigation allocates nothing, and a
-// tuple costs its component vector and a pointer-free directory entry
-// — not a map of its own. Measured: 109 bytes per four-component tuple
-// (64 of them the components); with the per-instance map this replaced
-// it was 475.
+// tuple costs its component vector and one 16-byte, pointer-free slot
+// of the dense directory — no map of its own, no hash-map bucket.
+// Measured: 81 bytes per four-component tuple (64 of them the
+// components, the rest its slot plus the directory's and the arena's
+// spare capacity); 109 when the directory was an OID-keyed map, 475
+// with a map per instance.
 func TestTupleDirectoryFootprint(t *testing.T) {
 	const (
 		tuples = 10_000
-		bound  = 192 // bytes of live heap per tuple
+		bound  = 100 // bytes of live heap per tuple
 	)
 	s := New(0)
 	names := []string{"No", "Customer", "Quantity", "Status"}
@@ -240,5 +242,99 @@ func TestTupleDirectoryFootprint(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("TupleGet: %v allocs, want 0", n)
+	}
+}
+
+// TestDirectoryMisses: every lookup misses, with its own error or
+// Invalid/0 and without panicking, exactly where an OID-keyed map
+// would: Nil, N ≤ offset, another store's residue class, a position
+// not yet allocated, an allocated slot whose insert never finished, a
+// live N under the wrong Kind, and Kind Invalid. Over the default
+// layout and a strided one (the second node of a two-node cluster).
+func TestDirectoryMisses(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"strided", Config{OIDStride: 2, OIDOffset: 1}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			s := NewStore(sc.cfg)
+			atom, err := s.NewAtomic(val.OfInt(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuple, err := s.NewTuple([]string{"c"}, map[string]oid.OID{"c": atom})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := s.NewSet()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An allocation whose insert never finished, followed by
+			// enough creations that its shard's directory extends past it.
+			_, unfinished, _ := s.alloc(oid.Atomic)
+			var last oid.OID
+			for i := 0; i <= len(s.shards); i++ {
+				if last, err = s.NewAtomic(val.OfInt(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := map[oid.Kind]oid.OID{oid.Atomic: atom, oid.Tuple: tuple, oid.Set: set}
+			calls := []struct {
+				name string
+				k    oid.Kind // the kind the call addresses
+				miss func(id oid.OID) bool
+			}{
+				{"ReadAtomic", oid.Atomic, func(id oid.OID) bool { _, err := s.ReadAtomic(id); return err != nil }},
+				{"WriteAtomic", oid.Atomic, func(id oid.OID) bool { return s.WriteAtomic(id, val.OfInt(2)) != nil }},
+				{"AddAtomic", oid.Atomic, func(id oid.OID) bool { _, err := s.AddAtomic(id, 1); return err != nil }},
+				{"PageOf", oid.Atomic, func(id oid.OID) bool { _, err := s.PageOf(id); return err != nil }},
+				{"TupleGet", oid.Tuple, func(id oid.OID) bool { _, err := s.TupleGet(id, "c"); return err != nil }},
+				{"TupleComponents", oid.Tuple, func(id oid.OID) bool { _, err := s.TupleComponents(id); return err != nil }},
+				{"SetSelect", oid.Set, func(id oid.OID) bool { _, _, err := s.SetSelect(id, val.OfInt(1)); return err != nil }},
+				{"SetInsert", oid.Set, func(id oid.OID) bool { return s.SetInsert(id, val.OfStr(id.String()), atom) != nil }},
+				{"SetScan", oid.Set, func(id oid.OID) bool { _, err := s.SetScan(id); return err != nil }},
+				{"SetLen", oid.Set, func(id oid.OID) bool { _, err := s.SetLen(id); return err != nil }},
+				{"Kind", oid.Atomic, func(id oid.OID) bool { return s.Kind(id) == oid.Invalid }},
+				{"Tag", oid.Atomic, func(id oid.OID) bool { return s.Tag(id) == 0 }},
+			}
+			if err := s.SetTag(atom, 7); err != nil {
+				t.Fatal(err)
+			}
+			stride := s.stride
+			for _, c := range calls {
+				own := live[c.k]
+				other := live[oid.Atomic]
+				if c.k == oid.Atomic {
+					other = tuple
+				}
+				misses := map[string]oid.OID{
+					"nil":           oid.Nil,
+					"N<=offset":     {K: c.k, N: s.offset},
+					"unallocated":   {K: c.k, N: last.N + stride},
+					"unfinished":    {K: c.k, N: unfinished.N},
+					"wrong kind":    {K: c.k, N: other.N},
+					"live as other": {K: other.K, N: own.N},
+					"kind invalid":  {K: oid.Invalid, N: own.N},
+				}
+				if stride > 1 {
+					misses["other residue"] = oid.OID{K: c.k, N: own.N + 1}
+				}
+				if c.miss(own) {
+					t.Errorf("%s(%s): live object misses", c.name, own)
+				}
+				for what, id := range misses {
+					if !c.miss(id) {
+						t.Errorf("%s(%s) [%s]: found, want a miss", c.name, id, what)
+					}
+				}
+			}
+			if err := s.SetTag(oid.OID{K: oid.Atomic, N: last.N + stride}, 1); err == nil {
+				t.Error("SetTag on an unallocated OID succeeded")
+			}
+		})
 	}
 }

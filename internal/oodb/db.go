@@ -1,7 +1,6 @@
 package oodb
 
 import (
-	"fmt"
 	"sync"
 
 	"semcc/internal/clock"
@@ -90,10 +89,10 @@ func Open(opts Options) *DB {
 			OIDStride:  opts.OIDStride,
 			OIDOffset:  opts.OIDOffset,
 		}),
-		reg:   newTypeRegistry(),
 		named: make(map[string]oid.OID),
 		obs:   o,
 	}
+	db.reg = newTypeRegistry(db.store)
 	db.finishOpen(opts)
 	return db
 }
@@ -199,12 +198,7 @@ func (db *DB) TypeByName(name string) (*Type, bool) { return db.reg.typeByName(n
 // compatibility. Population code calls this when creating objects
 // outside a transaction; Ctx.NewInstance is the transactional path.
 func (db *DB) BindInstance(obj oid.OID, typeName string) error {
-	t, ok := db.reg.typeByName(typeName)
-	if !ok {
-		return fmt.Errorf("oodb: unknown type %s", typeName)
-	}
-	db.reg.bindInstance(obj, t)
-	return nil
+	return db.reg.bindInstance(obj, typeName)
 }
 
 // TypeOf returns the encapsulated type of obj, if any.

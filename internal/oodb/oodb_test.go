@@ -377,6 +377,39 @@ func TestTypeOfAndByName(t *testing.T) {
 	}
 }
 
+// TestBindingLivesInTheStore: an instance's type is recorded with the
+// object in the store, so binding an object the store does not hold
+// fails, a foreign OID (another node's residue class) has no type, and
+// a reopened database sharing the store still resolves instances.
+func TestBindingLivesInTheStore(t *testing.T) {
+	db := Open(Options{OIDStride: 2, OIDOffset: 1})
+	registerPair(t, db)
+	r := newReg(t, db, 0)
+	foreign := oid.OID{K: r.K, N: r.N + 1} // the other node's residue
+	for _, id := range []oid.OID{foreign, {K: oid.Tuple, N: r.N + 1000}, oid.Nil, {K: oid.Atomic, N: r.N}} {
+		if err := db.BindInstance(id, "Reg"); err == nil {
+			t.Errorf("BindInstance(%s) succeeded on an object the store does not hold", id)
+		}
+		if typ, ok := db.TypeOf(id); ok {
+			t.Errorf("TypeOf(%s) = %s, want none", id, typ.Name)
+		}
+	}
+	if err := db.BindInstance(r, "NoSuchType"); err == nil {
+		t.Error("BindInstance to an unknown type succeeded")
+	}
+	db2 := Reopen(db, Options{OIDStride: 2, OIDOffset: 1})
+	if typ, ok := db2.TypeOf(r); !ok || typ.Name != "Reg" {
+		t.Fatalf("after Reopen TypeOf = %v %t", typ, ok)
+	}
+	tx := db2.Begin()
+	if _, err := tx.Call(r, "AddN", val.OfInt(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCommutingMethodsRunConcurrently(t *testing.T) {
 	db := Open(Options{})
 	registerPair(t, db)

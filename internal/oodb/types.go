@@ -9,8 +9,10 @@ package oodb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"semcc/internal/compat"
+	"semcc/internal/objstore"
 	"semcc/internal/oid"
 	"semcc/internal/val"
 )
@@ -90,50 +92,62 @@ func MustType(name string, matrix *compat.Matrix, methods ...*Method) *Type {
 }
 
 // typeRegistry maps encapsulated object instances to their types and
-// answers the engine's compatibility queries (compat.Table).
+// answers the engine's compatibility queries (compat.Table). A type's
+// tag is its index in types; an instance's binding is that tag, kept in
+// the object's store directory entry, so resolving an object's type
+// takes no registry-wide lock: types is immutable and replaced on
+// register.
 type typeRegistry struct {
-	mu        sync.RWMutex
-	types     map[string]*Type
-	instances map[oid.OID]*Type
-	generic   *compat.Matrix
+	store   *objstore.Store
+	mu      sync.RWMutex      // guards tags; serialises register
+	tags    map[string]uint32 // type name -> tag
+	types   atomic.Pointer[[]*Type]
+	generic *compat.Matrix
 }
 
-func newTypeRegistry() *typeRegistry {
-	return &typeRegistry{
-		types:     make(map[string]*Type),
-		instances: make(map[oid.OID]*Type),
-		generic:   compat.GenericMatrix(),
+func newTypeRegistry(store *objstore.Store) *typeRegistry {
+	r := &typeRegistry{
+		store:   store,
+		tags:    make(map[string]uint32),
+		generic: compat.GenericMatrix(),
 	}
+	r.types.Store(&[]*Type{nil}) // tag 0: no type
+	return r
 }
 
 func (r *typeRegistry) register(t *Type) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.types[t.Name]; dup {
+	if _, dup := r.tags[t.Name]; dup {
 		return fmt.Errorf("oodb: duplicate type %s", t.Name)
 	}
-	r.types[t.Name] = t
+	old := *r.types.Load()
+	types := append(old[:len(old):len(old)], t)
+	r.tags[t.Name] = uint32(len(old))
+	r.types.Store(&types)
 	return nil
 }
 
 func (r *typeRegistry) typeByName(name string) (*Type, bool) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t, ok := r.types[name]
-	return t, ok
+	tag, ok := r.tags[name]
+	r.mu.RUnlock()
+	return (*r.types.Load())[tag], ok
 }
 
-func (r *typeRegistry) bindInstance(obj oid.OID, t *Type) {
-	r.mu.Lock()
-	r.instances[obj] = t
-	r.mu.Unlock()
+func (r *typeRegistry) bindInstance(obj oid.OID, typeName string) error {
+	r.mu.RLock()
+	tag, ok := r.tags[typeName]
+	r.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("oodb: unknown type %s", typeName)
+	}
+	return r.store.SetTag(obj, tag)
 }
 
 func (r *typeRegistry) typeOf(obj oid.OID) (*Type, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t, ok := r.instances[obj]
-	return t, ok
+	t := (*r.types.Load())[r.store.Tag(obj)]
+	return t, t != nil
 }
 
 func (r *typeRegistry) methodOf(obj oid.OID, name string) (*Method, bool) {
