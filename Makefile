@@ -55,13 +55,19 @@ race:
 # clients run free, so it is the rule's coverage under real schedules;
 # and the two-node commit stepped through one gated journal per node
 # (dist): every awaited record outstanding at once, none handed out for
-# an unforced one.
+# an unforced one. Then the paper's Fig. 4 run concurrently, which
+# deadlocked about one run in forty while ChangeStatus read and wrote
+# its status atom (orderentry, serial), and the wait accounting of a
+# request granted past a holder whose root already finished (core).
 flake:
 	$(GO) test -race -count=20 ./adts
 	$(GO) test -race -count=40 -run 'TestOutcomeObservableAtSubmitAckedWhenDurable|TestFCFSConversionRule|TestConflictEvents|TestWaitChargedOnEveryExit' ./internal/core
 	$(GO) test -race -count=40 -run 'TestCommitWaitsForTheDeviceOnce' ./internal/dist
 	$(GO) test -race -count=40 -short -run 'TestRecoveryDependentLoser|Test(AppendsRacingClose|SyncOnClosedCoversInlineAppends)' ./internal/wal
 	$(GO) test -race -count=40 -run 'TestClientErrorsAggregated' ./internal/workload
+	$(GO) test -race -count=40 -run 'TestFigure4ConcurrentExecution$$' ./internal/orderentry
+	$(GO) test -race -count=40 -run 'TestTreeReducibleAcceptsFig4$$' ./internal/serial
+	$(GO) test -race -count=40 -run 'TestWaitCountsOnlyKeptWaits$$' ./internal/core
 
 # Focused, -short-gated race run of the journaling/recovery surface —
 # the quick iteration loop when touching engine commit/abort paths or

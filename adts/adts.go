@@ -1,7 +1,7 @@
 // Package adts provides ready-made encapsulated types built on the
 // semcc OODB engine: a FIFO Queue (the paper's introductory example of
-// commuting Enqueues), an unbounded Counter, and an escrow-style bank
-// Account. Each type ships its commutativity matrix and compensating
+// commuting Enqueues), an unbounded Counter, and a bank Account whose
+// deposits commute with withdrawals. Each type ships its commutativity matrix and compensating
 // inverses, and each is implemented in terms of the generic set/atomic
 // objects — so methods invoke further operations, exercising the open
 // nested machinery exactly like the order-entry application.
@@ -75,14 +75,11 @@ func CounterMatrix() *compat.Matrix {
 	return m
 }
 
-// AccountMatrix is the escrow-style matrix of type Account: deposits
-// commute with everything that updates, withdrawals do not commute
-// with each other (insufficient-funds floor), and Balance conflicts
-// with both update kinds. The matrix additionally carries an escrow
-// spec over the Balance component, so a database opened with
-// compat.CompatEscrow admits concurrent Withdraws whenever both fit
-// the balance interval (state-dependent commutativity), while a
-// static-mode database keeps serialising them on the matrix conflict.
+// AccountMatrix is the matrix of type Account: deposits commute with
+// everything that updates, withdrawals do not commute with each other
+// (either could hit the insufficient-funds floor, depending on the
+// balance the matrix cannot see), and Balance conflicts with both
+// update kinds.
 func AccountMatrix() *compat.Matrix {
 	m := compat.NewMatrix("Account", ADeposit, AWithdraw, ABalance, AUndeposit)
 	m.Set(ADeposit, ADeposit, compat.Always)
@@ -91,26 +88,6 @@ func AccountMatrix() *compat.Matrix {
 	m.Set(AUndeposit, AWithdraw, compat.Always)
 	m.Set(AUndeposit, AUndeposit, compat.Always)
 	m.Set(ABalance, ABalance, compat.Always)
-	// Undeposit carries no delta on purpose: it reverts a deposit the
-	// interval never counted toward withdraw admission, so its blind
-	// subtract cannot break the floor, and a reservation could make a
-	// compensation fail.
-	m.SetEscrow(&compat.EscrowSpec{
-		Component: "Balance",
-		Floor:     0,
-		Delta: func(inv compat.Invocation) (int64, bool) {
-			if len(inv.Args) != 1 || inv.Args[0].Int() < 0 {
-				return 0, false
-			}
-			switch inv.Method {
-			case AWithdraw:
-				return -inv.Args[0].Int(), true
-			case ADeposit:
-				return inv.Args[0].Int(), true
-			}
-			return 0, false
-		},
-	})
 	return m
 }
 
@@ -372,8 +349,7 @@ func accountMethods() []*oodb.Method {
 		b, err := ctx.Get(bAtom)
 		return bAtom, b, err
 	}
-	// addBalance is the blind commuting leaf of Deposit/Undeposit (and
-	// of Withdraw once an escrow reservation guarantees the floor): one
+	// addBalance is the blind commuting leaf of Deposit/Undeposit: one
 	// Add, no observing Get, so concurrent commuting methods never
 	// upgrade-deadlock on the balance atom.
 	addBalance := func(ctx *oodb.Ctx, recv oid.OID, delta int64) (val.V, error) {
@@ -412,10 +388,6 @@ func accountMethods() []*oodb.Method {
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 				if len(args) != 1 || args[0].Int() < 0 {
 					return val.NullV, fmt.Errorf("adts: Withdraw wants (amount ≥ 0)")
-				}
-				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					// The escrow reservation already guarantees the floor.
-					return addBalance(ctx, recv, -args[0].Int())
 				}
 				bAtom, b, err := balanceOf(ctx, recv)
 				if err != nil {

@@ -11,9 +11,6 @@
 //	semcc-bench -wal=group         # attach a group-commit journal to
 //	                               # every experiment point (-wal=sync,
 //	                               # group or async; default none)
-//	semcc-bench -compat=escrow     # state-dependent escrow admission on
-//	                               # every experiment point (default
-//	                               # static: matrix-only)
 //	semcc-bench -nodes 2           # run every experiment point on a
 //	                               # two-node cluster behind the 2PC
 //	                               # coordinator (0 = direct engine)
@@ -34,7 +31,7 @@
 //	                               # node="i" labels
 //
 // -hot and -trace profile one direct engine without a journal; they
-// take -compat but refuse -nodes and -wal.
+// refuse -nodes and -wal.
 package main
 
 import (
@@ -47,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/harness"
 	"semcc/internal/obs"
@@ -59,7 +55,6 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id (see the list above); empty runs all")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	compatFlag := flag.String("compat", "static", "compatibility regime: static (matrix only) or escrow (state-dependent admission)")
 	nodes := flag.Int("nodes", 0, "node count: 0 runs one engine directly; N >= 1 shards every experiment point over an N-node cluster behind the 2PC coordinator")
 	walMode := flag.String("wal", "none", "journal attached to every experiment point: none, sync, group or async")
 	hot := flag.Bool("hot", false, "run the contention profiler instead of the experiment tables")
@@ -89,10 +84,6 @@ func main() {
 	// base is the one value the flags configure; every experiment
 	// point derives from it (harness.Base).
 	var base harness.Base
-	var err error
-	if base.Compat, err = compat.ParseMode(*compatFlag); err != nil {
-		fail("%v", err)
-	}
 	if *nodes < 0 {
 		fail("invalid -nodes %d (want 0 for direct or a positive cluster size)", *nodes)
 	}
@@ -123,7 +114,10 @@ func main() {
 		})
 		served.SetEnabled(true)
 		base.Obs = served
-		var srv *obs.Server
+		var (
+			srv *obs.Server
+			err error
+		)
 		if *nodes >= 1 {
 			// Merged cluster endpoint: the shared Obs becomes the
 			// coordinator part (hop/2PC metrics, distributed spans), and
@@ -160,7 +154,7 @@ func main() {
 	}
 
 	if profile {
-		if err := runHot(base.Compat, *items, *mpl, *topK, *traceN, *quick, *asJSON, served); err != nil {
+		if err := runHot(*items, *mpl, *topK, *traceN, *quick, *asJSON, served); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -194,8 +188,8 @@ func usage() {
 		ids = append(ids, e.ID)
 	}
 	out := flag.CommandLine.Output()
-	fmt.Fprintf(out, "usage: semcc-bench [-exp %s] [-quick] [-compat static|escrow] [-nodes N] [-wal none|sync|group|async] [-serve addr [-slowms N]]\n", strings.Join(ids, "|"))
-	fmt.Fprintln(out, "       semcc-bench -hot [-trace N] [-json] [-quick] [-compat static|escrow] [-items N] [-mpl N] [-topk N] [-serve addr]")
+	fmt.Fprintf(out, "usage: semcc-bench [-exp %s] [-quick] [-nodes N] [-wal none|sync|group|async] [-serve addr [-slowms N]]\n", strings.Join(ids, "|"))
+	fmt.Fprintln(out, "       semcc-bench -hot [-trace N] [-json] [-quick] [-items N] [-mpl N] [-topk N] [-serve addr]")
 	fmt.Fprintln(out, "experiments:")
 	for _, e := range harness.All() {
 		fmt.Fprintf(out, "  %s — %s\n", e.ID, e.Title)
@@ -215,10 +209,10 @@ func fail(format string, args ...any) {
 // observability enabled and prints each protocol's contention profile:
 // the topK hottest objects, the per-cause wait-time histograms (the
 // registry's semcc_lock_wait_ns family), and the Fig. 9 case-mix
-// ratio, under the given compatibility regime. Without -serve every
+// ratio. Without -serve every
 // protocol gets its own Obs; the one -serve shares accumulates over the
 // protocols run so far.
-func runHot(mode compat.Mode, items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) error {
+func runHot(items, mpl, topK, traceN int, quick, asJSON bool, served *obs.Obs) error {
 	txPer := 300
 	if quick {
 		txPer = 100
@@ -230,7 +224,7 @@ func runHot(mode compat.Mode, items, mpl, topK, traceN int, quick, asJSON bool, 
 			o.SetEnabled(true)
 		}
 		m, err := workload.Run(workload.Config{
-			Options: oodb.Options{Protocol: p, Compat: mode, Obs: o},
+			Options: oodb.Options{Protocol: p, Obs: o},
 			Items:   items, Clients: mpl, TxPerClient: txPer, Seed: 42, Validate: true,
 		})
 		if err != nil {

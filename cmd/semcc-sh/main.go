@@ -3,13 +3,15 @@
 // database. It demonstrates the paper's "conventional transactions":
 // generic GET/PUT/SELECT/SCAN access that bypasses object
 // encapsulation, coexisting with CALLs to encapsulated methods —
-// all under the semantic locking protocol.
+// all under the semantic locking protocol. An order's Status atom
+// packs its event counts into one integer (paid in the low 32 bits,
+// shipped in the high 32), so one shipment reads 4294967296.
 //
 //	$ semcc-sh
 //	semcc> BEGIN
 //	semcc> CALL Items[1].ShipOrder(1)
 //	semcc> GET Items[1].Orders[1].Status
-//	{shipped}
+//	4294967296
 //	semcc> COMMIT
 package main
 

@@ -1,5 +1,6 @@
-// Banking: escrow-style accounts where deposits commute with
-// everything and withdrawals carry an insufficient-funds floor.
+// Banking: accounts where deposits commute with everything and
+// withdrawals carry an insufficient-funds floor, so two withdrawals
+// from one account conflict.
 // Demonstrates (1) commuting updates on one hot account, (2) transfer
 // transactions with deadlock retry, and (3) compensation — an aborted
 // transfer's committed Withdraw is undone by its inverse Deposit.

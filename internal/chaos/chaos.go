@@ -8,9 +8,7 @@
 // pressure, with seeded kill-and-recover events that snapshot the
 // WAL's durable image mid-run, rebuild via UnmarshalDurable +
 // wal.Recover, and continue, rotating the journal through all three
-// durability modes and the lock manager through both compatibility
-// regimes (static matrices, escrow admission) across epochs. The
-// run's outcome is then compared
+// durability modes across epochs. The run's outcome is then compared
 // with a serial execution of the committed transactions in commit
 // order (internal/serial.ReplayOrder): under the paper's protocol —
 // strict semantic two-phase locking with retained locks — the commit
@@ -88,9 +86,6 @@ func (c Config) withDefaults() Config {
 type Epoch struct {
 	// Mode is the WAL durability mode the epoch ran under.
 	Mode string
-	// Compat is the compatibility regime the epoch ran under (static
-	// or escrow); like Mode it rotates per epoch in seeded order.
-	Compat string
 	// MaxBatch is the group-commit batch cap used.
 	MaxBatch int
 	// Records is the journal record count that survived the epoch's
@@ -143,12 +138,9 @@ type Report struct {
 	// holders, and wakes the parked root.
 	Blocks, ForcedCommits, Wakes int
 	// InsufficientStock counts ship/debit actions that hit the
-	// quantity-on-hand floor — statically via the application check,
-	// in escrow epochs via a denied reservation (core.ErrEscrowBounds);
-	// both are expected, replayed observations.
+	// quantity-on-hand floor: expected, replayed observations.
 	InsufficientStock int
-	// StockOps counts successful DebitStock/CreditStock actions (the
-	// updates escrow admission is about).
+	// StockOps counts successful DebitStock/CreditStock actions.
 	StockOps int
 	// TraceHash fingerprints the full execution trace, including the
 	// byte-level durable image at every kill: equal seeds must give

@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"semcc/internal/clock"
-	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/dist"
 	"semcc/internal/obs"
@@ -154,7 +153,6 @@ type driver struct {
 	injected    bool
 
 	modeSeq    []wal.Mode
-	compatSeq  []compat.Mode
 	curBatch   int
 	epochFloor int
 	// netStock is the committed net stock delta by ItemNo
@@ -194,13 +192,6 @@ func newDriver(cfg Config) *driver {
 	for _, i := range d.rng.Perm(len(modes)) {
 		d.modeSeq = append(d.modeSeq, modes[i])
 	}
-	// Like the durability mode, the compatibility regime rotates per
-	// epoch in a seeded order, so kills land in both static and escrow
-	// regimes and recovery crosses regime boundaries.
-	cmodes := compat.Modes()
-	for _, i := range d.rng.Perm(len(cmodes)) {
-		d.compatSeq = append(d.compatSeq, cmodes[i])
-	}
 	d.netStock = make(map[int64]int64)
 	kills := cfg.Kills
 	for i := 1; i <= kills; i++ {
@@ -208,14 +199,10 @@ func newDriver(cfg Config) *driver {
 	}
 	d.curBatch = batchChoices[d.rng.Intn(len(batchChoices))]
 	if cfg.Nodes >= 2 {
-		// Multi-node: one engine, lock table, escrow table, pool and
-		// journal per node, the order-entry population sharded by item
-		// ownership, every root a coordinator transaction. The
-		// compatibility regime is fixed for the whole run (a kill
-		// restarts one node, not the cluster, and mixing regimes
-		// across live nodes would make the admission behaviour depend
-		// on object placement); the durability mode still rotates with
-		// each crashed node's fresh journal.
+		// Multi-node: one engine, lock table, pool and journal per
+		// node, the order-entry population sharded by item ownership,
+		// every root a coordinator transaction. The durability mode
+		// rotates with each crashed node's fresh journal.
 		d.journals = make([]wal.Journal, cfg.Nodes)
 		d.cluster = dist.OpenCluster(cfg.Nodes, func(i int) oodb.Options {
 			j := wal.New(wal.Config{
@@ -230,7 +217,6 @@ func newDriver(cfg Config) *driver {
 				Journal:    j,
 				Hooks:      d.hooksAt(i),
 				Clock:      d.clk,
-				Compat:     d.compatSeq[0],
 			}
 		})
 		// The coordinator runs with observability enabled for the whole
@@ -248,8 +234,8 @@ func newDriver(cfg Config) *driver {
 		d.app = app
 		d.db = d.cluster.Node(0).DB()
 		d.journal = d.journals[0]
-		d.tracef("seed=%d actions=%d roots=%d nodes=%d kills=%v mode=%s compat=%s batch=%d pop=%+v",
-			cfg.Seed, cfg.Actions, cfg.Roots, cfg.Nodes, d.killAt, d.journal.Mode(), d.db.CompatMode(), d.curBatch, d.pop)
+		d.tracef("seed=%d actions=%d roots=%d nodes=%d kills=%v mode=%s batch=%d pop=%+v",
+			cfg.Seed, cfg.Actions, cfg.Roots, cfg.Nodes, d.killAt, d.journal.Mode(), d.curBatch, d.pop)
 		return d
 	}
 	j := wal.New(wal.Config{
@@ -264,7 +250,6 @@ func newDriver(cfg Config) *driver {
 		Journal:    j,
 		Hooks:      d.hooks,
 		Clock:      d.clk,
-		Compat:     d.compatSeq[0],
 	})
 	app, err := orderentry.Setup(d.db, d.pop)
 	if err != nil {
@@ -272,8 +257,8 @@ func newDriver(cfg Config) *driver {
 	}
 	d.app = app
 	d.epochFloor = j.Len()
-	d.tracef("seed=%d actions=%d roots=%d kills=%v mode=%s compat=%s batch=%d pop=%+v",
-		cfg.Seed, cfg.Actions, cfg.Roots, d.killAt, j.Mode(), d.db.CompatMode(), d.curBatch, d.pop)
+	d.tracef("seed=%d actions=%d roots=%d kills=%v mode=%s batch=%d pop=%+v",
+		cfg.Seed, cfg.Actions, cfg.Roots, d.killAt, j.Mode(), d.curBatch, d.pop)
 	return d
 }
 
@@ -617,7 +602,6 @@ func (d *driver) run() {
 	}
 	d.report.Epochs = append(d.report.Epochs, Epoch{
 		Mode:     d.journal.Mode().String(),
-		Compat:   d.db.CompatMode().String(),
 		MaxBatch: d.curBatch,
 		Records:  d.journalLen(),
 	})
@@ -828,18 +812,15 @@ func (d *driver) kill() {
 
 	d.report.Epochs = append(d.report.Epochs, Epoch{
 		Mode:           j.Mode().String(),
-		Compat:         d.db.CompatMode().String(),
 		MaxBatch:       d.curBatch,
 		Records:        cutEnd,
 		DroppedCommits: len(recs) - cutEnd,
 		TornBytes:      torn,
 	})
 
-	// Next epoch: fresh journal with rotated durability mode and
-	// compatibility regime, engine rebuilt over the shared store,
-	// recovery from the cut image.
+	// Next epoch: fresh journal with rotated durability mode, engine
+	// rebuilt over the shared store, recovery from the cut image.
 	mode := d.modeSeq[(d.report.Kills+1)%len(d.modeSeq)]
-	cmode := d.compatSeq[(d.report.Kills+1)%len(d.compatSeq)]
 	d.curBatch = batchChoices[d.rng.Intn(len(batchChoices))]
 	nj := wal.New(wal.Config{
 		Mode:     mode,
@@ -859,7 +840,6 @@ func (d *driver) kill() {
 		Journal:    nj,
 		Hooks:      d.hooks,
 		Clock:      d.clk,
-		Compat:     cmode,
 	})
 	an, err := wal.Recover(db2, cutLog)
 	if err != nil {
@@ -873,8 +853,8 @@ func (d *driver) kill() {
 	d.epochFloor = nj.Len()
 	d.report.Epochs[len(d.report.Epochs)-1].Losers = len(an.Losers)
 	d.report.Kills++
-	d.tracef("kill#%d keep=%d drop=%d torn=%d img=%016x losers=%d next=%s/%s/%d",
-		d.report.Kills, cutEnd, len(recs)-cutEnd, torn, hashBytes(keep), len(an.Losers), mode, cmode, d.curBatch)
+	d.tracef("kill#%d keep=%d drop=%d torn=%d img=%016x losers=%d next=%s/%d",
+		d.report.Kills, cutEnd, len(recs)-cutEnd, torn, hashBytes(keep), len(an.Losers), mode, d.curBatch)
 	d.checkConservation(fmt.Sprintf("after recovery %d", d.report.Kills))
 }
 
@@ -935,7 +915,6 @@ func (d *driver) killNode() {
 
 	d.report.Epochs = append(d.report.Epochs, Epoch{
 		Mode:      j.Mode().String(),
-		Compat:    d.db.CompatMode().String(),
 		MaxBatch:  d.curBatch,
 		Records:   len(recs),
 		TornBytes: torn,
@@ -965,7 +944,6 @@ func (d *driver) killNode() {
 		Journal:    nj,
 		Hooks:      d.hooksAt(victim),
 		Clock:      d.clk,
-		Compat:     d.compatSeq[0],
 	}, cutLog)
 	if err != nil {
 		d.fail("killnode: recovery: %v", err)

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"semcc/internal/core"
 	"semcc/internal/oid"
 	"semcc/internal/orderentry"
 	"semcc/internal/val"
@@ -39,11 +38,8 @@ const (
 	actPutCust
 	actScanOrders
 	// actDebit/actCredit are direct stock-counter updates
-	// (DebitStock/CreditStock). Under the static regime they conflict
-	// with everything touching quantity-on-hand; under escrow epochs
-	// they are admitted against the bounds interval, so the same seeded
-	// plan exercises both admission paths across the driver's compat
-	// rotation.
+	// (DebitStock/CreditStock); they conflict with everything touching
+	// quantity-on-hand.
 	actDebit
 	actCredit
 )
@@ -205,16 +201,13 @@ func applyAction(a *orderentry.App, tx orderentry.Session, ac action) (string, e
 	return "", fmt.Errorf("chaos: unknown action kind %d", ac.kind)
 }
 
-// outcomeFrag folds expected application errors into the observation.
-// A denied escrow reservation folds to the same fragment as the static
-// floor check: both mean "the debit does not fit the committed stock
-// plus this transaction's own prior updates", which is exactly what the
-// serial replay (always static-mode) reproduces.
+// outcomeFrag folds expected application errors into the observation,
+// which the serial replay reproduces.
 func outcomeFrag(base, ok string, err error) (string, error) {
 	switch {
 	case err == nil:
 		return base + "=" + ok, nil
-	case errors.Is(err, orderentry.ErrInsufficientStock), errors.Is(err, core.ErrEscrowBounds):
+	case errors.Is(err, orderentry.ErrInsufficientStock):
 		return base + "=stock", nil
 	case errors.Is(err, orderentry.ErrNoSuchOrder):
 		return base + "=noorder", nil

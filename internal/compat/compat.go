@@ -38,10 +38,9 @@ const (
 	OpScan = "Scan"
 	// OpAdd adds a signed delta to an atomic integer — a blind
 	// read-modify-write that commutes with itself (addition is
-	// commutative) but conflicts with Get and Put. It is the leaf
-	// operation escrow-admitted methods decrement counters with: the
-	// floor is guaranteed by the method-level escrow reservation, so
-	// the leaf needs no observing Get.
+	// commutative) but conflicts with Get and Put. Counters and the
+	// order status atom update through it, so two updates that their
+	// matrix declares commuting also commute at the leaves.
 	OpAdd = "Add"
 	// OpRoot labels transaction roots (actions on the database
 	// pseudo-object). Roots never commute with each other.
@@ -102,7 +101,6 @@ type Matrix struct {
 	typeName string
 	methods  []string
 	rules    map[[2]string]Rule
-	escrow   *EscrowSpec
 }
 
 // NewMatrix returns an empty matrix for the named object type, with

@@ -5,46 +5,38 @@
 // operations, the order-entry Item and Order types, and the adts
 // Queue/Counter/Account types — so no matrix can drift from the
 // properties the lock manager assumes. It is the compatibility-layer
-// mirror of internal/core's journal_contract_test.go, and it is meant
-// to run under -race: the escrow section hammers one bounded counter
-// from concurrent transactions and then checks the interval
-// bookkeeping.
+// mirror of internal/core's journal_contract_test.go.
 package compat_test
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"testing"
 
 	"semcc/adts"
 	"semcc/internal/compat"
 	"semcc/internal/core"
+	"semcc/internal/history"
+	"semcc/internal/oid"
 	"semcc/internal/oodb"
 	"semcc/internal/orderentry"
 	"semcc/internal/val"
 )
 
 // matrices enumerates every compatibility matrix the repository
-// registers, with the methods whose escrow deltas must be refused
-// (compensations — a compensation must never be able to fail on a
-// bounds check, so it carries no delta).
+// registers.
 func matrices() []struct {
-	name     string
-	m        *compat.Matrix
-	noDeltas []string
+	name string
+	m    *compat.Matrix
 } {
 	return []struct {
-		name     string
-		m        *compat.Matrix
-		noDeltas []string
+		name string
+		m    *compat.Matrix
 	}{
-		{"generic", compat.GenericMatrix(), nil},
-		{"item", orderentry.ItemMatrix(), []string{orderentry.MUncreditStock, orderentry.MShipOrder, orderentry.MUnshipOrder}},
-		{"order", orderentry.OrderMatrix(), nil},
-		{"queue", adts.QueueMatrix(), nil},
-		{"counter", adts.CounterMatrix(), nil},
-		{"account", adts.AccountMatrix(), []string{adts.AUndeposit}},
+		{"generic", compat.GenericMatrix()},
+		{"item", orderentry.ItemMatrix()},
+		{"order", orderentry.OrderMatrix()},
+		{"queue", adts.QueueMatrix()},
+		{"counter", adts.CounterMatrix()},
+		{"account", adts.AccountMatrix()},
 	}
 }
 
@@ -118,185 +110,122 @@ func TestMatrixContractDistinctKeySetOps(t *testing.T) {
 	}
 }
 
-// TestMatrixContractEscrowSpecs holds every escrow spec to the
-// declarative contract: Delta is pure (same invocation, same answer),
-// refuses invalid amounts, gives debits negative and credits positive
-// deltas, and refuses the compensation methods — a compensation that
-// could fail a bounds check would make aborts fail.
-func TestMatrixContractEscrowSpecs(t *testing.T) {
-	for _, entry := range matrices() {
-		t.Run(entry.name, func(t *testing.T) {
-			spec := entry.m.Escrow()
-			if spec == nil {
-				if len(entry.noDeltas) > 0 {
-					t.Fatalf("%s: expected an escrow spec", entry.name)
-				}
-				return
-			}
-			if spec.Component == "" {
-				t.Fatalf("%s: escrow spec without component", entry.name)
-			}
-			if spec.Ceil != 0 && spec.Ceil < spec.Floor {
-				t.Fatalf("%s: escrow bounds [%d, %d] are empty", entry.name, spec.Floor, spec.Ceil)
-			}
-			for _, method := range entry.m.Methods() {
-				inv := compat.Invocation{Method: method, Args: []val.V{val.OfInt(5)}}
-				d1, ok1 := spec.Delta(inv)
-				d2, ok2 := spec.Delta(inv)
-				if d1 != d2 || ok1 != ok2 {
-					t.Fatalf("%s: Delta(%s) is not pure: (%d,%t) then (%d,%t)",
-						entry.name, inv, d1, ok1, d2, ok2)
-				}
-				if ok1 && d1 == 0 {
-					t.Fatalf("%s: Delta(%s) declares a zero delta", entry.name, inv)
-				}
-				// A non-positive amount is never a valid counter move.
-				if _, ok := spec.Delta(compat.Invocation{Method: method, Args: []val.V{val.OfInt(-5)}}); ok {
-					t.Fatalf("%s: Delta accepts a negative amount on %s", entry.name, method)
-				}
-			}
-			for _, method := range entry.noDeltas {
-				inv := compat.Invocation{Method: method, Args: []val.V{val.OfInt(5)}}
-				if d, ok := spec.Delta(inv); ok {
-					t.Fatalf("%s: compensation/non-counter method %s carries escrow delta %d",
-						entry.name, method, d)
-				}
-			}
-		})
-	}
-}
-
-// TestEscrowAbortRestoresInterval pins the engine-side invariant the
-// satellite contract names: a reservation shrinks the object's bounds
-// interval, an abort restores it exactly (the compensation reverts the
-// store, the release reverts the interval), and a commit settles it
-// into the new committed base.
-func TestEscrowAbortRestoresInterval(t *testing.T) {
-	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Compat: compat.CompatEscrow})
+// TestMatrixContractCommutingLeaves holds every method that its
+// matrix lets run next to itself to leaf accesses that commute too:
+// its subtree must never Get an atom and later Put the same atom. Two
+// concurrent invocations of such a method would both hold the Get,
+// both queue the Put, and deadlock on the upgrade, although the matrix
+// promised they commute (Malta & Martinez: a pair declared commuting
+// must have leaf accesses that commute). Each method runs once, in its
+// own committed root, with history recording on; the runs are ordered
+// so every compensation has something to undo.
+func TestMatrixContractCommutingLeaves(t *testing.T) {
+	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Record: true})
 	app, err := orderentry.Setup(db, orderentry.Config{
-		Items: 1, OrdersPerItem: 1, InitialQOH: 10, Price: 10, OrderQuantity: 1,
+		Items: 1, OrdersPerItem: 2, InitialQOH: 10, Price: 10, OrderQuantity: 1,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adts.RegisterTypes(db); err != nil {
 		t.Fatal(err)
 	}
 	item, err := app.Item(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	tx := db.Begin()
-	if _, err := tx.Call(item, orderentry.MDebitStock, val.OfInt(3)); err != nil {
-		t.Fatal(err)
-	}
-	low, high, holds, ok := db.Engine().EscrowInterval(item)
-	if !ok || low != 7 || high != 10 || holds != 1 {
-		t.Fatalf("after debit reservation: interval [%d, %d] holds=%d ok=%t, want [7, 10] holds=1", low, high, holds, ok)
-	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	low, high, holds, ok = db.Engine().EscrowInterval(item)
-	if !ok || low != 10 || high != 10 || holds != 0 {
-		t.Fatalf("after abort: interval [%d, %d] holds=%d ok=%t, want restored [10, 10] holds=0", low, high, holds, ok)
-	}
-
-	tx2 := db.Begin()
-	if _, err := tx2.Call(item, orderentry.MDebitStock, val.OfInt(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	low, high, holds, ok = db.Engine().EscrowInterval(item)
-	if !ok || low != 6 || high != 6 || holds != 0 {
-		t.Fatalf("after commit: interval [%d, %d] holds=%d ok=%t, want settled [6, 6] holds=0", low, high, holds, ok)
-	}
-
-	// A debit past the floor must fail deterministically and leave the
-	// interval untouched.
-	tx3 := db.Begin()
-	if _, err := tx3.Call(item, orderentry.MDebitStock, val.OfInt(7)); !errors.Is(err, core.ErrEscrowBounds) {
-		t.Fatalf("over-floor debit: err = %v, want ErrEscrowBounds", err)
-	}
-	if err := tx3.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	low, high, holds, _ = db.Engine().EscrowInterval(item)
-	if low != 6 || high != 6 || holds != 0 {
-		t.Fatalf("after denied debit: interval [%d, %d] holds=%d, want untouched [6, 6] holds=0", low, high, holds)
-	}
-}
-
-// TestEscrowConcurrentFloor hammers one bounded counter from
-// concurrent transactions under -race: every admitted combination of
-// debits and credits must keep the committed value at or above the
-// floor, and the final value must equal the initial value plus the
-// net of the debits and credits that actually committed.
-func TestEscrowConcurrentFloor(t *testing.T) {
-	const initialQOH = 4
-	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Compat: compat.CompatEscrow})
-	app, err := orderentry.Setup(db, orderentry.Config{
-		Items: 1, OrdersPerItem: 1, InitialQOH: initialQOH, Price: 10, OrderQuantity: 1,
-	})
+	nos, err := app.OrderNosOf(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order, err := app.Order(1, nos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue, err := adts.NewQueue(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := adts.NewCounter(db, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	account, err := adts.NewAccount(db, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i64, paid := val.OfInt, val.OfStr("paid")
+	runs := []struct {
+		m    *compat.Matrix
+		recv oid.OID
+		name string
+		args []val.V
+	}{
+		{orderentry.ItemMatrix(), item, orderentry.MNewOrder, []val.V{i64(7), i64(1)}},
+		{orderentry.ItemMatrix(), item, orderentry.MPayOrder, []val.V{i64(nos[0])}},
+		{orderentry.ItemMatrix(), item, orderentry.MUnpayOrder, []val.V{i64(nos[0])}},
+		{orderentry.ItemMatrix(), item, orderentry.MTotalPayment, nil},
+		{orderentry.ItemMatrix(), item, orderentry.MRemoveOrder, []val.V{i64(nos[1])}},
+		{orderentry.OrderMatrix(), order, orderentry.MChangeStatus, []val.V{paid}},
+		{orderentry.OrderMatrix(), order, orderentry.MTestStatus, []val.V{paid}},
+		{orderentry.OrderMatrix(), order, orderentry.MUnchangeStatus, []val.V{paid}},
+		{adts.QueueMatrix(), queue, adts.QEnqueue, []val.V{i64(3)}},
+		{adts.QueueMatrix(), queue, adts.QUnenqueue, []val.V{i64(0)}},
+		{adts.QueueMatrix(), queue, adts.QSize, nil},
+		{adts.CounterMatrix(), counter, adts.CInc, []val.V{i64(2)}},
+		{adts.CounterMatrix(), counter, adts.CDec, []val.V{i64(1)}},
+		{adts.CounterMatrix(), counter, adts.CValue, nil},
+		{adts.AccountMatrix(), account, adts.ADeposit, []val.V{i64(2)}},
+		{adts.AccountMatrix(), account, adts.AUndeposit, []val.V{i64(2)}},
+		{adts.AccountMatrix(), account, adts.ABalance, nil},
+	}
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var net int64
-	errCh := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				amt := int64(g%3 + 1)
-				var err error
-				if (g+i)%3 == 0 {
-					err = app.CreditTx(1, amt)
-					if err == nil {
-						mu.Lock()
-						net += amt
-						mu.Unlock()
-					}
-				} else {
-					err = app.DebitTx(1, amt)
-					if err == nil {
-						mu.Lock()
-						net -= amt
-						mu.Unlock()
-					}
-				}
-				if err != nil && !errors.Is(err, core.ErrEscrowBounds) && !errors.Is(err, orderentry.ErrInsufficientStock) {
-					errCh <- fmt.Errorf("goroutine %d op %d: %w", g, i, err)
-					return
+	// Every self-compatible method of the application matrices must be
+	// among the runs, so a new one cannot slip past the check.
+	covered := map[string]bool{}
+	for _, r := range runs {
+		covered[r.m.TypeName()+"."+r.name] = true
+	}
+	for _, entry := range matrices()[1:] {
+		for _, method := range entry.m.Methods() {
+			selfCompatible := false
+			for _, pair := range probePairs(method, method) {
+				selfCompatible = selfCompatible || entry.m.Compatible(pair[0], pair[1])
+			}
+			if selfCompatible && !covered[entry.m.TypeName()+"."+method] {
+				t.Errorf("%s.%s is compatible with itself but has no footprint run", entry.m.TypeName(), method)
+			}
+		}
+	}
+
+	for i, r := range runs {
+		tx := db.Begin()
+		if _, err := tx.Call(r.recv, r.name, r.args...); err != nil {
+			t.Fatalf("%s.%s: %v", r.m.TypeName(), r.name, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		roots := db.Engine().Forest().Roots
+		if len(roots) != i+1 || len(roots[i].Children) != 1 {
+			t.Fatalf("%s.%s: recorded %d roots, want %d with one call each", r.m.TypeName(), r.name, len(roots), i+1)
+		}
+		read := map[oid.OID]bool{}
+		var walk func(n *history.Node)
+		walk = func(n *history.Node) {
+			switch n.Inv.Method {
+			case compat.OpGet:
+				read[n.Inv.Object] = true
+			case compat.OpPut:
+				if read[n.Inv.Object] {
+					t.Errorf("%s.%s is compatible with itself but its leaves Get %s and then Put it",
+						r.m.TypeName(), r.name, n.Inv.Object)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	states, err := app.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 {
-		t.Fatalf("want 1 item state, got %d", len(states))
-	}
-	if got, want := states[0].QOH, int64(initialQOH)+net; got != want {
-		t.Fatalf("final QOH %d, want initial %d + committed net %d = %d", got, initialQOH, net, want)
-	}
-	if states[0].QOH < 0 {
-		t.Fatalf("floor breached: final QOH %d", states[0].QOH)
-	}
-	low, high, holds, ok := db.Engine().EscrowInterval(app.ItemOIDOf(1))
-	if ok && (holds != 0 || low != high) {
-		t.Fatalf("quiescent interval not settled: [%d, %d] holds=%d", low, high, holds)
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(roots[i].Children[0])
 	}
 }

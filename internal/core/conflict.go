@@ -2,12 +2,19 @@ package core
 
 import "semcc/internal/obs"
 
+// noCount is the wait class of a conflict that no counter classifies
+// (the §3 open-nesting baseline, and no conflict at all).
+const noCount = numStatCounters
+
 // testConflict implements the paper's Figure 9 for the semantic
 // protocol, and the corresponding tests for the baseline protocols.
 //
 // It tests lock requestor r against held (or earlier-queued) lock h on
 // the same object and returns nil when no conflict exists, or the
-// transaction node whose *completion* r must wait for.
+// transaction node whose *completion* r must wait for, together with
+// the counter that classifies the wait (cCase2Waits, cRootWaits, or
+// noCount). The caller counts a wait only if it keeps the target: a
+// node that completed meanwhile is no wait at all (waitSet).
 //
 // Semantic protocol (paper Fig. 9):
 //
@@ -32,38 +39,22 @@ import "semcc/internal/obs"
 // test when a waited-on node completes, so a stale Active read only
 // ever causes one extra recheck, never a wrong grant).
 //
-// stripe selects the stats stripe; probe suppresses the counters for
-// non-mutating probes.
-func (m *lockMgr) testConflict(h *lock, r *lock, stripe int, probe bool) *Tx {
+// stripe selects the stats stripe; probe suppresses the case-1 count
+// and event for non-mutating probes.
+func (m *lockMgr) testConflict(h *lock, r *lock, stripe int, probe bool) (*Tx, statCounter) {
 	hOwner, rOwner := h.owner, r.owner
 	if hOwner.root == rOwner.root {
-		return nil
+		return nil, noCount
 	}
 	if m.compatible(h.inv, r.inv) {
-		return nil
-	}
-	if h.escrowed && r.escrowed {
-		// State-dependent admission (escrow mode): both requests hold
-		// reservations on this object's counter, so both deltas fit the
-		// bounds interval simultaneously — the operations commute in
-		// the current state even though the static matrix conflicts
-		// them. Like case-1 grants, these leave no block/grant pair
-		// behind, so the event names them here (the sink's stripe
-		// mutex is a leaf: emitting under the shard mutex cannot
-		// deadlock).
-		m.bumpStat(stripe, cEscrowAdmits, probe)
-		if !probe && m.obs.On() {
-			m.obs.Emit(stripe, obs.Event{Kind: obs.EvEscrow, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
-		}
-		return nil
+		return nil, noCount
 	}
 	switch m.kind {
 	case Semantic:
 		if m.noRelief {
 			// Ablation: retained-lock conflicts always wait for the
 			// holder's top-level commit.
-			m.bumpStat(stripe, cRootWaits, probe)
-			return hOwner.root
+			return hOwner.root, cRootWaits
 		}
 		for _, hp := range hOwner.ancestors() {
 			for _, rp := range rOwner.ancestors() {
@@ -81,19 +72,19 @@ func (m *lockMgr) testConflict(h *lock, r *lock, stripe int, probe bool) *Tx {
 					// no block/grant pair behind, so the event names
 					// them here (the sink's stripe mutex is a leaf:
 					// emitting under the shard mutex cannot deadlock).
-					m.bumpStat(stripe, cCase1Grants, probe)
-					if !probe && m.obs.On() {
-						m.obs.Emit(stripe, obs.Event{Kind: obs.EvCase1, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
+					if !probe {
+						m.stats.bump(stripe, cCase1Grants)
+						if m.obs.On() {
+							m.obs.Emit(stripe, obs.Event{Kind: obs.EvCase1, Node: rOwner.id, Root: rOwner.root.id, Obj: r.inv.Object, Peer: hOwner.id})
+						}
 					}
-					return nil
+					return nil, noCount
 				}
 				// Case 2: r may resume as soon as hp commits.
-				m.bumpStat(stripe, cCase2Waits, probe)
-				return hp
+				return hp, cCase2Waits
 			}
 		}
-		m.bumpStat(stripe, cRootWaits, probe)
-		return hOwner.root
+		return hOwner.root, cRootWaits
 
 	case OpenNoRetain:
 		// Paper §3 protocol: a subtransaction's locks are released at
@@ -102,25 +93,15 @@ func (m *lockMgr) testConflict(h *lock, r *lock, stripe int, probe bool) *Tx {
 		// lock). Wait for the lowest such node.
 		for a := hOwner; a != nil; a = a.parent {
 			if a.State() == Active {
-				return a
+				return a, noCount
 			}
 		}
-		return hOwner.root
+		return hOwner.root, noCount
 
 	default:
 		// Conventional protocols (closed nested, strict 2PL on
 		// objects or pages): conflicting locks are held until the
 		// holder's top-level commit.
-		m.bumpStat(stripe, cRootWaits, probe)
-		return hOwner.root
+		return hOwner.root, cRootWaits
 	}
-}
-
-// bumpStat increments a stats counter unless a non-mutating probe is
-// in progress.
-func (m *lockMgr) bumpStat(stripe int, c statCounter, probe bool) {
-	if probe {
-		return
-	}
-	m.stats.bump(stripe, c)
 }

@@ -13,7 +13,6 @@ import (
 	"semcc/internal/history"
 	"semcc/internal/obs"
 	"semcc/internal/oid"
-	"semcc/internal/val"
 )
 
 // JournalKind tags a journal record.
@@ -40,18 +39,12 @@ const (
 	JNodeAborted
 	// JRootCommit: a top-level transaction committed.
 	JRootCommit
-	// JEscrowReserve: a node obtained an escrow reservation (escrow
-	// compat mode). Inv carries the counter object and the reserved
-	// delta as an OpAdd invocation; recovery uses these records to
-	// report the reservations a crash left outstanding (the store
-	// effects themselves are undone by the ordinary compensation
-	// machinery, which also restores the intervals — they are
-	// recomputed from committed state at restart).
-	JEscrowReserve
-	// JEscrowRelease: a node's escrow reservation was dropped without
-	// settling (abort path). Commit settlement is implied by
-	// JRootCommit and emits no record of its own.
-	JEscrowRelease
+	// Kinds 7 and 8 are retired: they journaled the reservations of a
+	// state-dependent admission regime the engine no longer has. The
+	// slots stay empty so every later kind keeps its byte in existing
+	// journals; recovery rejects them as unknown.
+	_
+	_
 	// JPrepare: a root transaction entered the prepared state as a
 	// participant of a distributed commit (2PC phase 1). Parent
 	// carries the coordinator's global transaction id. The record is
@@ -185,17 +178,6 @@ type Config struct {
 	// decision events. Disabled is one atomic load per site, nil a
 	// pointer check.
 	Obs *obs.Obs
-	// Compat selects the compatibility regime: CompatStatic (default)
-	// consults only the static matrices; CompatEscrow additionally
-	// maintains per-object escrow bounds intervals and admits
-	// statically-conflicting counter updates whose deltas both fit
-	// (state-dependent commutativity). Escrow mode requires EscrowRead
-	// and a Table implementing compat.EscrowTable.
-	Compat compat.Mode
-	// EscrowRead supplies a counter's committed value on the escrow
-	// table's first contact with an object (escrow mode only). The oodb
-	// layer installs component navigation plus an atomic read.
-	EscrowRead func(obj oid.OID, component string) (int64, error)
 	// Clock supplies every wall-time *measurement* the engine makes
 	// (span WAL timing, lock-wait attribution). Nil selects the real
 	// clock; deterministic harnesses inject clock.Fake. Scheduling
@@ -234,11 +216,6 @@ type Engine struct {
 	releaseNs *obs.Hist
 	clk       clock.Clock
 
-	// compatMode and esc implement state-dependent commutativity; esc
-	// is nil in static mode.
-	compatMode compat.Mode
-	esc        *escrowTable
-
 	// exec runs a compensating invocation as a child of the given
 	// node; installed by the OODB layer (which owns method bodies).
 	exec func(parent *Tx, inv compat.Invocation) error
@@ -264,19 +241,6 @@ func New(cfg Config) *Engine {
 	}
 	stats := &Stats{}
 	clk := clock.Or(cfg.Clock)
-	var esc *escrowTable
-	var escTab compat.EscrowTable
-	if cfg.Compat == compat.CompatEscrow {
-		et, ok := cfg.Table.(compat.EscrowTable)
-		if !ok {
-			panic("core: CompatEscrow requires a Table implementing compat.EscrowTable")
-		}
-		if cfg.EscrowRead == nil {
-			panic("core: CompatEscrow requires Config.EscrowRead")
-		}
-		escTab = et
-		esc = newEscrowTable(cfg.EscrowRead)
-	}
 	lm := &lockMgr{
 		kind:     cfg.Kind,
 		table:    cfg.Table,
@@ -288,21 +252,17 @@ func New(cfg Config) *Engine {
 		stats:    stats,
 		obs:      cfg.Obs,
 		clk:      clk,
-		esc:      esc,
-		escTab:   escTab,
 	}
 	e := &Engine{
-		kind:       cfg.Kind,
-		table:      cfg.Table,
-		record:     cfg.Record,
-		journal:    cfg.Journal,
-		obs:        cfg.Obs,
-		lm:         lm,
-		wfg:        lm.wfg,
-		stats:      stats,
-		clk:        clk,
-		compatMode: cfg.Compat,
-		esc:        esc,
+		kind:    cfg.Kind,
+		table:   cfg.Table,
+		record:  cfg.Record,
+		journal: cfg.Journal,
+		obs:     cfg.Obs,
+		lm:      lm,
+		wfg:     lm.wfg,
+		stats:   stats,
+		clk:     clk,
 	}
 	if aj, ok := cfg.Journal.(AckJournal); ok {
 		e.ackJournal = aj
@@ -318,20 +278,6 @@ func New(cfg Config) *Engine {
 
 // Kind returns the protocol the engine runs.
 func (e *Engine) Kind() ProtocolKind { return e.kind }
-
-// CompatMode returns the engine's compatibility regime.
-func (e *Engine) CompatMode() compat.Mode { return e.compatMode }
-
-// EscrowInterval reports obj's current escrow bounds interval and the
-// number of outstanding reservations. ok is false in static mode or
-// when the object's counter has not been touched yet (tests and
-// diagnostics).
-func (e *Engine) EscrowInterval(obj oid.OID) (low, high int64, holds int, ok bool) {
-	if e.esc == nil {
-		return 0, 0, 0, false
-	}
-	return e.esc.interval(obj)
-}
 
 // Table returns the compatibility table the engine consults (the
 // serializability checkers reuse it).
@@ -363,11 +309,11 @@ func (e *Engine) Stats() StatsSnapshot { return e.stats.Snapshot() }
 // journals reports whether t's begin, subcommit and abort are
 // journaled: always, when there is a journal, except for a generic read
 // leaf (Get, Select, Scan). Recovery compensates a loser's committed
-// work and nothing else, and a read leaf has none: no inverse, no
-// children, no escrow hold. Any write that depends on what it read is
-// journaled where it happens, after the read's lock was granted, so the
-// loser order of DESIGN.md §3.7 still rests on journaled records. The
-// read keeps its lock exactly as a journaled node does.
+// work and nothing else, and a read leaf has none: no inverse and no
+// children. Any write that depends on what it read is journaled where
+// it happens, after the read's lock was granted, so the loser order of
+// DESIGN.md §3.7 still rests on journaled records. The read keeps its
+// lock exactly as a journaled node does.
 func (e *Engine) journals(t *Tx) bool {
 	return e.journal != nil && !compat.IsReadOp(t.inv.Method)
 }
@@ -518,14 +464,6 @@ func (e *Engine) BeginChild(parent *Tx, inv compat.Invocation) (*Tx, error) {
 	}
 	if e.journals(t) {
 		e.journalAppend(t, JournalRecord{Kind: JBegin, Node: t.id, Parent: parent.id})
-		if t.escrowEnt != nil {
-			// The reservation is journalled as an OpAdd invocation on the
-			// counter object carrying the reserved delta, reusing the
-			// existing record encoding. Only the tree's driving goroutine
-			// writes t.escrowEnt, so this read is race-free.
-			rinv := compat.Inv(lockInv.Object, compat.OpAdd, val.OfInt(t.escrowDelta))
-			e.journalAppend(t, JournalRecord{Kind: JEscrowReserve, Node: t.id, Parent: parent.id, Inv: &rinv})
-		}
 	}
 	return t, nil
 }
@@ -587,7 +525,7 @@ func (e *Engine) RecordUndo(t *Tx, inverse compat.Invocation) {
 // held by its tree. The commit runs as submit → make observable →
 // wait: the JRootCommit record is submitted (its position in the
 // journal order is the commit point), the commit becomes observable at
-// once — escrow settled, state Committed, locks released, waiters woken
+// once — state Committed, locks released, waiters woken
 // — and only then does the goroutine park until the record is durable.
 // CommitRoot therefore still returns only once the outcome is durable
 // (sync and group modes), but no waiter inherits the committer's wait
@@ -631,13 +569,6 @@ func (e *Engine) commitRoot(t *Tx, forced bool) error {
 			e.journalAppend(t, rec)
 		}
 	}
-	// Settle the tree's escrow reservations (fold the now-committed
-	// deltas into the counters' committed bases) before waiters wake via
-	// close(done), so a woken escrow request re-checks against settled
-	// intervals.
-	if e.esc != nil {
-		e.esc.settleTree(t)
-	}
 	t.setState(Committed)
 	t.endSeq = e.seq.Add(1)
 	t.undo = nil
@@ -675,7 +606,7 @@ func (e *Engine) commitRoot(t *Tx, forced bool) error {
 // (wal.Analysis.InDoubt) for resolution against the coordinator's
 // decision log.
 //
-// A root with an empty undo list and no escrow reservation has nothing
+// A root with an empty undo list has nothing
 // either decision could change, so it votes read-only (presumed-abort
 // 2PC's read-only vote): it commits here through the ordinary
 // CommitRoot, writes no JPrepare, and takes no DecideRoot. It still
@@ -690,7 +621,7 @@ func (e *Engine) PrepareRoot(t *Tx, gid uint64) (readOnly bool, err error) {
 	if t.State() != Active {
 		return false, fmt.Errorf("core: PrepareRoot on %s root %s", t.State(), t)
 	}
-	if len(t.undo) == 0 && !e.holdsEscrow(t) {
+	if len(t.undo) == 0 {
 		return true, e.CommitRoot(t)
 	}
 	if e.journal != nil {
@@ -703,17 +634,6 @@ func (e *Engine) PrepareRoot(t *Tx, gid uint64) (readOnly bool, err error) {
 		e.journalWait(t, out, false)
 	}
 	return false, nil
-}
-
-// holdsEscrow reports whether any node of t's tree holds an escrow
-// reservation (always false in static mode).
-func (e *Engine) holdsEscrow(t *Tx) bool {
-	if e.esc == nil {
-		return false
-	}
-	held := false
-	t.eachNode(func(n *Tx) { held = held || n.escrowEnt != nil })
-	return held
 }
 
 // DecideRoot applies the coordinator's two-phase-commit decision to a
@@ -805,21 +725,6 @@ func (e *Engine) abortNode(t *Tx) error {
 	// the journal before the rollback becomes observable (nodes marked
 	// Aborted, locks released) — a crash in between re-runs an empty
 	// pending list, never un-aborts the tree.
-	// Drop the subtree's escrow reservations without settling — the
-	// compensations above reverted the store effects, so the committed
-	// bases are already right (forward and compensating deltas cancel).
-	// This runs before the done channels close below, so woken escrow
-	// waiters re-check against the restored intervals.
-	if e.esc != nil {
-		if e.journal != nil {
-			t.eachNode(func(n *Tx) {
-				if n.escrowEnt != nil {
-					e.journalAppend(t, JournalRecord{Kind: JEscrowRelease, Node: n.id})
-				}
-			})
-		}
-		e.esc.releaseTree(t)
-	}
 	var out pendingOutcome
 	if firstErr == nil && journaled {
 		// Root aborts are top-level outcomes like commits: submitted

@@ -62,13 +62,6 @@ type lock struct {
 	inv    compat.Invocation
 	owner  *Tx
 	queued bool // still in the wait queue (not granted)
-	// escrowed marks a request holding an escrow reservation for its
-	// invocation's counter delta (CompatEscrow mode). Two escrowed
-	// requests on the same object are compatible regardless of the
-	// static matrix: both deltas fit the bounds interval, so their
-	// updates commute in the current state. Only touched under the
-	// shard mutex.
-	escrowed bool
 }
 
 func (l *lock) String() string {
@@ -98,13 +91,6 @@ type lockMgr struct {
 	pageOf   func(oid.OID) (oid.OID, error)
 	noRelief bool
 	hooks    Hooks
-
-	// esc/escTab enable state-dependent escrow admission (CompatEscrow
-	// mode): escTab resolves an invocation to its counter delta, esc
-	// maintains the per-object bounds intervals. Both nil in
-	// CompatStatic mode.
-	esc    *escrowTable
-	escTab compat.EscrowTable
 
 	tbl   *locktable.Table[*lock]
 	wfg   *waitgraph.Graph
@@ -158,11 +144,23 @@ func (m *lockMgr) endWait(t *Tx, stripe int, since time.Time, cause obs.WaitCaus
 // themselves waiting on l's own transaction (the conversion rule, see
 // blockedByRoot). Caller holds h's shard mutex, so the returned slice
 // is a consistent snapshot of the object's lock list.
+//
+// A conflict whose target has already completed is dropped, and so is
+// its wait class: an aborting root closes its nodes' done channels
+// before it releases their locks, and a request that looks in between
+// waits for nothing. Only conflicts with an Active target count as
+// case-2 or root waits (unless probe).
 func (m *lockMgr) waitSet(h *lockHead, l *lock, stripe int, probe bool) []*Tx {
 	var waits []*Tx
 	seen := make(map[*Tx]bool)
-	add := func(b *Tx) {
-		if b != nil && !seen[b] && b.State() == Active {
+	add := func(b *Tx, c statCounter) {
+		if b == nil || b.State() != Active {
+			return
+		}
+		if !probe && c != noCount {
+			m.stats.bump(stripe, c)
+		}
+		if !seen[b] {
 			seen[b] = true
 			waits = append(waits, b)
 		}
@@ -206,7 +204,7 @@ func (m *lockMgr) blockedByRoot(h *lockHead, q *lock, root *Tx) bool {
 		if g.owner.root != root {
 			continue
 		}
-		if b := m.testConflict(g, q, 0, true); b != nil && b.State() == Active {
+		if b, _ := m.testConflict(g, q, 0, true); b != nil && b.State() == Active {
 			return true
 		}
 	}
@@ -227,18 +225,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 	*l = lock{inv: lockInv, owner: t}
 	m.stats.bump(stripe, cLockRequests)
 
-	// Escrow eligibility is a pure function of the invocation; resolve
-	// it once. Only method invocations declared by their type's
-	// EscrowSpec qualify (CompatEscrow mode, semantic protocol).
-	var (
-		escDelta   int64
-		escSpec    *compat.EscrowSpec
-		escrowable bool
-	)
-	if m.esc != nil && m.kind == Semantic {
-		escDelta, escSpec, escrowable = m.escTab.EscrowOf(lockInv)
-	}
-
 	first := true
 	var blockedAt time.Time
 	blockCause := obs.WaitOther
@@ -247,7 +233,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			waits   []*Tx
 			granted bool
 			aborted bool
-			escErr  error
 		)
 		m.tbl.With(obj, func(h *lockHead) {
 			if t.root.State() == Aborted || t.State() == Aborted {
@@ -258,44 +243,8 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 				aborted = true
 				return
 			}
-			// Escrow admission runs under the shard mutex, atomically
-			// with the lock-list examination below: a reservation and
-			// the grant it enables are one indivisible step, so no
-			// interleaving can admit two deltas that together break the
-			// bounds. The escrow stripe mutex is a leaf under the shard
-			// mutex.
-			var escWaits []*Tx
-			if escrowable && !l.escrowed {
-				res, roots, err := m.esc.reserve(t, obj, escDelta, escSpec)
-				switch res {
-				case reserveGranted:
-					l.escrowed = true
-				case reserveInsufficient:
-					if l.queued {
-						h.RemoveQueued(l)
-						l.queued = false
-					}
-					escErr = err
-					return
-				case reserveWait:
-					escWaits = roots
-				}
-			}
 			waits = m.waitSet(h, l, stripe, false)
-			if len(escWaits) > 0 {
-				// Merge the escrow holders the reservation must wait
-				// out; their completion re-triggers the admission check.
-				seen := make(map[*Tx]bool, len(waits))
-				for _, w := range waits {
-					seen[w] = true
-				}
-				for _, r := range escWaits {
-					if !seen[r] {
-						waits = append(waits, r)
-					}
-				}
-			}
-			if len(waits) == 0 && !(escrowable && !l.escrowed) {
+			if len(waits) == 0 {
 				if l.queued {
 					h.RemoveQueued(l)
 					l.queued = false
@@ -304,36 +253,16 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 				granted = true
 				return
 			}
-			if l.escrowed {
-				// Going to park on a static conflict while holding a
-				// reservation would pin the interval against a base the
-				// conflicting writer is about to change, and would let a
-				// request that cannot be granted consume interval capacity
-				// other requests could use. Drop it; the retry re-reserves
-				// atomically with the next grant attempt. Done here, under
-				// the shard mutex, because conflict tests of concurrent
-				// requests read l.escrowed under it.
-				m.escRelease(t)
-				l.escrowed = false
-			}
 			if first {
 				h.Queue = append(h.Queue, l)
 				l.queued = true
 			}
 		})
 		if aborted {
-			m.escRelease(t)
 			if !first {
 				m.endWait(t, stripe, blockedAt, blockCause, obs.EvAborted)
 			}
 			return fmt.Errorf("core: %s aborted while acquiring %s", t, lockInv)
-		}
-		if escErr != nil {
-			m.stats.bump(stripe, cEscrowDenials)
-			if !first {
-				m.endWait(t, stripe, blockedAt, blockCause, obs.EvEscrowDeny)
-			}
-			return escErr
 		}
 		if granted {
 			t.locks = append(t.locks, l)
@@ -367,7 +296,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			m.wfg.Add(t.id, t.root.id, targets)
 		} else if m.wfg.AddAndCheck(t.id, t.root.id, targets) {
 			m.dequeue(l)
-			m.escRelease(t)
 			m.stats.bump(stripe, cDeadlocks)
 			m.endWait(t, stripe, blockedAt, blockCause, obs.EvDeadlock)
 			return ErrDeadlock
@@ -399,7 +327,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			// request joined after us): self-victimize.
 			m.wfg.Clear(t.id)
 			m.dequeue(l)
-			m.escRelease(t)
 			m.stats.bump(stripe, cDeadlocks)
 			m.endWait(t, stripe, blockedAt, blockCause, obs.EvDeadlock)
 			return ErrDeadlock
@@ -421,15 +348,6 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			return nil
 		}
 		m.wfg.Clear(t.id)
-	}
-}
-
-// escRelease drops t's escrow reservation on an acquisition failure
-// path (nil-safe, idempotent; the node will never execute, so its
-// hold must not keep consuming interval capacity).
-func (m *lockMgr) escRelease(t *Tx) {
-	if m.esc != nil {
-		m.esc.release(t)
 	}
 }
 

@@ -313,3 +313,23 @@ func TestOnBlockContract(t *testing.T) {
 		})
 	}
 }
+
+// TestWaitCountsOnlyKeptWaits pins exact wait accounting: a conflict
+// whose holder has already completed is no wait, and counts as none.
+// AbortRoot marks its tree Aborted and closes the done channels before
+// it releases the tree's locks, so a request that arrives in between
+// meets a granted lock of a root that is no longer Active. The test
+// freezes that window: the request must be granted at once, with no
+// block and no root wait counted.
+func TestWaitCountsOnlyKeptWaits(t *testing.T) {
+	e := newTestEngine(Semantic)
+	o := obj()
+	holder := e.BeginRoot()
+	complete(t, e, begin(t, e, holder, compat.Inv(o, "C")))
+	holder.setState(Aborted)
+
+	begin(t, e, e.BeginRoot(), compat.Inv(o, "C"))
+	if s := e.Stats(); s.RootWaits != 0 || s.Case2Waits != 0 || s.Blocks != 0 || s.ImmediateGrants != 2 {
+		t.Fatalf("request granted past a completed holder counted a wait: %+v", s)
+	}
+}

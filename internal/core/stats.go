@@ -21,8 +21,6 @@ const (
 	cCase1Grants
 	cCase2Waits
 	cRootWaits
-	cEscrowAdmits
-	cEscrowDenials
 	cDeadlocks
 	cCompensations
 	cForcedGrants
@@ -39,7 +37,7 @@ const (
 const statStripes = 64
 
 // statStripe is one block of counters, padded up to a whole number of
-// 64-byte cache lines (24 words = 3 lines for the current 18
+// 64-byte cache lines (16 words = 2 lines for the current 16
 // counters) so neighbouring stripes never false-share.
 type statStripe struct {
 	c [numStatCounters]atomic.Uint64
@@ -79,8 +77,12 @@ type StatsSnapshot struct {
 	Case2Waits  uint64 // waits for a commutative ancestor's subcommit (paper Fig. 7)
 	RootWaits   uint64 // worst case: waits for a top-level commit
 
-	EscrowAdmits  uint64 // statically-conflicting pairs admitted by escrow reservations
-	EscrowDenials uint64 // requests refused deterministically by escrow bounds
+	// These two are always zero: the engine has one compatibility
+	// regime, the static matrices, and no state-dependent admission.
+	// They stay only because the benchmark's layer report still reads
+	// them, and go with its next revision.
+	EscrowAdmits  uint64
+	EscrowDenials uint64
 
 	Deadlocks     uint64 // deadlock victims
 	Compensations uint64 // inverse invocations executed during aborts
@@ -108,8 +110,6 @@ func (s StatsSnapshot) Add(o StatsSnapshot) StatsSnapshot {
 	s.Case1Grants += o.Case1Grants
 	s.Case2Waits += o.Case2Waits
 	s.RootWaits += o.RootWaits
-	s.EscrowAdmits += o.EscrowAdmits
-	s.EscrowDenials += o.EscrowDenials
 	s.Deadlocks += o.Deadlocks
 	s.Compensations += o.Compensations
 	s.ForcedGrants += o.ForcedGrants
@@ -142,15 +142,13 @@ type CaseShare struct {
 	Share float64
 }
 
-// CaseShares generalises CaseMix to the full classification, including
-// the state-dependent escrow admissions that exist only in escrow
-// compat mode. Buckets are returned in fixed order (escrow-admit,
-// case-1, case-2, root-wait); shares sum to 1 when any conflict was
-// classified and are all 0 for a conflict-free run. Buckets with zero
-// count are still returned, so callers can render stable columns.
+// CaseShares is CaseMix with counts and labels, for rendering. Buckets
+// are returned in fixed order (case-1, case-2, root-wait); shares sum
+// to 1 when any conflict was classified and are all 0 for a
+// conflict-free run. Buckets with zero count are still returned, so
+// callers can render stable columns.
 func (s StatsSnapshot) CaseShares() []CaseShare {
 	out := []CaseShare{
-		{Label: "escrow-admit", Short: "e", Count: s.EscrowAdmits},
 		{Label: "case1", Short: "1", Count: s.Case1Grants},
 		{Label: "case2", Short: "2", Count: s.Case2Waits},
 		{Label: "root-wait", Short: "r", Count: s.RootWaits},
@@ -182,8 +180,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		LockRequests: tot[cLockRequests], ImmediateGrants: tot[cImmediateGrants],
 		Blocks: tot[cBlocks], WaitEvents: tot[cWaitEvents],
 		Case1Grants: tot[cCase1Grants], Case2Waits: tot[cCase2Waits],
-		RootWaits: tot[cRootWaits], EscrowAdmits: tot[cEscrowAdmits],
-		EscrowDenials: tot[cEscrowDenials], Deadlocks: tot[cDeadlocks],
+		RootWaits: tot[cRootWaits], Deadlocks: tot[cDeadlocks],
 		Compensations: tot[cCompensations], ForcedGrants: tot[cForcedGrants],
 		Retains: tot[cRetains], WaitNanos: tot[cWaitNanos],
 	}
@@ -218,8 +215,6 @@ func (s *Stats) register(r *obs.Registry) {
 		{cCase1Grants, "semcc_engine_case1_grants_total", "Fig. 9 case-1 pseudo-conflict grants (committed commutative ancestor)."},
 		{cCase2Waits, "semcc_engine_case2_waits_total", "Fig. 9 case-2 waits for a commutative ancestor's subcommit."},
 		{cRootWaits, "semcc_engine_root_waits_total", "Worst-case waits for a top-level commit."},
-		{cEscrowAdmits, "semcc_engine_escrow_admits_total", "Statically-conflicting lock pairs admitted by escrow reservations."},
-		{cEscrowDenials, "semcc_engine_escrow_denials_total", "Lock requests refused deterministically by escrow bounds."},
 		{cDeadlocks, "semcc_engine_deadlocks_total", "Deadlock victims."},
 		{cCompensations, "semcc_engine_compensations_total", "Compensating inverse invocations executed during aborts."},
 		{cForcedGrants, "semcc_engine_forced_grants_total", "Compensation force-grants (all-compensator cycles)."},

@@ -112,13 +112,6 @@ type Tx struct {
 	// Obs was enabled when the root began). Tree-local while the tree
 	// runs; published immutably when the root finishes.
 	span *obs.Span
-
-	// escrowEnt/escrowDelta record this node's escrow reservation
-	// (CompatEscrow mode; at most one — a node owns at most one lock).
-	// Written under the escrow table's stripe mutex by the tree's
-	// driving goroutine; settled at root commit, dropped on abort.
-	escrowEnt   *escrowEntry
-	escrowDelta int64
 }
 
 // State returns the node's lifecycle state.

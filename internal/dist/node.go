@@ -8,9 +8,8 @@ import (
 	"semcc/internal/oodb"
 )
 
-// Node wraps one engine (one *oodb.DB with its own lock table, escrow
-// table, buffer pool, and journal) as a participant in the multi-node
-// topology. It owns the branch directory: which local root belongs to
+// Node wraps one engine (one *oodb.DB with its own lock table, buffer
+// pool, and journal) as a participant in the multi-node topology. It owns the branch directory: which local root belongs to
 // which global transaction.
 type Node struct {
 	index int

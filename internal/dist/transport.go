@@ -1,6 +1,6 @@
 // Package dist splits the engine along the shard boundary: an
 // in-process multi-node topology in which each node owns an OID shard
-// range with its own lock table, escrow table, buffer pool, and WAL,
+// range with its own lock table, buffer pool, and WAL,
 // and a coordinator routes method invocations and bypass operations by
 // OID ownership, committing cross-node roots with a two-phase commit
 // over the per-node journals.

@@ -22,10 +22,10 @@ var perfProtocols = []core.ProtocolKind{
 // Experiment.Run; tests pass the zero value or set the axes directly.
 // There is no other channel: a point is a copy of the base with its
 // workload shape filled in (see point), and only the flags write the
-// compat regime, journal and topology.
+// journal and topology.
 type Base struct {
 	// Config carries the flag-selected engine options and topology:
-	// Compat (-compat), Nodes (-nodes), Obs and NodeObs (-serve). The
+	// Nodes (-nodes), Obs and NodeObs (-serve). The
 	// workload-shape fields are filled per point (see point).
 	workload.Config
 	// WAL, when non-nil, attaches a fresh journal of this configuration
@@ -90,10 +90,9 @@ func metricCells(m workload.Metrics) []string {
 }
 
 // mix% is the conflict-classification share — the paper's central
-// quantitative claim (Fig. 9 cases plus the escrow-admit case),
-// reported per row. The column list comes from the engine's
-// classification table (workload.CaseMixHeader), not a hard-coded
-// triple, so new admission cases appear automatically.
+// quantitative claim (the Fig. 9 cases), reported per row; the column
+// list comes from the engine's classification table
+// (workload.CaseMixHeader).
 // p50/p99(ms) are root-transaction latency percentiles from the span
 // recorder (internal/obs); "-" when span collection is off.
 var metricHeader = []string{"tps", "commits", "retries", "blocks/tx", "rootwaits", "case1", "case2", workload.CaseMixHeader(), "p50/p99(ms)", "deadlocks", "wait(µs)"}

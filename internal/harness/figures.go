@@ -234,7 +234,7 @@ func figure6(w io.Writer) error {
 	after := app.DB.Engine().Stats()
 	fmt.Fprintf(w, "T4 ran to completion while T1 was active: paid(o1)=%t paid(o2)=%t\n", p1, p2)
 	fmt.Fprintf(w, "blocks during T4: %d; case-1 grants: %d\n", after.Blocks-before.Blocks, after.Case1Grants-before.Case1Grants)
-	fmt.Fprintln(w, "  → T4's Get(o1.Status) formally conflicts with T1's retained Put(o1.Status),")
+	fmt.Fprintln(w, "  → T4's Get(o1.Status) formally conflicts with T1's retained Add(o1.Status),")
 	fmt.Fprintln(w, "    but (ChangeStatus(o1,shipped), TestStatus(o1,paid)) commute and the")
 	fmt.Fprintln(w, "    ChangeStatus subtransaction is committed — the conflict is ignored.")
 	return tx1.Commit()

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/wal"
 )
@@ -110,8 +109,8 @@ func TestDistPointSmoke(t *testing.T) {
 }
 
 // TestBaseAxesQuick runs quick E4 with every flag axis set at once —
-// a group-commit journal and escrow admission, on a two-node cluster
-// and on the direct engine, so both of runPoint's Base.WAL branches
+// a group-commit journal on a two-node cluster and on the direct
+// engine, so both of runPoint's Base.WAL branches
 // attach journals — and every point must still commit the whole
 // offered load (16 clients × 150 tx).
 func TestBaseAxesQuick(t *testing.T) {
@@ -121,7 +120,7 @@ func TestBaseAxesQuick(t *testing.T) {
 	e, _ := Get("E4")
 	for _, nodes := range []int{2, 0} {
 		var base Base
-		base.Nodes, base.Compat = nodes, compat.CompatEscrow
+		base.Nodes = nodes
 		base.WAL = &wal.Config{Mode: wal.ModeGroup}
 		tables, err := e.Run(base, true)
 		if err != nil {

@@ -17,21 +17,19 @@ import (
 // them one by one (DESIGN.md §3.10).
 type EventKind uint8
 
-// The kinds up to EvEscrowDeny belong to a request that blocked (Emit
+// The kinds up to EvAborted belong to a request that blocked (Emit
 // relies on the order); those after EvBlock end its wait, with Nanos.
 const (
-	EvBlock      EventKind = iota // started waiting; Peer is a node it waits for
-	EvGrant                       // granted after the wait
-	EvForce                       // force-granted: the all-compensator cycle backstop
-	EvDeadlock                    // aborted as a deadlock victim
-	EvAborted                     // its root was aborted while it was queued
-	EvEscrowDeny                  // refused by the escrow bounds after having waited
-	EvCase1                       // Fig. 9 case 1 overruled the conflict with Peer's lock
-	EvEscrow                      // two escrow reservations overruled the conflict with Peer's lock
-	EvComp                        // one compensating invocation ran during an abort
+	EvBlock    EventKind = iota // started waiting; Peer is a node it waits for
+	EvGrant                     // granted after the wait
+	EvForce                     // force-granted: the all-compensator cycle backstop
+	EvDeadlock                  // aborted as a deadlock victim
+	EvAborted                   // its root was aborted while it was queued
+	EvCase1                     // Fig. 9 case 1 overruled the conflict with Peer's lock
+	EvComp                      // one compensating invocation ran during an abort
 )
 
-var eventKindNames = [...]string{"block", "grant", "force-grant", "deadlock", "aborted", "escrow-deny", "case1", "escrow-admit", "compensate"}
+var eventKindNames = [...]string{"block", "grant", "force-grant", "deadlock", "aborted", "case1", "compensate"}
 
 // String returns the event kind name.
 func (k EventKind) String() string { return eventKindNames[k] }
@@ -84,7 +82,7 @@ func (o *Obs) Emit(shard int, ev Event) {
 		return
 	}
 	ev.Seq = o.evSeq.Add(1)
-	blocked := ev.Kind <= EvEscrowDeny
+	blocked := ev.Kind <= EvAborted
 	if blocked && ev.Kind != EvBlock {
 		o.waitNs[ev.Cause%numWaitCauses].Observe(ev.Nanos)
 	}

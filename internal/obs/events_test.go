@@ -117,7 +117,7 @@ func TestHistogramBucketsByCause(t *testing.T) {
 	o.Emit(0, Event{Kind: EvForce, Cause: WaitRoot, Obj: tuple(1), Nanos: 1 << 20})
 	// Only the kinds that end a wait enter a histogram.
 	o.Emit(0, Event{Kind: EvBlock, Cause: WaitRoot, Obj: tuple(1)})
-	o.Emit(0, Event{Kind: EvEscrow, Obj: tuple(1), Peer: 2})
+	o.Emit(0, Event{Kind: EvCase1, Obj: tuple(1), Peer: 2})
 
 	byCause := map[string]HistValue{}
 	for _, m := range o.Registry.Snapshot() {

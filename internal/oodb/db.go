@@ -38,13 +38,6 @@ type Options struct {
 	// counts) starts only after Obs.SetEnabled(true) or
 	// ServeObservability.
 	Obs *obs.Obs
-	// Compat selects the compatibility regime: static matrices only
-	// (default), or escrow mode, which additionally admits
-	// statically-conflicting counter updates whose deltas both fit the
-	// object's bounds interval (state-dependent commutativity). The
-	// regime only affects the semantic protocol; types opt in via
-	// compat.Matrix.SetEscrow.
-	Compat compat.Mode
 	// Hooks passes test callbacks to the engine.
 	Hooks core.Hooks
 	// OIDStride and OIDOffset interleave this database's OID sequence
@@ -135,8 +128,6 @@ func (db *DB) finishOpen(opts Options) {
 		NoAncestorRelief: opts.NoAncestorRelief,
 		Journal:          opts.Journal,
 		Obs:              db.obs,
-		Compat:           opts.Compat,
-		EscrowRead:       db.escrowRead,
 		Hooks:            opts.Hooks,
 		Clock:            db.clk,
 	})
@@ -151,32 +142,8 @@ func (db *DB) finishOpen(opts Options) {
 	db.obs.Section("stats", func(obs.Params) any { return db.engine.Stats() })
 }
 
-// escrowRead supplies the engine's escrow table with a counter's
-// committed value on first contact: component navigation (an empty
-// component means the receiver itself is the counter atom) plus an
-// atomic read. Runs under the escrow stripe mutex, so it must not call
-// back into the engine — it touches only the store.
-func (db *DB) escrowRead(obj oid.OID, component string) (int64, error) {
-	target := obj
-	if component != "" {
-		c, err := db.store.TupleGet(obj, component)
-		if err != nil {
-			return 0, err
-		}
-		target = c
-	}
-	v, err := db.store.ReadAtomic(target)
-	if err != nil {
-		return 0, err
-	}
-	return v.Int(), nil
-}
-
 // Protocol returns the concurrency control protocol in effect.
 func (db *DB) Protocol() core.ProtocolKind { return db.engine.Kind() }
-
-// CompatMode returns the compatibility regime in effect.
-func (db *DB) CompatMode() compat.Mode { return db.engine.CompatMode() }
 
 // Engine exposes the concurrency control engine (stats, probes,
 // history snapshots).

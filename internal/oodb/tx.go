@@ -147,9 +147,10 @@ func (c *Ctx) Put(obj oid.OID, v val.V) error {
 }
 
 // Add atomically adds delta to an atomic integer object and returns
-// the new value. The leaf operation of escrow-admitted counter
-// methods: no observing Get is needed, the method-level reservation
-// already guarantees the bounds.
+// the new value. A blind update: two Adds commute, so methods whose
+// matrix declares them commuting (counter increments, status events)
+// do not also conflict at their leaves, as a Get followed by a Put
+// would.
 func (c *Ctx) Add(obj oid.OID, delta int64) (val.V, error) {
 	return c.db.invoke(c.node, compat.Inv(obj, compat.OpAdd, val.OfInt(delta)))
 }
@@ -283,7 +284,7 @@ func (db *DB) runGeneric(inv compat.Invocation) (val.V, error) {
 		}
 		// Blind read-modify-write under the store's shard write lock; no
 		// before-image is read into the transaction (the inverse is the
-		// negated delta, and escrow reservations guarantee any bounds).
+		// negated delta; a method that needs a bound checks it itself).
 		return db.store.AddAtomic(inv.Object, inv.Args[0].Int())
 	case compat.OpSelect:
 		if len(inv.Args) != 1 {

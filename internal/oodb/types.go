@@ -179,26 +179,3 @@ func (r *typeRegistry) Compatible(a, b compat.Invocation) bool {
 	}
 	return false
 }
-
-// EscrowOf implements compat.EscrowTable: it resolves a method
-// invocation to its escrow counter delta via the receiver type's
-// EscrowSpec. Generic operations and methods outside the spec's Delta
-// domain report ok=false (no reservation; the static matrix governs).
-func (r *typeRegistry) EscrowOf(inv compat.Invocation) (int64, *compat.EscrowSpec, bool) {
-	if compat.IsGenericOp(inv.Method) {
-		return 0, nil, false
-	}
-	t, ok := r.typeOf(inv.Object)
-	if !ok {
-		return 0, nil, false
-	}
-	spec := t.Matrix.Escrow()
-	if spec == nil {
-		return 0, nil, false
-	}
-	delta, ok := spec.Delta(inv)
-	if !ok {
-		return 0, nil, false
-	}
-	return delta, spec, true
-}

@@ -261,7 +261,7 @@ func (a *App) createOrder(orderNo, customerNo, quantity int64) (oid.OID, error) 
 	if err != nil {
 		return oid.Nil, err
 	}
-	statusAtom, err := store.NewAtomic(val.OfEvents())
+	statusAtom, err := store.NewAtomic(val.OfInt(0))
 	if err != nil {
 		return oid.Nil, err
 	}
@@ -357,6 +357,41 @@ func evArg(e val.Event) val.V { return val.OfStr(string(e)) }
 
 // argEv converts a method argument back to an event.
 func argEv(v val.V) val.Event { return val.Event(v.Str()) }
+
+// An order's status atom packs one occurrence counter per event into
+// one integer: paid counts in the low 32 bits, shipped in the high 32.
+// Recording or removing an occurrence is then one blind Add, and two
+// Adds commute — so status changes the Order matrix declares commuting
+// also commute at their leaves, where a Get followed by a Put would
+// deadlock two of them on the upgrade.
+const (
+	paidUnit    int64 = 1
+	shippedUnit int64 = 1 << 32
+)
+
+// statusUnit returns the amount one occurrence of e adds to a status
+// atom.
+func statusUnit(e val.Event) (int64, error) {
+	switch e {
+	case EventPaid:
+		return paidUnit, nil
+	case EventShipped:
+		return shippedUnit, nil
+	}
+	return 0, fmt.Errorf("orderentry: unknown status event %q", e)
+}
+
+// statusCount returns how many occurrences of e a status atom's value
+// records (0 for an event the status does not track).
+func statusCount(status val.V, e val.Event) int64 {
+	switch e {
+	case EventPaid:
+		return status.Int() & (shippedUnit - 1)
+	case EventShipped:
+		return status.Int() / shippedUnit
+	}
+	return 0
+}
 
 // invOn builds an invocation on obj (helper for inverse functions).
 func invOn(obj oid.OID, method string, args ...val.V) *compat.Invocation {

@@ -193,3 +193,43 @@ func mustNos(t *testing.T, app *App, itemNo int64) []int64 {
 	}
 	return nos
 }
+
+// TestUnchangeStatusWithoutOccurrence: the status atom packs both
+// events' counts into one integer, so removing an occurrence that is
+// not there would borrow from the other event's count. A direct
+// UnchangeStatus of an absent event must fail and leave the status as
+// it was.
+func TestUnchangeStatusWithoutOccurrence(t *testing.T) {
+	app := newApp(t, core.Semantic, DefaultConfig())
+	order, err := app.Order(1, mustNos(t, app, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := app.StatusAtom(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		method string
+		ev     val.Event
+		fails  bool
+		want   int64
+	}{
+		{MChangeStatus, EventShipped, false, shippedUnit},
+		{MUnchangeStatus, EventPaid, true, shippedUnit},
+		{MUnchangeStatus, EventShipped, false, 0},
+		{MUnchangeStatus, EventShipped, true, 0},
+	} {
+		tx := app.DB.Begin()
+		_, err := tx.Call(order, step.method, evArg(step.ev))
+		if (err != nil) != step.fails {
+			t.Fatalf("%s(%s): err = %v, want failure %t", step.method, step.ev, err, step.fails)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := app.DB.Store().ReadAtomic(status); err != nil || v.Int() != step.want {
+			t.Fatalf("after %s(%s): status = %s (%v), want %d", step.method, step.ev, v, err, step.want)
+		}
+	}
+}

@@ -40,9 +40,7 @@ const (
 	// Stock-counter methods: direct quantity-on-hand updates used by
 	// the hot-counter and inventory workloads. Statically every pair
 	// conflicts (decrements with a floor do not commute
-	// state-independently, the ShipOrder/ShipOrder argument); under
-	// CompatEscrow the Item escrow spec admits any combination whose
-	// deltas fit the QOH bounds interval.
+	// state-independently, the ShipOrder/ShipOrder argument).
 	MDebitStock    = "DebitStock"
 	MCreditStock   = "CreditStock"
 	MUncreditStock = "UncreditStock" // inverse of CreditStock
@@ -115,34 +113,7 @@ func ItemMatrix() *compat.Matrix {
 	m.Set(MUnpayOrder, MUnpayOrder, compat.Always)
 
 	// Stock-counter methods conflict with every method touching QOH —
-	// including each other — by the matrix default. State-dependent
-	// admission comes from the escrow spec instead: any combination of
-	// DebitStock/CreditStock whose deltas simultaneously fit the QOH
-	// interval [committed − pending debits, committed + pending credits]
-	// with floor 0 commutes *in that state* and is admitted without
-	// waiting. UncreditStock (compensation of CreditStock) deliberately
-	// carries no delta: it reverts a credit the interval never counted
-	// toward debit admission, so a blind subtract cannot break the
-	// floor, and giving it a debit-style reservation could make a
-	// compensation fail. Methods not touching QOH keep their static
-	// profiles next to the counters: the spec's Delta answers ok=false
-	// for them, so e.g. ShipOrder still serialises against DebitStock.
-	m.SetEscrow(&compat.EscrowSpec{
-		Component: CompQOH,
-		Floor:     0,
-		Delta: func(inv compat.Invocation) (int64, bool) {
-			if len(inv.Args) != 1 || inv.Args[0].Int() <= 0 {
-				return 0, false
-			}
-			switch inv.Method {
-			case MDebitStock:
-				return -inv.Args[0].Int(), true
-			case MCreditStock:
-				return inv.Args[0].Int(), true
-			}
-			return 0, false
-		},
-	})
+	// including each other — by the matrix default.
 	return m
 }
 

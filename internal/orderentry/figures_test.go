@@ -206,7 +206,7 @@ func TestFigure4ConventionalBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2 := app.DB.Begin()
-	waits := app.DB.Engine().ProbeConflicts(tx2.Root(), compat.Inv(statusAtom, compat.OpPut, val.OfEvents(EventPaid)))
+	waits := app.DB.Engine().ProbeConflicts(tx2.Root(), compat.Inv(statusAtom, compat.OpAdd, val.OfInt(paidUnit)))
 	if len(waits) != 1 || waits[0] != tx1.Root() {
 		t.Fatalf("2PL probe: PayOrder's status write waits for %v, want [T1 root]", waits)
 	}
@@ -336,7 +336,7 @@ func TestFigure5BlockedUnderSemantic(t *testing.T) {
 func TestFigure6Case1CommittedAncestor(t *testing.T) {
 	// T1 finished ShipOrder(i1,o1) and is still running. T4's direct
 	// TestStatus(o1, paid) formally conflicts with T1's retained
-	// Put(o1.Status) lock, but the ancestor pair
+	// Add(o1.Status) lock, but the ancestor pair
 	// (ChangeStatus(o1,shipped), TestStatus(o1,paid)) commutes and
 	// the ChangeStatus subtransaction is committed — so T4 proceeds
 	// without blocking.
@@ -402,7 +402,7 @@ func TestFigure6ConventionalWouldBlock(t *testing.T) {
 func TestFigure7Case2WaitForSubtransaction(t *testing.T) {
 	// T1's ShipOrder(i1,o1) is held open after its ChangeStatus child
 	// committed. T5's TotalPayment(i1) reads o1.Status directly; the
-	// conflict with the retained Put(o1.Status) resolves through the
+	// conflict with the retained Add(o1.Status) resolves through the
 	// commutative ancestor pair (ShipOrder(i1,o1), TotalPayment(i1)),
 	// which is NOT yet committed — so T5 waits exactly for the
 	// ShipOrder subtransaction, not for T1's top-level commit.

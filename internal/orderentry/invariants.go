@@ -106,13 +106,11 @@ func (a *App) Snapshot() ([]ItemState, error) {
 			if err != nil {
 				return nil, err
 			}
-			os.Shipped = status.HasEvent(EventShipped)
-			os.Paid = status.HasEvent(EventPaid)
-			for _, ev := range status.EventList() {
-				if ev != EventShipped && ev != EventPaid {
-					return nil, fmt.Errorf("orderentry: order %d has unknown status event %q", os.OrderNo, ev)
-				}
+			if status.T != val.Int || status.Int() < 0 {
+				return nil, fmt.Errorf("orderentry: order %d has status %s, want packed event counts", os.OrderNo, status)
 			}
+			os.Shipped = statusCount(status, EventShipped) > 0
+			os.Paid = statusCount(status, EventPaid) > 0
 			is.Orders = append(is.Orders, os)
 		}
 		out = append(out, is)
@@ -126,8 +124,8 @@ func (a *App) Snapshot() ([]ItemState, error) {
 //
 //  1. QOH conservation: for every item,
 //     initialQOH − Σ quantity(shipped orders) = QOH.
-//  2. Status sanity: every status set ⊆ {shipped, paid}
-//     (checked during Snapshot).
+//  2. Status sanity: every status is a non-negative packed count of
+//     shipped and paid occurrences (checked during Snapshot).
 //  3. Key consistency: every order's OrderNo atom equals its set key
 //     (checked during Snapshot).
 //

@@ -179,20 +179,13 @@ func (a *App) itemMethods() []*oodb.Method {
 		},
 		{
 			// DebitStock(i, Amount): decrements quantity-on-hand by
-			// Amount, failing when stock would go below zero. The body
-			// is compat-mode-aware: under the static regime it reads,
-			// checks the floor, and writes (serialised by the
-			// DebitStock/DebitStock method conflict); under escrow the
-			// method's reservation already guarantees the floor, so the
-			// body is one blind commutative Add with no observing Get.
+			// Amount, failing when stock would go below zero. It reads,
+			// checks the floor, and writes; the DebitStock/DebitStock
+			// method conflict serialises the read against the write.
 			Name: MDebitStock,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 				amt, qohAtom, err := stockArgs(ctx, recv, args, MDebitStock)
 				if err != nil {
-					return val.NullV, err
-				}
-				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					_, err := ctx.Add(qohAtom, -amt)
 					return val.NullV, err
 				}
 				qoh, err := ctx.Get(qohAtom)
@@ -211,16 +204,11 @@ func (a *App) itemMethods() []*oodb.Method {
 		},
 		{
 			// CreditStock(i, Amount): increments quantity-on-hand by
-			// Amount (restock). No upper bound, so an escrow credit
-			// reservation is always granted.
+			// Amount (restock).
 			Name: MCreditStock,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 				amt, qohAtom, err := stockArgs(ctx, recv, args, MCreditStock)
 				if err != nil {
-					return val.NullV, err
-				}
-				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					_, err := ctx.Add(qohAtom, amt)
 					return val.NullV, err
 				}
 				qoh, err := ctx.Get(qohAtom)
@@ -235,19 +223,12 @@ func (a *App) itemMethods() []*oodb.Method {
 		},
 		{
 			// UncreditStock(i, Amount): compensation for CreditStock — a
-			// blind subtract with no floor check. Safe because it only
-			// ever reverts this transaction's own credit, and uncommitted
-			// credits never relax the escrow floor for foreign debits, so
-			// the subtraction cannot take QOH below what admitted debits
-			// were promised.
+			// subtract with no floor check. Safe because it only ever
+			// reverts this transaction's own credit.
 			Name: MUncreditStock,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 				amt, qohAtom, err := stockArgs(ctx, recv, args, MUncreditStock)
 				if err != nil {
-					return val.NullV, err
-				}
-				if ctx.DB().CompatMode() == compat.CompatEscrow {
-					_, err := ctx.Add(qohAtom, -amt)
 					return val.NullV, err
 				}
 				qoh, err := ctx.Get(qohAtom)
@@ -293,7 +274,7 @@ func (a *App) itemMethods() []*oodb.Method {
 					if err != nil {
 						return val.NullV, err
 					}
-					if !status.HasEvent(EventPaid) {
+					if statusCount(status, EventPaid) == 0 {
 						continue
 					}
 					qtyAtom, err := ctx.Component(e.Member, CompQuantity)
@@ -322,24 +303,11 @@ func (a *App) orderMethods() []*oodb.Method {
 			// ChangeStatus self-commutes and why its inverse
 			// (UnchangeStatus: remove one occurrence) commutes with
 			// exactly the same operations — the property compensation
-			// requires (DESIGN.md §3.3).
+			// requires (DESIGN.md §3.3). The multiset is packed into
+			// one integer (statusUnit), so the body is one Add.
 			Name: MChangeStatus,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
-				if len(args) != 1 {
-					return val.NullV, fmt.Errorf("orderentry: ChangeStatus wants (event)")
-				}
-				statusAtom, err := ctx.Component(recv, CompStatus)
-				if err != nil {
-					return val.NullV, err
-				}
-				status, err := ctx.Get(statusAtom)
-				if err != nil {
-					return val.NullV, err
-				}
-				if err := ctx.Put(statusAtom, status.WithEvent(argEv(args[0]))); err != nil {
-					return val.NullV, err
-				}
-				return val.NullV, nil
+				return addStatus(ctx, recv, args, MChangeStatus, 1)
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
 				// Compensate at the ChangeStatus level: remove one
@@ -355,18 +323,7 @@ func (a *App) orderMethods() []*oodb.Method {
 			// removes one occurrence of the event.
 			Name: MUnchangeStatus,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
-				if len(args) != 1 {
-					return val.NullV, fmt.Errorf("orderentry: UnchangeStatus wants (event)")
-				}
-				statusAtom, err := ctx.Component(recv, CompStatus)
-				if err != nil {
-					return val.NullV, err
-				}
-				status, err := ctx.Get(statusAtom)
-				if err != nil {
-					return val.NullV, err
-				}
-				return val.NullV, ctx.Put(statusAtom, status.WithoutEvent(argEv(args[0])))
+				return addStatus(ctx, recv, args, MUnchangeStatus, -1)
 			},
 		},
 		{
@@ -386,10 +343,40 @@ func (a *App) orderMethods() []*oodb.Method {
 				if err != nil {
 					return val.NullV, err
 				}
-				return val.OfBool(status.HasEvent(argEv(args[0]))), nil
+				return val.OfBool(statusCount(status, argEv(args[0])) > 0), nil
 			},
 		},
 	}
+}
+
+// addStatus adds sign occurrences of the event in args to recv's
+// status atom: the whole body of ChangeStatus (+1) and UnchangeStatus
+// (−1).
+func addStatus(ctx *oodb.Ctx, recv oid.OID, args []val.V, method string, sign int64) (val.V, error) {
+	if len(args) != 1 {
+		return val.NullV, fmt.Errorf("orderentry: %s wants (event)", method)
+	}
+	ev := argEv(args[0])
+	unit, err := statusUnit(ev)
+	if err != nil {
+		return val.NullV, err
+	}
+	statusAtom, err := ctx.Component(recv, CompStatus)
+	if err != nil {
+		return val.NullV, err
+	}
+	now, err := ctx.Add(statusAtom, sign*unit)
+	if err != nil {
+		return val.NullV, err
+	}
+	if sign < 0 && statusCount(val.OfInt(now.Int()+unit), ev) == 0 {
+		// There was no occurrence to remove, and the subtraction
+		// borrowed from the other event's count. A compensation never
+		// gets here (it removes the occurrence its forward call added);
+		// a direct call fails, and its abort takes the Add back.
+		return val.NullV, fmt.Errorf("orderentry: %s(%s) on order %s: no occurrence to remove", method, ev, recv)
+	}
+	return val.NullV, nil
 }
 
 // stockArgs validates a stock-counter method's (Amount) argument and
@@ -420,7 +407,7 @@ func (a *App) newOrderObject(ctx *oodb.Ctx, orderNo, customerNo, quantity int64)
 	if err != nil {
 		return oid.Nil, err
 	}
-	statusAtom, err := ctx.NewAtomic(val.OfEvents())
+	statusAtom, err := ctx.NewAtomic(val.OfInt(0))
 	if err != nil {
 		return oid.Nil, err
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // shape renders a node's invocation tree as nested method names,
-// eliding object ids, e.g. "Tx(Ship(Select Change(Get Put) Get Get Put))".
+// eliding object ids, e.g. "Tx(Ship(Select Change(Add) Get Get Put))".
 func shape(n *history.Node) string {
 	name := n.Inv.Method
 	switch name {
@@ -65,8 +65,8 @@ func TestFigure4TreeShape(t *testing.T) {
 	if len(forest.Roots) != 2 {
 		t.Fatalf("roots = %d", len(forest.Roots))
 	}
-	wantT1 := "Tx(Ship(Select Change(Get Put) Get Get Put) Ship(Select Change(Get Put) Get Get Put))"
-	wantT2 := "Tx(Pay(Select Change(Get Put)) Pay(Select Change(Get Put)))"
+	wantT1 := "Tx(Ship(Select Change(Add) Get Get Put) Ship(Select Change(Add) Get Get Put))"
+	wantT2 := "Tx(Pay(Select Change(Add)) Pay(Select Change(Add)))"
 	if got := shape(forest.Roots[0]); got != wantT1 {
 		t.Errorf("T1 tree:\n got %s\nwant %s", got, wantT1)
 	}
@@ -111,7 +111,7 @@ func TestAbortTreeShape(t *testing.T) {
 	}
 	forest := app.DB.Engine().Forest()
 	tree := forest.Roots[len(forest.Roots)-1]
-	want := "Tx(Ship(Select Change(Get Put) Get Get Put) Unship(Select Unchange(Get Put) Get Get Put))"
+	want := "Tx(Ship(Select Change(Add) Get Get Put) Unship(Select Unchange(Add) Get Get Put))"
 	if got := shape(tree); got != want {
 		t.Errorf("abort tree:\n got %s\nwant %s", got, want)
 	}

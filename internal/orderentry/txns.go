@@ -124,10 +124,9 @@ func (a *App) NewOrderTx(itemNo, customerNo, quantity int64) (int64, error) {
 }
 
 // DebitTx runs one top-level transaction debiting amount units of
-// stock from an item — the hot-counter workload's conflict unit. Under
-// the static regime concurrent debits of one item serialise on the
-// DebitStock method conflict; under escrow they are admitted together
-// whenever their deltas fit the QOH interval.
+// stock from an item — the hot-counter workload's conflict unit:
+// concurrent debits of one item serialise on the DebitStock method
+// conflict.
 func (a *App) DebitTx(itemNo, amount int64) error {
 	return a.run(func(tx Session) error {
 		item, err := a.Item(itemNo)

@@ -303,9 +303,6 @@ type replayNode struct {
 	undo    []compat.Invocation
 	pending []compat.Invocation // remaining undo after AbortStart, in application order
 	started bool                // AbortStart seen
-	// reserve is the node's outstanding escrow reservation (the OpAdd
-	// invocation from JEscrowReserve), nil once released or never taken.
-	reserve *compat.Invocation
 	// prepared marks a root that entered 2PC phase 1 (JPrepare seen,
 	// no decision or outcome yet); gid is the distributed transaction
 	// id the prepare record carried.
@@ -338,11 +335,10 @@ type Analysis struct {
 // id from its JPrepare record, and — should the decision be abort —
 // the same journal position and pending-undo payload a Loser carries.
 type InDoubt struct {
-	Root         uint64
-	GID          uint64
-	Last         int
-	Pending      []compat.Invocation
-	Reservations []compat.Invocation
+	Root    uint64
+	GID     uint64
+	Last    int
+	Pending []compat.Invocation
 }
 
 // Loser is one transaction requiring rollback completion.
@@ -353,14 +349,6 @@ type Loser struct {
 	// descending order of Last — see sortLosers.
 	Last    int
 	Pending []compat.Invocation
-	// Reservations are the escrow reservations (OpAdd invocations on
-	// counter objects) the crash left outstanding in the loser's tree,
-	// in reservation order. They need no explicit undo — the restarted
-	// engine recomputes intervals from committed state, and Pending's
-	// compensations revert the store effects — but they are exposed so
-	// recovery tooling can report and tests can assert exactly which
-	// escrow capacity died with the crash.
-	Reservations []compat.Invocation
 }
 
 // RecordSource is the read side Analyze and Recover need from a
@@ -463,18 +451,6 @@ func Analyze(l RecordSource) (*Analysis, error) {
 			if n, ok := nodes[r.Node]; ok {
 				n.state = core.Committed
 			}
-		case core.JEscrowReserve:
-			n, ok := nodes[r.Node]
-			if !ok {
-				return nil, fmt.Errorf("wal: escrow reserve for unknown node %d", r.Node)
-			}
-			n.reserve = r.Inv
-		case core.JEscrowRelease:
-			n, ok := nodes[r.Node]
-			if !ok {
-				return nil, fmt.Errorf("wal: escrow release for unknown node %d", r.Node)
-			}
-			n.reserve = nil
 		case core.JPrepare:
 			n, ok := nodes[r.Node]
 			if !ok {
@@ -499,6 +475,10 @@ func Analyze(l RecordSource) (*Analysis, error) {
 				committed[r.Node] = true
 				n.state = core.Committed
 			}
+		default:
+			// The retired kinds 7 and 8: the codec still reads them,
+			// but no engine writes them any more.
+			return nil, fmt.Errorf("wal: record %d has unknown kind %d", pos, r.Kind)
 		}
 		if n, ok := nodes[r.Node]; ok {
 			n.root.last = pos
@@ -544,28 +524,14 @@ func Analyze(l RecordSource) (*Analysis, error) {
 				}
 			}
 		}
-		// Outstanding escrow reservations die with the loser; collect
-		// them across the whole tree (subcommitted nodes keep their
-		// holds until the root's outcome), in reservation order.
-		var held []*replayNode
-		for _, n := range nodes {
-			if n.root == r && n.reserve != nil {
-				held = append(held, n)
-			}
-		}
-		sort.Slice(held, func(i, j int) bool { return held[i].seq < held[j].seq })
-		var resv []compat.Invocation
-		for _, n := range held {
-			resv = append(resv, *n.reserve)
-		}
 		if r.prepared {
 			// Prepared, undecided: the node alone cannot tell winner
 			// from loser. Report it in-doubt with the loser payload a
 			// presumed-abort resolution would need.
-			a.InDoubt = append(a.InDoubt, InDoubt{Root: r.id, GID: r.gid, Last: r.last, Pending: pend, Reservations: resv})
+			a.InDoubt = append(a.InDoubt, InDoubt{Root: r.id, GID: r.gid, Last: r.last, Pending: pend})
 			continue
 		}
-		a.Losers = append(a.Losers, Loser{Root: r.id, Last: r.last, Pending: pend, Reservations: resv})
+		a.Losers = append(a.Losers, Loser{Root: r.id, Last: r.last, Pending: pend})
 	}
 	sort.Slice(a.Committed, func(i, j int) bool { return a.Committed[i] < a.Committed[j] })
 	sortLosers(a.Losers)
@@ -627,7 +593,7 @@ func RecoverDecided(db *oodb.DB, l RecordSource, decided func(gid uint64) bool) 
 			a.Committed = append(a.Committed, d.Root)
 			continue
 		}
-		a.Losers = append(a.Losers, Loser{Root: d.Root, Last: d.Last, Pending: d.Pending, Reservations: d.Reservations})
+		a.Losers = append(a.Losers, Loser{Root: d.Root, Last: d.Last, Pending: d.Pending})
 	}
 	sort.Slice(a.Committed, func(i, j int) bool { return a.Committed[i] < a.Committed[j] })
 	sortLosers(a.Losers)

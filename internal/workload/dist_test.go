@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/oodb"
 )
@@ -39,13 +38,13 @@ func TestMultiNodeWorkload(t *testing.T) {
 	}
 }
 
-// TestMultiNodeHotCounter drives the escrow hot-counter mix through
-// the coordinator: state-dependent admission must keep working when
-// the counters live on different nodes, and NetStock still predicts
-// the final balances.
+// TestMultiNodeHotCounter drives the hot-counter mix through the
+// coordinator: with the counters on different nodes, every debit and
+// credit still serialises on its item, and NetStock still predicts the
+// final balances (Run's validation).
 func TestMultiNodeHotCounter(t *testing.T) {
 	m, err := Run(Config{
-		Options: oodb.Options{Protocol: core.Semantic, Compat: compat.CompatEscrow}, Nodes: 2,
+		Options: oodb.Options{Protocol: core.Semantic}, Nodes: 2,
 		Items: 2, Clients: 6, TxPerClient: 25, Seed: 7,
 		Mix: HotCounterMix(), Validate: true,
 	})

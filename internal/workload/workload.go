@@ -48,8 +48,7 @@ const (
 	// Get+Put (pure conventional transaction).
 	KindBypassWrite
 	// KindDebit debits one item's stock counter (DebitStock) — the
-	// hot-spot transaction whose self-conflicts the escrow compat mode
-	// removes.
+	// hot-spot transaction: two debits of one item conflict.
 	KindDebit
 	// KindCredit restocks one item (CreditStock).
 	KindCredit
@@ -106,15 +105,14 @@ func UpdateOnlyMix() Mix { return Mix{KindT1: 50, KindT2: 50} }
 func BypassOnlyMix() Mix { return Mix{KindBypassRead: 50, KindBypassWrite: 50} }
 
 // HotCounterMix hammers the items' stock counters: mostly debits with
-// some restocking credits. Under the static compat regime every pair
-// of updates to one item conflicts; under escrow all of them are
-// admitted together as long as the deltas fit the QOH interval.
+// some restocking credits. Every pair of updates to one item
+// conflicts.
 func HotCounterMix() Mix { return Mix{KindDebit: 90, KindCredit: 10} }
 
 // Config parameterises one workload run.
 type Config struct {
-	// Options configure the run's engine — protocol, compatibility
-	// regime, E5's NoAncestorRelief, … — and are the one place an
+	// Options configure the run's engine — protocol, E5's
+	// NoAncestorRelief, … — and are the one place an
 	// engine setting lives: Run opens the direct database, or every
 	// node of the cluster, from this value. Two fields are
 	// topology-sensitive on a cluster run (Nodes ≥ 1): Journal is
@@ -220,8 +218,7 @@ type Metrics struct {
 	// NetStock maps ItemNo to the net committed stock delta (credits −
 	// debits) the run's Debit/Credit transactions applied. Combined with
 	// the conservation check it is a fingerprint of the final balances:
-	// two runs with equal NetStock ended with identical QOH per item —
-	// the static/escrow equivalence TestCompatEquivalence asserts.
+	// two runs with equal NetStock ended with identical QOH per item.
 	NetStock map[int64]int64
 }
 
@@ -254,10 +251,8 @@ func (m Metrics) LatencyStr() string {
 
 // CaseMix renders the conflict-classification shares as slash-joined
 // percentages, one per classification case in CaseShares order
-// (escrow-admit/case1/case2/root-wait, e.g. "10/55/20/15"), or "-"
-// for a conflict-free run. The columns are not hard-coded: they follow
-// core.StatsSnapshot.CaseShares, so a new admission case shows up here
-// and in CaseMixHeader without touching the renderers.
+// (case1/case2/root-wait, e.g. "60/25/15"), or "-" for a conflict-free
+// run. The columns follow core.StatsSnapshot.CaseShares.
 func (m Metrics) CaseMix() string {
 	shares := m.Engine.CaseShares()
 	var total uint64
@@ -275,7 +270,7 @@ func (m Metrics) CaseMix() string {
 }
 
 // CaseMixHeader is the column header matching Metrics.CaseMix, e.g.
-// "mix%(e/1/2/r)" — built from the same classification table.
+// "mix%(1/2/r)" — built from the same classification table.
 func CaseMixHeader() string {
 	shares := core.StatsSnapshot{}.CaseShares()
 	shorts := make([]string, len(shares))

@@ -146,8 +146,8 @@ type Stats = core.StatsSnapshot
 // Obs is the cross-layer observability handle: one metrics registry
 // (engine, WAL, buffer pool, object store), a per-transaction span
 // recorder capturing the open-nested invocation tree, and the lock
-// manager's decision events (blocks, waited grants, Fig. 9 case-1 and
-// escrow admissions, deadlock victims) with a per-object contention
+// manager's decision events (blocks, waited grants, Fig. 9 case-1
+// grants, deadlock victims) with a per-object contention
 // profile. Attach one via Options.Obs, switch gated collection on
 // with SetEnabled, and read it back through DB.ObservabilityJSON,
 // Obs.Events, Obs.WriteProm, or the live HTTP endpoint
@@ -242,36 +242,6 @@ func Never(a, b Invocation) bool { return compat.Never(a, b) }
 // arguments differ (parameter-dependent commutativity).
 func ArgsDiffer(i int) Rule { return compat.ArgsDiffer(i) }
 
-// CompatMode selects the compatibility regime (see Options.Compat):
-// whether the lock manager consults only the static matrices or
-// additionally admits counter updates against per-object escrow
-// bounds intervals.
-type CompatMode = compat.Mode
-
-// The implemented compatibility regimes. CompatStatic is the default;
-// CompatEscrow adds state-dependent admission for methods whose
-// matrix carries an escrow specification (SetEscrow).
-const (
-	// CompatStatic decides every pair from the static matrix alone.
-	CompatStatic = compat.CompatStatic
-	// CompatEscrow additionally grants escrow-specified updates on
-	// the same object whenever their summed deltas keep the object's
-	// counter component inside its [Floor, Ceil] bounds.
-	CompatEscrow = compat.CompatEscrow
-)
-
-// ParseCompatMode parses the -compat spelling of a regime (static or
-// escrow).
-func ParseCompatMode(s string) (CompatMode, error) { return compat.ParseMode(s) }
-
-// CompatModes lists both compatibility regimes in comparison order.
-func CompatModes() []CompatMode { return compat.Modes() }
-
-// EscrowSpec declares a matrix's escrow-maintained counter component
-// and bounds; attach one with Matrix.SetEscrow to make the type's
-// updates eligible for state-dependent admission under CompatEscrow.
-type EscrowSpec = compat.EscrowSpec
-
 // Cluster is an in-process multi-node topology: N engine nodes, each
 // owning the OID shard its allocator strides over, behind a Transport,
 // with root transactions routed through a two-phase-commit
@@ -287,7 +257,7 @@ type Cluster = dist.Cluster
 type ClusterTx = dist.Tx
 
 // ClusterNode is one engine node of a Cluster, wrapping its own
-// database with lock table, escrow table, buffer pool and journal.
+// database with lock table, buffer pool and journal.
 type ClusterNode = dist.Node
 
 // Transport carries the coordinator's per-node operations; the
