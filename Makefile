@@ -2,15 +2,19 @@
 
 GO ?= go
 
-.PHONY: check build test race flake vet staticcheck bench benchmark bench-store bench-obs bench-wal fuzz-regress race-recovery fuzz chaos
+.PHONY: check build test race flake fmt vet staticcheck bench benchmark bench-store bench-obs bench-wal fuzz-regress race-recovery fuzz chaos
 
-# The full gate: what CI (and every PR) must pass. `race` runs the
-# whole suite (including the recovery and crash-point tests) under the
-# race detector; flake repeats the concurrent ADT tests and the
-# channel-stepped commit-pipeline tests; fuzz-regress replays the
-# checked-in fuzz seed corpus in regression mode (no fuzzing engine,
-# just the corpus).
-check: vet staticcheck build race flake fuzz-regress
+# The full gate: what CI (and every PR) must pass. `fmt` fails on any
+# file `gofmt -l` lists; `race` runs the whole suite (including the
+# recovery and crash-point tests) under the race detector; flake
+# repeats the concurrent ADT tests and the channel-stepped
+# commit-pipeline tests; fuzz-regress replays the checked-in fuzz seed
+# corpus in regression mode (no fuzzing engine, just the corpus).
+check: fmt vet staticcheck build race flake fuzz-regress
+
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

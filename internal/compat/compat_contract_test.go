@@ -110,15 +110,27 @@ func TestMatrixContractDistinctKeySetOps(t *testing.T) {
 	}
 }
 
-// TestMatrixContractCommutingLeaves holds every method that its
-// matrix lets run next to itself to leaf accesses that commute too:
-// its subtree must never Get an atom and later Put the same atom. Two
-// concurrent invocations of such a method would both hold the Get,
-// both queue the Put, and deadlock on the upgrade, although the matrix
-// promised they commute (Malta & Martinez: a pair declared commuting
-// must have leaf accesses that commute). Each method runs once, in its
-// own committed root, with history recording on; the runs are ordered
-// so every compensation has something to undo.
+// compatibleOnProbes reports whether m lets a run next to b for some
+// probe arguments.
+func compatibleOnProbes(m *compat.Matrix, a, b string) bool {
+	for _, pair := range probePairs(a, b) {
+		if m.Compatible(pair[0], pair[1]) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMatrixContractCommutingLeaves holds every pair of methods that
+// their matrix lets run side by side — a method and itself, or two
+// different methods — to leaf accesses that commute too: the two
+// subtrees must not both Get one atom and later Put it. Two concurrent
+// roots invoking them would both hold the Get, both queue the Put, and
+// deadlock on the upgrade, although the matrix promised the methods
+// commute (Malta & Martinez: a pair declared commuting must have leaf
+// accesses that commute). Each method runs once, in its own committed
+// root, with history recording on, on one receiver per matrix; the
+// runs are ordered so every compensation has something to undo.
 func TestMatrixContractCommutingLeaves(t *testing.T) {
 	db := oodb.Open(oodb.Options{Protocol: core.Semantic, Record: true})
 	app, err := orderentry.Setup(db, orderentry.Config{
@@ -164,6 +176,8 @@ func TestMatrixContractCommutingLeaves(t *testing.T) {
 		{orderentry.ItemMatrix(), item, orderentry.MNewOrder, []val.V{i64(7), i64(1)}},
 		{orderentry.ItemMatrix(), item, orderentry.MPayOrder, []val.V{i64(nos[0])}},
 		{orderentry.ItemMatrix(), item, orderentry.MUnpayOrder, []val.V{i64(nos[0])}},
+		{orderentry.ItemMatrix(), item, orderentry.MShipOrder, []val.V{i64(nos[0])}},
+		{orderentry.ItemMatrix(), item, orderentry.MUnshipOrder, []val.V{i64(nos[0])}},
 		{orderentry.ItemMatrix(), item, orderentry.MTotalPayment, nil},
 		{orderentry.ItemMatrix(), item, orderentry.MRemoveOrder, []val.V{i64(nos[1])}},
 		{orderentry.OrderMatrix(), order, orderentry.MChangeStatus, []val.V{paid}},
@@ -177,27 +191,30 @@ func TestMatrixContractCommutingLeaves(t *testing.T) {
 		{adts.CounterMatrix(), counter, adts.CValue, nil},
 		{adts.AccountMatrix(), account, adts.ADeposit, []val.V{i64(2)}},
 		{adts.AccountMatrix(), account, adts.AUndeposit, []val.V{i64(2)}},
+		{adts.AccountMatrix(), account, adts.AWithdraw, []val.V{i64(1)}},
 		{adts.AccountMatrix(), account, adts.ABalance, nil},
 	}
 
-	// Every self-compatible method of the application matrices must be
-	// among the runs, so a new one cannot slip past the check.
+	// Every method of the application matrices that is compatible with
+	// itself or with another method must be among the runs, so a new
+	// one cannot slip past the check.
 	covered := map[string]bool{}
 	for _, r := range runs {
 		covered[r.m.TypeName()+"."+r.name] = true
 	}
 	for _, entry := range matrices()[1:] {
-		for _, method := range entry.m.Methods() {
-			selfCompatible := false
-			for _, pair := range probePairs(method, method) {
-				selfCompatible = selfCompatible || entry.m.Compatible(pair[0], pair[1])
-			}
-			if selfCompatible && !covered[entry.m.TypeName()+"."+method] {
-				t.Errorf("%s.%s is compatible with itself but has no footprint run", entry.m.TypeName(), method)
+		for _, a := range entry.m.Methods() {
+			for _, b := range entry.m.Methods() {
+				if compatibleOnProbes(entry.m, a, b) && !covered[entry.m.TypeName()+"."+a] {
+					t.Errorf("%s.%s is compatible with %s but has no footprint run", entry.m.TypeName(), a, b)
+					break
+				}
 			}
 		}
 	}
 
+	// upgrades[i] holds the atoms run i Gets and later Puts.
+	upgrades := make([]map[oid.OID]bool, len(runs))
 	for i, r := range runs {
 		tx := db.Begin()
 		if _, err := tx.Call(r.recv, r.name, r.args...); err != nil {
@@ -210,7 +227,7 @@ func TestMatrixContractCommutingLeaves(t *testing.T) {
 		if len(roots) != i+1 || len(roots[i].Children) != 1 {
 			t.Fatalf("%s.%s: recorded %d roots, want %d with one call each", r.m.TypeName(), r.name, len(roots), i+1)
 		}
-		read := map[oid.OID]bool{}
+		read, up := map[oid.OID]bool{}, map[oid.OID]bool{}
 		var walk func(n *history.Node)
 		walk = func(n *history.Node) {
 			switch n.Inv.Method {
@@ -218,8 +235,7 @@ func TestMatrixContractCommutingLeaves(t *testing.T) {
 				read[n.Inv.Object] = true
 			case compat.OpPut:
 				if read[n.Inv.Object] {
-					t.Errorf("%s.%s is compatible with itself but its leaves Get %s and then Put it",
-						r.m.TypeName(), r.name, n.Inv.Object)
+					up[n.Inv.Object] = true
 				}
 			}
 			for _, c := range n.Children {
@@ -227,5 +243,21 @@ func TestMatrixContractCommutingLeaves(t *testing.T) {
 			}
 		}
 		walk(roots[i].Children[0])
+		upgrades[i] = up
+	}
+
+	for i, a := range runs {
+		for j := i; j < len(runs); j++ {
+			b := runs[j]
+			if b.m.TypeName() != a.m.TypeName() || !compatibleOnProbes(a.m, a.name, b.name) {
+				continue
+			}
+			for atom := range upgrades[i] {
+				if upgrades[j][atom] {
+					t.Errorf("%s.%s and %s.%s are compatible but both Get %s and then Put it",
+						a.m.TypeName(), a.name, b.m.TypeName(), b.name, atom)
+				}
+			}
+		}
 	}
 }

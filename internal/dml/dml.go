@@ -361,7 +361,7 @@ func tokenize(s string) ([]token, error) {
 			}
 			toks = append(toks, token{tokIdent, s[i:j]})
 			i = j
-		case strings.ContainsRune(".[]()=,{}", rune(c)):
+		case strings.ContainsRune(".[]()=,", rune(c)):
 			toks = append(toks, token{tokPunct, string(c)})
 			i++
 		default:
@@ -405,8 +405,7 @@ func (p *parser) accept(punct string) bool {
 	return false
 }
 
-// literal parses int, float, "string", true/false, or {ev,ev} event
-// multisets.
+// literal parses int, float, "string", true/false or null.
 func (p *parser) literal() (val.V, error) {
 	t := p.next()
 	switch t.kind {
@@ -435,19 +434,6 @@ func (p *parser) literal() (val.V, error) {
 			return val.NullV, nil
 		}
 		return val.NullV, fmt.Errorf("dml: unknown literal %q", t.text)
-	case tokPunct:
-		if t.text == "{" {
-			var evs []val.Event
-			for !p.accept("}") {
-				e := p.next()
-				if e.kind != tokIdent && e.kind != tokString {
-					return val.NullV, fmt.Errorf("dml: event name expected in {…}")
-				}
-				evs = append(evs, val.Event(e.text))
-				p.accept(",")
-			}
-			return val.OfEvents(evs...), nil
-		}
 	}
 	return val.NullV, fmt.Errorf("dml: literal expected, got %q", t.text)
 }

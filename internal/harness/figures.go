@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"semcc/internal/compat"
@@ -59,6 +58,32 @@ func figureApp(kind core.ProtocolKind, hooks core.Hooks) (*orderentry.App, error
 	return orderentry.Setup(db, orderentry.DefaultConfig())
 }
 
+// reportBlock returns engine hooks that pass the waits of the first
+// blocked request to the returned channel.
+func reportBlock() (core.Hooks, <-chan []*core.Tx) {
+	ch := make(chan []*core.Tx, 1)
+	return core.Hooks{OnBlock: func(_ *core.Tx, waits []*core.Tx) {
+		select {
+		case ch <- waits:
+		default:
+		}
+	}}, ch
+}
+
+// holdShipMid stops app's ShipOrder of orderNo after its ChangeStatus
+// child committed, where the paper's Fig. 7 holds it: atMid is closed
+// when the ShipOrder gets there, and it resumes once release is closed.
+func holdShipMid(app *orderentry.App, orderNo int64) (atMid, release chan struct{}) {
+	atMid, release = make(chan struct{}), make(chan struct{})
+	app.HookShipMid = func(_ oid.OID, n int64) {
+		if n == orderNo {
+			close(atMid)
+			<-release
+		}
+	}
+	return atMid, release
+}
+
 func figure1(w io.Writer) error {
 	app, err := figureApp(core.Semantic, core.Hooks{})
 	if err != nil {
@@ -82,9 +107,15 @@ func figure1(w io.Writer) error {
 
 func figure4(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 4 — concurrent execution of two open nested transactions")
-	fmt.Fprintln(w, "T1 ships orders o1@i1 and o2@i2; T2 pays the same orders, concurrently.")
+	fmt.Fprintln(w, "T1 ships orders o1@i1 and o2@i2; T2 pays the same orders, concurrently:")
+	fmt.Fprintln(w, "T2 runs to commit while T1 is held inside ShipOrder(i1,o1).")
 	fmt.Fprintln(w)
-	app, err := figureApp(core.Semantic, core.Hooks{})
+	// One fixed interleaving, so the replay prints the same bytes on
+	// every run: T1 stops after its ChangeStatus(o1,shipped) committed,
+	// T2 runs whole, then T1 finishes. A T2 that blocks is reported,
+	// not waited for.
+	hooks, blockCh := reportBlock()
+	app, err := figureApp(core.Semantic, hooks)
 	if err != nil {
 		return err
 	}
@@ -93,13 +124,23 @@ func figure4(w io.Writer) error {
 	r1 := orderentry.OrderRef{ItemNo: 1, OrderNo: nos1[0]}
 	r2 := orderentry.OrderRef{ItemNo: 2, OrderNo: nos2[0]}
 
-	var wg sync.WaitGroup
-	var err1, err2 error
-	wg.Add(2)
-	go func() { defer wg.Done(); err1 = app.T1(r1, r2) }()
-	go func() { defer wg.Done(); err2 = app.T2(r1, r2) }()
-	wg.Wait()
-	if err1 != nil || err2 != nil {
+	atMid, release := holdShipMid(app, r1.OrderNo)
+	t1done := make(chan error, 1)
+	go func() { t1done <- app.T1(r1, r2) }()
+	<-atMid
+	t2done := make(chan error, 1)
+	go func() { t2done <- app.T2(r1, r2) }()
+	var err2 error
+	select {
+	case err2 = <-t2done:
+	case waits := <-blockCh:
+		close(release)
+		<-t1done
+		<-t2done
+		return fmt.Errorf("figure 4: T2 blocked on %v while T1 was inside ShipOrder(i1,o1)", waits)
+	}
+	close(release)
+	if err1 := <-t1done; err1 != nil || err2 != nil {
 		return fmt.Errorf("T1: %v / T2: %v", err1, err2)
 	}
 	st := app.DB.Engine().Stats()
@@ -244,27 +285,15 @@ func figure7(w io.Writer) error {
 	fmt.Fprintln(w, "Figure 7 — case 2: commutative but not yet committed ancestor")
 	fmt.Fprintln(w, "T1's ShipOrder(i1,o1) is held open mid-execution; T5 runs TotalPayment(i1).")
 	fmt.Fprintln(w)
-	blockCh := make(chan []*core.Tx, 8)
-	app, err := figureApp(core.Semantic, core.Hooks{OnBlock: func(t *core.Tx, waits []*core.Tx) {
-		select {
-		case blockCh <- waits:
-		default:
-		}
-	}})
+	hooks, blockCh := reportBlock()
+	app, err := figureApp(core.Semantic, hooks)
 	if err != nil {
 		return err
 	}
 	nos1, _ := app.OrderNosOf(1)
 	item1, _ := app.Item(1)
 
-	atMid := make(chan struct{})
-	release := make(chan struct{})
-	app.HookShipMid = func(item oid.OID, orderNo int64) {
-		if orderNo == nos1[0] {
-			close(atMid)
-			<-release
-		}
-	}
+	atMid, release := holdShipMid(app, nos1[0])
 	tx1 := app.DB.Begin()
 	shipDone := make(chan error, 1)
 	go func() {

@@ -59,6 +59,24 @@ func TestFiguresRun(t *testing.T) {
 	}
 }
 
+// TestFiguresDeterministic holds every figure to one replay: run twice,
+// it writes the same bytes, so a change to what a figure shows is a
+// clean diff of its output.
+func TestFiguresDeterministic(t *testing.T) {
+	for fig := 1; fig <= 9; fig++ {
+		var a, b bytes.Buffer
+		if err := RunFigure(fig, &a); err != nil {
+			t.Fatalf("figure %d: %v", fig, err)
+		}
+		if err := RunFigure(fig, &b); err != nil {
+			t.Fatalf("figure %d: %v", fig, err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("figure %d printed different bytes on two runs:\n%s\n---\n%s", fig, a.String(), b.String())
+		}
+	}
+}
+
 // TestExperimentsQuick runs every experiment with reduced sweeps and
 // sanity-checks the headline claims' shapes on the E4 and E5 tables.
 func TestExperimentsQuick(t *testing.T) {

@@ -39,17 +39,14 @@ func TestAtomicLifecycle(t *testing.T) {
 
 func TestPageOfStableAcrossGrowth(t *testing.T) {
 	s := New(0)
-	a, _ := s.NewAtomic(val.OfEvents())
+	a, _ := s.NewAtomic(val.OfStr(""))
 	pg0, err := s.PageOf(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Grow the value dramatically (forces record relocation).
-	evs := make([]val.Event, 0, 120)
-	for i := 0; i < 120; i++ {
-		evs = append(evs, "some-rather-long-event-name")
-	}
-	if err := s.WriteAtomic(a, val.OfEvents(evs...)); err != nil {
+	big := strings.Repeat("some-rather-long-string", 140)
+	if err := s.WriteAtomic(a, val.OfStr(big)); err != nil {
 		t.Fatal(err)
 	}
 	pg1, err := s.PageOf(a)
@@ -60,8 +57,8 @@ func TestPageOfStableAcrossGrowth(t *testing.T) {
 		t.Fatalf("page mapping changed %s -> %s; must be stable", pg0, pg1)
 	}
 	v, err := s.ReadAtomic(a)
-	if err != nil || v.EventCount("some-rather-long-event-name") != 120 {
-		t.Fatalf("read-back after relocation: %v %v", v.EventCount("some-rather-long-event-name"), err)
+	if err != nil || v.Str() != big {
+		t.Fatalf("read-back after relocation: %d bytes, %v", len(v.Str()), err)
 	}
 }
 

@@ -245,8 +245,8 @@ func (a *App) createItem(itemNo, price, qoh int64) (oid.OID, error) {
 	return item, nil
 }
 
-// createOrder builds an Order tuple with status "new" (empty event
-// set) — non-transactional population path.
+// createOrder builds an Order tuple with status "new" (no event has
+// occurred) — non-transactional population path.
 func (a *App) createOrder(orderNo, customerNo, quantity int64) (oid.OID, error) {
 	store := a.DB.Store()
 	noAtom, err := store.NewAtomic(val.OfInt(orderNo))
@@ -353,10 +353,10 @@ func (a *App) QOHAtom(item oid.OID) (oid.OID, error) {
 func (a *App) NextOrderNo() int64 { return a.orderSeq.Add(1) }
 
 // evArg converts an event constant to a method argument.
-func evArg(e val.Event) val.V { return val.OfStr(string(e)) }
+func evArg(e Event) val.V { return val.OfStr(string(e)) }
 
 // argEv converts a method argument back to an event.
-func argEv(v val.V) val.Event { return val.Event(v.Str()) }
+func argEv(v val.V) Event { return Event(v.Str()) }
 
 // An order's status atom packs one occurrence counter per event into
 // one integer: paid counts in the low 32 bits, shipped in the high 32.
@@ -371,7 +371,7 @@ const (
 
 // statusUnit returns the amount one occurrence of e adds to a status
 // atom.
-func statusUnit(e val.Event) (int64, error) {
+func statusUnit(e Event) (int64, error) {
 	switch e {
 	case EventPaid:
 		return paidUnit, nil
@@ -383,7 +383,7 @@ func statusUnit(e val.Event) (int64, error) {
 
 // statusCount returns how many occurrences of e a status atom's value
 // records (0 for an event the status does not track).
-func statusCount(status val.V, e val.Event) int64 {
+func statusCount(status val.V, e Event) int64 {
 	switch e {
 	case EventPaid:
 		return status.Int() & (shippedUnit - 1)

@@ -211,7 +211,7 @@ func TestUnchangeStatusWithoutOccurrence(t *testing.T) {
 	}
 	for _, step := range []struct {
 		method string
-		ev     val.Event
+		ev     Event
 		fails  bool
 		want   int64
 	}{

@@ -6,17 +6,18 @@
 // stress tests.
 package orderentry
 
-import (
-	"semcc/internal/compat"
-	"semcc/internal/val"
-)
+import "semcc/internal/compat"
 
-// Events recorded in an order's status (paper §2.2: the status of an
-// order is the set of events that have occurred; "new" is the empty
-// set, then "shipped", "paid", or "shipped&paid").
+// Event names an event recorded in an order's status (paper §2.2: the
+// status of an order is the set of events that have occurred; "new" is
+// none, then "shipped", "paid", or "shipped&paid"). It travels as the
+// Str argument of ChangeStatus, UnchangeStatus and TestStatus.
+type Event string
+
+// The events of an order's status.
 const (
-	EventShipped val.Event = "shipped"
-	EventPaid    val.Event = "paid"
+	EventShipped Event = "shipped"
+	EventPaid    Event = "paid"
 )
 
 // Method names of the encapsulated types. The Un* methods are the
@@ -71,8 +72,8 @@ const (
 //   - ShipOrder/TotalPayment ok — required by the paper's Fig. 7
 //     (their commutative ancestor pair); sound because TotalPayment
 //     observes only the paid flag and quantity of orders.
-//   - PayOrder/PayOrder ok — idempotent event-set insertion with no
-//     return value.
+//   - PayOrder/PayOrder ok — each adds one occurrence to the order's
+//     packed paid count (one Add) and returns nothing.
 //   - PayOrder/TotalPayment conflict — the total observes payments.
 //
 // Inverse methods take their forward method's profile; additionally
@@ -106,9 +107,9 @@ func ItemMatrix() *compat.Matrix {
 	m.Set(MUnshipOrder, MUnpayOrder, compat.Always)
 	m.Set(MUnshipOrder, MTotalPayment, compat.Always)
 	m.Set(MShipOrder, MUnpayOrder, compat.Always)
-	// Payment events are counted occurrences, so adding and removing
-	// one occurrence commute unconditionally — exactly why the status
-	// is a multiset (DESIGN.md §3.3).
+	// The status keeps packed occurrence counts, so adding and removing
+	// one occurrence of payment commute unconditionally (DESIGN.md
+	// §3.3).
 	m.Set(MPayOrder, MUnpayOrder, compat.Always)
 	m.Set(MUnpayOrder, MUnpayOrder, compat.Always)
 
@@ -125,11 +126,11 @@ func ItemMatrix() *compat.Matrix {
 //	TestStatus(e)       conflict iff e = e'         ok
 //
 // ChangeStatus commutes with itself because its semantics is to add
-// an occurrence to a multiset — the multiset remembers neither
-// arrival order nor origin. UnchangeStatus (remove one occurrence;
+// one to an event's packed occurrence count — the counts remember
+// neither arrival order nor origin. UnchangeStatus (subtract one;
 // compensation only) has exactly ChangeStatus's conflict profile:
-// multiset add/remove commute with each other for any events, and
-// both conflict with TestStatus of the same event. Matching the
+// adding to and subtracting from the counts commute for any events,
+// and both conflict with TestStatus of the same event. Matching the
 // forward profile guarantees a compensation never conflicts with a
 // lock that was grantable next to the forward operation (DESIGN.md
 // §3.3).

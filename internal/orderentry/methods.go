@@ -18,7 +18,7 @@ func (a *App) itemMethods() []*oodb.Method {
 		{
 			// NewOrder(i, CustomerNo, Quantity) returns OrderNo:
 			// enters a new order into the Orders of item i with
-			// status "new" (empty event set).
+			// status "new" (no event has occurred).
 			Name: MNewOrder,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 				if len(args) != 2 {
@@ -298,13 +298,13 @@ func (a *App) orderMethods() []*oodb.Method {
 	return []*oodb.Method{
 		{
 			// ChangeStatus(o, event): records that an event occurred.
-			// The status is a multiset of events; it remembers neither
+			// The status counts the occurrences of each event, packed
+			// into one integer (statusUnit); it remembers neither
 			// ordering nor who recorded an occurrence, which is why
 			// ChangeStatus self-commutes and why its inverse
 			// (UnchangeStatus: remove one occurrence) commutes with
 			// exactly the same operations — the property compensation
-			// requires (DESIGN.md §3.3). The multiset is packed into
-			// one integer (statusUnit), so the body is one Add.
+			// requires (DESIGN.md §3.3). The body is one Add.
 			Name: MChangeStatus,
 			Body: func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 				return addStatus(ctx, recv, args, MChangeStatus, 1)

@@ -178,7 +178,7 @@ func (a *App) BypassAudit(refs ...OrderRef) ([]val.V, error) {
 }
 
 // testStatus invokes TestStatus on an order inside tx.
-func (a *App) testStatus(tx Session, ref OrderRef, ev val.Event) (bool, error) {
+func (a *App) testStatus(tx Session, ref OrderRef, ev Event) (bool, error) {
 	order, err := a.Order(ref.ItemNo, ref.OrderNo)
 	if err != nil {
 		return false, err

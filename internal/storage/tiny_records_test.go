@@ -7,7 +7,7 @@ import (
 )
 
 // Mimic the workload: thousands of tiny records, some growing
-// repeatedly (status event multisets), with occasional deletes.
+// repeatedly by a few bytes at a time, with occasional deletes.
 func TestRecordStoreTinyRecords(t *testing.T) { forPoolLayouts(t, 1024, testRecordStoreTinyRecords) }
 
 func testRecordStoreTinyRecords(t *testing.T, pool *Pool) {
@@ -40,7 +40,7 @@ func testRecordStoreTinyRecords(t *testing.T, pool *Pool) {
 			}
 			delete(model, rid)
 		default:
-			// grow or shrink slightly, like event multisets
+			// grow or shrink slightly
 			n := len(cur) + rng.Intn(9) - 3
 			if n < 1 {
 				n = 1

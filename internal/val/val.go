@@ -1,8 +1,9 @@
 // Package val defines the tagged value union stored in atomic objects
-// and passed as method arguments and results.
+// and passed as method arguments and results: the paper's basic values
+// (§2), read and written by Get and Put.
 //
-// Values are immutable by convention: the engine copies event sets on
-// write so that histories and before-images can share values safely.
+// A V is a plain value whose only pointer is its immutable string, so
+// histories, before-images and arguments copy it freely.
 package val
 
 import (
@@ -10,13 +11,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 
 	"semcc/internal/oid"
 )
 
-// Type enumerates the value types of the object model.
+// Type enumerates the value types of the object model. It is also the
+// first byte of a value's encoding; tag 6 is retired (it encoded an
+// event multiset, which no method stores any more) and is never reused,
+// so Unmarshal rejects it as unknown.
 type Type uint8
 
 const (
@@ -32,13 +34,6 @@ const (
 	Bool
 	// Ref is an object reference (an OID).
 	Ref
-	// Events is a multiset of status events (paper §2.2: the Status
-	// of an Order records which events have occurred, e.g. shipped,
-	// paid). Occurrences are counted rather than merely recorded so
-	// that the inverse operation "remove one occurrence" commutes
-	// exactly like "add one occurrence" — the property compensation
-	// needs (DESIGN.md §3.3).
-	Events
 )
 
 // String returns the type name.
@@ -54,163 +49,97 @@ func (t Type) String() string {
 		return "bool"
 	case Ref:
 		return "ref"
-	case Events:
-		return "events"
 	default:
 		return "null"
 	}
 }
 
-// Event is a status event recorded on an order-like object.
-type Event string
-
 // V is a value of the object model. The zero V is Null.
 type V struct {
-	T  Type
-	i  int64
-	f  float64
-	s  string
-	b  bool
-	r  oid.OID
-	ev []Event // sorted; duplicates = occurrence counts (multiset)
+	T Type
+	k oid.Kind // Ref: the OID's kind
+	w uint64   // Int, the Float's bits, Bool (0 or 1), or Ref's N
+	s string   // Str
 }
 
 // NullV is the null value.
 var NullV V
 
 // OfInt returns an Int value.
-func OfInt(v int64) V { return V{T: Int, i: v} }
+func OfInt(v int64) V { return V{T: Int, w: uint64(v)} }
 
 // OfFloat returns a Float value.
-func OfFloat(v float64) V { return V{T: Float, f: v} }
+func OfFloat(v float64) V { return V{T: Float, w: math.Float64bits(v)} }
 
 // OfStr returns a Str value.
 func OfStr(v string) V { return V{T: Str, s: v} }
 
 // OfBool returns a Bool value.
-func OfBool(v bool) V { return V{T: Bool, b: v} }
-
-// OfRef returns a Ref value.
-func OfRef(v oid.OID) V { return V{T: Ref, r: v} }
-
-// OfEvents returns an Events value holding the given event
-// occurrences (order-insensitive; duplicates are counted).
-func OfEvents(evs ...Event) V {
-	out := append([]Event(nil), evs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return V{T: Events, ev: out}
+func OfBool(v bool) V {
+	if v {
+		return V{T: Bool, w: 1}
+	}
+	return V{T: Bool}
 }
 
+// OfRef returns a Ref value.
+func OfRef(v oid.OID) V { return V{T: Ref, k: v.K, w: v.N} }
+
 // Int returns the integer payload (zero unless T==Int).
-func (v V) Int() int64 { return v.i }
+func (v V) Int() int64 {
+	if v.T != Int {
+		return 0
+	}
+	return int64(v.w)
+}
 
 // Float returns the float payload (zero unless T==Float).
-func (v V) Float() float64 { return v.f }
+func (v V) Float() float64 {
+	if v.T != Float {
+		return 0
+	}
+	return math.Float64frombits(v.w)
+}
 
 // Str returns the string payload (empty unless T==Str).
 func (v V) Str() string { return v.s }
 
 // Bool returns the bool payload (false unless T==Bool).
-func (v V) Bool() bool { return v.b }
+func (v V) Bool() bool { return v.T == Bool && v.w != 0 }
 
 // Ref returns the OID payload (nil OID unless T==Ref).
-func (v V) Ref() oid.OID { return v.r }
-
-// EventList returns a copy of the event set, sorted.
-func (v V) EventList() []Event {
-	out := make([]Event, len(v.ev))
-	copy(out, v.ev)
-	return out
-}
-
-// HasEvent reports whether at least one occurrence of e is recorded.
-func (v V) HasEvent(e Event) bool { return v.EventCount(e) > 0 }
-
-// EventCount returns the number of recorded occurrences of e.
-func (v V) EventCount(e Event) int {
-	n := 0
-	for _, x := range v.ev {
-		if x == e {
-			n++
-		}
+func (v V) Ref() oid.OID {
+	if v.T != Ref {
+		return oid.Nil
 	}
-	return n
-}
-
-// WithEvent returns a new Events value with one more occurrence of e.
-func (v V) WithEvent(e Event) V {
-	return OfEvents(append(v.EventList(), e)...)
-}
-
-// WithoutEvent returns a new Events value with one occurrence of e
-// removed (no-op when none is recorded).
-func (v V) WithoutEvent(e Event) V {
-	if !v.HasEvent(e) {
-		return v
-	}
-	evs := v.EventList()
-	for i, x := range evs {
-		if x == e {
-			evs = append(evs[:i], evs[i+1:]...)
-			break
-		}
-	}
-	return OfEvents(evs...)
+	return oid.OID{K: v.k, N: v.w}
 }
 
 // IsNull reports whether v is the null value.
 func (v V) IsNull() bool { return v.T == Null }
 
-// Equal reports deep value equality.
+// Equal reports value equality. Floats compare as IEEE numbers (NaN is
+// unequal to itself, −0 equals +0); every other type by its payload.
 func (v V) Equal(w V) bool {
-	if v.T != w.T {
-		return false
+	if v.T == Float && w.T == Float {
+		return v.Float() == w.Float()
 	}
-	switch v.T {
-	case Int:
-		return v.i == w.i
-	case Float:
-		return v.f == w.f
-	case Str:
-		return v.s == w.s
-	case Bool:
-		return v.b == w.b
-	case Ref:
-		return v.r == w.r
-	case Events:
-		if len(v.ev) != len(w.ev) {
-			return false
-		}
-		for i := range v.ev {
-			if v.ev[i] != w.ev[i] {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
+	return v == w
 }
 
 // String renders the value for diagnostics.
 func (v V) String() string {
 	switch v.T {
 	case Int:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", v.Int())
 	case Float:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.Float())
 	case Str:
 		return fmt.Sprintf("%q", v.s)
 	case Bool:
-		return fmt.Sprintf("%t", v.b)
+		return fmt.Sprintf("%t", v.Bool())
 	case Ref:
-		return v.r.String()
-	case Events:
-		parts := make([]string, len(v.ev))
-		for i, e := range v.ev {
-			parts[i] = string(e)
-		}
-		return "{" + strings.Join(parts, ",") + "}"
+		return v.Ref().String()
 	default:
 		return "null"
 	}
@@ -226,7 +155,7 @@ func (v V) Size() int {
 	n := 1
 	switch v.T {
 	case Int:
-		n += varintLen(v.i)
+		n += varintLen(v.Int())
 	case Float:
 		n += 8
 	case Str:
@@ -234,12 +163,7 @@ func (v V) Size() int {
 	case Bool:
 		n++
 	case Ref:
-		n += 1 + uvarintLen(v.r.N)
-	case Events:
-		n += uvarintLen(uint64(len(v.ev)))
-		for _, e := range v.ev {
-			n += uvarintLen(uint64(len(e))) + len(e)
-		}
+		n += 1 + uvarintLen(v.w)
 	}
 	return n
 }
@@ -254,27 +178,17 @@ func (v V) AppendTo(buf []byte) []byte {
 	buf = append(buf, byte(v.T))
 	switch v.T {
 	case Int:
-		buf = binary.AppendVarint(buf, v.i)
+		buf = binary.AppendVarint(buf, v.Int())
 	case Float:
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.f))
+		buf = binary.BigEndian.AppendUint64(buf, v.w)
 	case Str:
 		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 		buf = append(buf, v.s...)
 	case Bool:
-		if v.b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, byte(v.w))
 	case Ref:
-		buf = append(buf, byte(v.r.K))
-		buf = binary.AppendUvarint(buf, v.r.N)
-	case Events:
-		buf = binary.AppendUvarint(buf, uint64(len(v.ev)))
-		for _, e := range v.ev {
-			buf = binary.AppendUvarint(buf, uint64(len(e)))
-			buf = append(buf, e...)
-		}
+		buf = append(buf, byte(v.k))
+		buf = binary.AppendUvarint(buf, v.w)
 	}
 	return buf
 }
@@ -300,8 +214,7 @@ func Unmarshal(b []byte) (V, int, error) {
 		if len(b) < p+8 {
 			return NullV, 0, fmt.Errorf("val: short float encoding")
 		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(b[p : p+8]))
-		return OfFloat(f), p + 8, nil
+		return V{T: Float, w: binary.BigEndian.Uint64(b[p : p+8])}, p + 8, nil
 	case Str:
 		l, n := binary.Uvarint(b[p:])
 		// The length check runs in uint64 space: converting a huge l to
@@ -328,26 +241,6 @@ func Unmarshal(b []byte) (V, int, error) {
 			return NullV, 0, fmt.Errorf("val: bad ref encoding")
 		}
 		return OfRef(oid.OID{K: k, N: nn}), p + n, nil
-	case Events:
-		cnt, n := binary.Uvarint(b[p:])
-		// Each event needs at least 1 length byte, so a count beyond
-		// the remaining input is corrupt; checking before the make
-		// bounds the preallocation by len(b).
-		if n <= 0 || cnt > uint64(len(b)-p-n) {
-			return NullV, 0, fmt.Errorf("val: bad events encoding")
-		}
-		p += n
-		evs := make([]Event, 0, cnt)
-		for i := uint64(0); i < cnt; i++ {
-			l, n := binary.Uvarint(b[p:])
-			if n <= 0 || l > uint64(len(b)-p-n) {
-				return NullV, 0, fmt.Errorf("val: bad event encoding")
-			}
-			p += n
-			evs = append(evs, Event(b[p:p+int(l)]))
-			p += int(l)
-		}
-		return OfEvents(evs...), p, nil
 	default:
 		return NullV, 0, fmt.Errorf("val: unknown type tag %d", t)
 	}

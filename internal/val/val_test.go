@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"semcc/internal/oid"
 )
@@ -17,7 +18,7 @@ import (
 // every type.
 func (V) Generate(r *rand.Rand, size int) reflect.Value {
 	var v V
-	switch r.Intn(7) {
+	switch r.Intn(6) {
 	case 0:
 		v = NullV
 	case 1:
@@ -30,15 +31,8 @@ func (V) Generate(r *rand.Rand, size int) reflect.Value {
 		v = OfStr(string(b))
 	case 4:
 		v = OfBool(r.Intn(2) == 0)
-	case 5:
-		v = OfRef(oid.OID{K: oid.Kind(1 + r.Intn(4)), N: r.Uint64()})
 	default:
-		evs := make([]Event, r.Intn(5))
-		names := []Event{"shipped", "paid", "billed"}
-		for i := range evs {
-			evs[i] = names[r.Intn(len(names))]
-		}
-		v = OfEvents(evs...)
+		v = OfRef(oid.OID{K: oid.Kind(1 + r.Intn(4)), N: r.Uint64()})
 	}
 	return reflect.ValueOf(v)
 }
@@ -55,35 +49,30 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 // marshalRef is the encoder Marshal was before AppendTo and Size
-// existed, kept verbatim as the reference both are held to: the journal
-// and the store write these bytes, so they must not move.
+// existed, kept as the reference both are held to (reading the payload
+// through the accessors): the journal and the store write these bytes,
+// so they must not move.
 func marshalRef(v V) []byte {
 	buf := []byte{byte(v.T)}
 	switch v.T {
 	case Int:
-		buf = binary.AppendVarint(buf, v.i)
+		buf = binary.AppendVarint(buf, v.Int())
 	case Float:
 		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.f))
+		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.Float()))
 		buf = append(buf, b[:]...)
 	case Str:
-		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
-		buf = append(buf, v.s...)
+		buf = binary.AppendUvarint(buf, uint64(len(v.Str())))
+		buf = append(buf, v.Str()...)
 	case Bool:
-		if v.b {
+		if v.Bool() {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
 	case Ref:
-		buf = append(buf, byte(v.r.K))
-		buf = binary.AppendUvarint(buf, v.r.N)
-	case Events:
-		buf = binary.AppendUvarint(buf, uint64(len(v.ev)))
-		for _, e := range v.ev {
-			buf = binary.AppendUvarint(buf, uint64(len(e)))
-			buf = append(buf, e...)
-		}
+		buf = append(buf, byte(v.Ref().K))
+		buf = binary.AppendUvarint(buf, v.Ref().N)
 	}
 	return buf
 }
@@ -109,7 +98,6 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 		OfStr(""), OfStr("a"), OfStr(long),
 		OfBool(false), OfBool(true),
 		OfRef(oid.Nil), OfRef(oid.DB), OfRef(oid.OID{K: oid.Set, N: 1 << 40}),
-		OfEvents(), OfEvents(""), OfEvents("paid", "shipped", "paid"), OfEvents(Event(long)),
 	}
 	seen := map[Type]bool{}
 	for _, v := range fixed {
@@ -118,7 +106,7 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 			t.Errorf("%s (%s): AppendTo % x, Size %d; reference % x", v, v.T, v.AppendTo(nil), v.Size(), marshalRef(v))
 		}
 	}
-	for ty := Null; ty <= Events; ty++ {
+	for ty := Null; ty <= Ref; ty++ {
 		if !seen[ty] {
 			t.Errorf("no fixed case of type %s", ty)
 		}
@@ -140,59 +128,6 @@ func TestEqualProperties(t *testing.T) {
 	}
 }
 
-// Property: event multiset add/remove are exact inverses, and adds
-// commute with each other in any order.
-func TestEventMultisetProperties(t *testing.T) {
-	addRemove := func(v V, e byte) bool {
-		if v.T != Events {
-			v = OfEvents()
-		}
-		ev := Event([]byte{'a' + e%3})
-		return v.WithEvent(ev).WithoutEvent(ev).Equal(v)
-	}
-	if err := quick.Check(addRemove, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal("add/remove inverse:", err)
-	}
-	commute := func(order []bool) bool {
-		// Apply the same multiset of adds in two different orders.
-		a, b := OfEvents(), OfEvents()
-		var evs []Event
-		for i, x := range order {
-			ev := Event([]byte{'a' + byte(i%3)})
-			if x {
-				evs = append(evs, ev)
-			}
-		}
-		for _, e := range evs {
-			a = a.WithEvent(e)
-		}
-		for i := len(evs) - 1; i >= 0; i-- {
-			b = b.WithEvent(evs[i])
-		}
-		return a.Equal(b)
-	}
-	if err := quick.Check(commute, nil); err != nil {
-		t.Fatal("add commutativity:", err)
-	}
-}
-
-func TestEventCounts(t *testing.T) {
-	v := OfEvents("shipped", "shipped", "paid")
-	if got := v.EventCount("shipped"); got != 2 {
-		t.Errorf("count(shipped) = %d, want 2", got)
-	}
-	if !v.HasEvent("paid") || v.HasEvent("billed") {
-		t.Error("HasEvent wrong")
-	}
-	v = v.WithoutEvent("shipped")
-	if got := v.EventCount("shipped"); got != 1 {
-		t.Errorf("after remove, count = %d, want 1", got)
-	}
-	if !v.WithoutEvent("billed").Equal(v) {
-		t.Error("removing absent event must be a no-op")
-	}
-}
-
 func TestAccessorsAndString(t *testing.T) {
 	cases := []struct {
 		v    V
@@ -203,7 +138,6 @@ func TestAccessorsAndString(t *testing.T) {
 		{OfStr("hi"), `"hi"`},
 		{OfBool(true), "true"},
 		{OfRef(oid.OID{K: oid.Tuple, N: 3}), "tuple:3"},
-		{OfEvents("paid", "shipped"), "{paid,shipped}"},
 		{NullV, "null"},
 	}
 	for _, c := range cases {
@@ -220,16 +154,88 @@ func TestAccessorsAndString(t *testing.T) {
 	}
 }
 
+// TestLayout pins V to one tag, one payload word and a string: every
+// argument, undo entry, store read and result copies it.
+func TestLayout(t *testing.T) {
+	if n := unsafe.Sizeof(V{}); n != 32 {
+		t.Errorf("unsafe.Sizeof(V{}) = %d, want 32", n)
+	}
+}
+
+// TestAccessorsPerType holds every accessor to its contract on every
+// type: the payload when T matches, zero otherwise, although Int,
+// Float, Bool and Ref share one payload word. Equal compares floats as
+// IEEE numbers and everything else by type and payload. Tag 6, the
+// retired event multiset, decodes as an unknown tag.
+func TestAccessorsPerType(t *testing.T) {
+	ref := oid.OID{K: oid.Tuple, N: 1<<63 + 5}
+	for _, v := range []V{NullV, OfInt(-1), OfFloat(-2.5), OfStr("x"), OfBool(true), OfRef(ref)} {
+		want := struct {
+			i int64
+			f float64
+			s string
+			b bool
+			r oid.OID
+		}{}
+		switch v.T {
+		case Int:
+			want.i = -1
+		case Float:
+			want.f = -2.5
+		case Str:
+			want.s = "x"
+		case Bool:
+			want.b = true
+		case Ref:
+			want.r = ref
+		}
+		if v.Int() != want.i || v.Float() != want.f || v.Str() != want.s || v.Bool() != want.b || v.Ref() != want.r {
+			t.Errorf("%s value %s: Int %d Float %g Str %q Bool %t Ref %s, want %+v",
+				v.T, v, v.Int(), v.Float(), v.Str(), v.Bool(), v.Ref(), want)
+		}
+		if v.IsNull() != (v.T == Null) {
+			t.Errorf("%s value %s: IsNull = %t", v.T, v, v.IsNull())
+		}
+	}
+	if OfBool(false).Bool() || OfBool(false).Int() != 0 {
+		t.Error("OfBool(false) reads as true or as a non-zero Int")
+	}
+
+	nan := OfFloat(math.NaN())
+	unequal := [][2]V{
+		{nan, nan},
+		{OfInt(1), OfBool(true)},
+		{OfInt(0), NullV},
+		{OfFloat(0), OfInt(0)},
+		{OfRef(oid.OID{K: oid.Tuple, N: 5}), OfRef(oid.OID{K: oid.Set, N: 5})},
+		{OfRef(oid.OID{K: oid.Tuple, N: 5}), OfInt(5)},
+		{OfStr(""), NullV},
+	}
+	for _, p := range unequal {
+		if p[0].Equal(p[1]) || p[1].Equal(p[0]) {
+			t.Errorf("%s (%s) and %s (%s) compare equal", p[0], p[0].T, p[1], p[1].T)
+		}
+	}
+	if !OfFloat(math.Copysign(0, -1)).Equal(OfFloat(0)) {
+		t.Error("-0 and +0 compare unequal")
+	}
+
+	for _, b := range [][]byte{{6, 0}, {6, 1, 4, 'p', 'a', 'i', 'd'}} {
+		if v, n, err := Unmarshal(b); err == nil {
+			t.Errorf("Unmarshal(% x) = %s, %d: the retired tag 6 decoded", b, v, n)
+		}
+	}
+}
+
 func TestUnmarshalErrors(t *testing.T) {
 	bad := [][]byte{
 		nil,
-		{byte(Int)},           // missing payload
-		{byte(Float), 1, 2},   // short float
-		{byte(Str), 200},      // length beyond buffer
-		{byte(Bool)},          // missing payload
-		{byte(Ref)},           // missing payload
-		{byte(Events), 3, 10}, // truncated events
-		{99},                  // unknown tag
+		{byte(Int)},         // missing payload
+		{byte(Float), 1, 2}, // short float
+		{byte(Str), 200},    // length beyond buffer
+		{byte(Bool)},        // missing payload
+		{byte(Ref)},         // missing payload
+		{99},                // unknown tag
 	}
 	for _, b := range bad {
 		if _, _, err := Unmarshal(b); err == nil {
@@ -241,7 +247,7 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestTypeNames(t *testing.T) {
 	names := map[Type]string{
 		Null: "null", Int: "int", Float: "float", Str: "string",
-		Bool: "bool", Ref: "ref", Events: "events",
+		Bool: "bool", Ref: "ref",
 	}
 	for ty, want := range names {
 		if got := ty.String(); got != want {

@@ -27,7 +27,7 @@ func TestRecordBytesExact(t *testing.T) {
 	multi := compat.Inv(oid.OID{K: oid.Tuple, N: 1 << 40}, "TransferFunds",
 		val.OfInt(-7), val.OfStr(strings.Repeat("x", 300)), val.OfFloat(3.25),
 		val.OfBool(true), val.OfRef(oid.OID{K: oid.Set, N: 1 << 21}),
-		val.OfEvents("shipped", "paid"), val.NullV)
+		val.OfInt(1+1<<32), val.NullV)
 	splice := compat.Inv(oid.OID{K: oid.Set, N: 2}, "Insert",
 		val.OfRef(oid.OID{K: oid.Tuple, N: 9}))
 

@@ -20,7 +20,7 @@ import (
 func seedLogs() [][]byte {
 	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "UnshipOrder", val.OfInt(3), val.OfStr("x"))
 	splice := compat.Inv(oid.OID{K: oid.Set, N: 2}, "Insert",
-		val.OfRef(oid.OID{K: oid.Tuple, N: 9}), val.OfEvents("shipped", "paid"))
+		val.OfRef(oid.OID{K: oid.Tuple, N: 9}), val.OfInt(1+1<<32))
 
 	full := NewLog()
 	full.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 1})

@@ -19,7 +19,11 @@ import (
 // written at commit 220ec06 from the dryRun order-entry scenario:
 // sync.image is DurableBytes of a sync journal fed the scenario,
 // flat.bin its Marshal, group-b3.image DurableBytes of the scenario run
-// on a ModeGroup journal with MaxBatch 3 and MaxDelay 1h. They hold
+// on a ModeGroup journal with MaxBatch 3 and MaxDelay 1h. Their ten
+// status arguments, event multisets then, were later re-encoded as the
+// packed Ints of orderentry's status ({} → 0, {shipped} → 1<<32,
+// {paid,shipped} → 1+1<<32) when that value type was retired; every
+// other field and every batch boundary is as written. They hold
 // the codec and the framing still: a change that moves the bytes of
 // these records changes the on-disk format; regenerate them only with
 // that intent. What the engine emits has moved on since (it no longer
@@ -130,7 +134,7 @@ func TestGoldenImages(t *testing.T) {
 // inverse is the negated delta instead of the before-image. So records
 // are matched by position and kind, node ids by a bijection that must
 // hold across the whole journal (sameIDs), and invocations exactly,
-// except that a status leaf's Put of an event multiset may stand
+// except that a status leaf's Put of a packed status may stand
 // opposite an Add of one event's unit on the same atom (sameInv).
 func TestParentImageRecoversAlike(t *testing.T) {
 	parent, _, err := UnmarshalDurable(golden(t, "sync.image"))
@@ -266,9 +270,9 @@ func samePending(a, b []compat.Invocation) bool {
 }
 
 // sameInv reports whether two journaled invocations are equal, or are
-// the frozen and today's inverse of one status leaf: a Put of an event
-// multiset (the before-image) and an Add of one event's unit, ±1 for
-// paid or ±1<<32 for shipped, on the same atom.
+// the frozen and today's inverse of one status leaf: a Put of the
+// packed status (the before-image) and an Add of one event's unit, ±1
+// for paid or ±1<<32 for shipped, on the same atom.
 func sameInv(o, n *compat.Invocation) bool {
 	if o == nil || n == nil {
 		return o == n
@@ -280,7 +284,7 @@ func sameInv(o, n *compat.Invocation) bool {
 		return false
 	}
 	switch d := n.Args[0].Int(); {
-	case o.Args[0].T != val.Events:
+	case o.Args[0].T != val.Int:
 		return false
 	case d == 1, d == -1, d == 1<<32, d == -1<<32:
 		return true

@@ -193,9 +193,6 @@ type OID = oid.OID
 // Value is the tagged value union of the object model.
 type Value = val.V
 
-// Event is a status event (member of an Events value).
-type Event = val.Event
-
 // Null is the null Value.
 var Null = val.NullV
 
@@ -213,9 +210,6 @@ func Bool(v bool) Value { return val.OfBool(v) }
 
 // Ref builds an object-reference Value.
 func Ref(v OID) Value { return val.OfRef(v) }
-
-// Events builds an event-multiset Value.
-func Events(evs ...Event) Value { return val.OfEvents(evs...) }
 
 // Matrix is a commutativity-based compatibility matrix.
 type Matrix = compat.Matrix

@@ -147,10 +147,6 @@ func TestPublicValueConstructors(t *testing.T) {
 	if semcc.Float(1.5).Float() != 1.5 {
 		t.Error("float mismatch")
 	}
-	ev := semcc.Events("shipped", "shipped")
-	if ev.EventCount("shipped") != 2 {
-		t.Error("events mismatch")
-	}
 	if !semcc.Null.IsNull() {
 		t.Error("Null is not null")
 	}
