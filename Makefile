@@ -118,8 +118,10 @@ benchmark:
 # commits (ns/op, B/op, allocs/op): page insert and grow-on-a-full-page
 # (storage), a lock granted and released on one head (core/locktable),
 # one root invoking a two-leaf method (core through oodb), the record
-# codec encoding and decoding a 75-record journal (wal: /encode, whose
-# allocs/op is a flush's, and /decode, recovery's), two journal
+# codec encoding and decoding a 77-record journal (wal: /encode, whose
+# allocs/op is a flush's, and /decode, recovery's; both report
+# B/record), the compatibility test of a dense matrix on one
+# unconditional and one parameter-dependent pair (compat), two journal
 # appends per durability mode over a free device (wal: sync, group,
 # async), one whole two-node root per commit path over free-flush
 # journals (dist: single, readonly2, update2), and one object resolved
@@ -130,6 +132,7 @@ bench-store:
 	$(GO) test -run=NONE -bench 'BenchmarkMethodInvocationParallel$$' -benchmem -cpu 4 .
 	$(GO) test -run=NONE -bench 'BenchmarkPage(Insert|UpdateGrowFull)$$|BenchmarkTableWith$$|BenchmarkInvokeGetPut$$|BenchmarkJournalAppend$$|BenchmarkClusterCommit$$' -benchmem -cpu 1 ./internal/storage ./internal/core/locktable ./internal/oodb ./internal/wal ./internal/dist
 	$(GO) test -run=NONE -bench 'BenchmarkRecordCodec/(encode|decode)$$' -benchmem -cpu 1 ./internal/wal
+	$(GO) test -run=NONE -bench 'BenchmarkCompatible/' -benchmem -cpu 1 ./internal/compat
 	$(GO) test -run=NONE -bench 'BenchmarkStoreLookup/(ReadAtomic|TupleGet|SetSelect)$$' -benchmem -cpu 1 ./internal/objstore
 
 # The observability cost contract: the disjoint-atom transaction cycle

@@ -93,15 +93,16 @@ func AccountMatrix() *compat.Matrix {
 
 // RegisterTypes installs Queue, Counter, and Account on db.
 func RegisterTypes(db *oodb.DB) error {
-	queue, err := oodb.NewType("Queue", QueueMatrix(), queueMethods()...)
+	qm, cm, am := QueueMatrix(), CounterMatrix(), AccountMatrix()
+	queue, err := oodb.NewType("Queue", qm, queueMethods(qm)...)
 	if err != nil {
 		return err
 	}
-	counter, err := oodb.NewType("Counter", CounterMatrix(), counterMethods()...)
+	counter, err := oodb.NewType("Counter", cm, counterMethods(cm)...)
 	if err != nil {
 		return err
 	}
-	account, err := oodb.NewType("Account", AccountMatrix(), accountMethods()...)
+	account, err := oodb.NewType("Account", am, accountMethods(am)...)
 	if err != nil {
 		return err
 	}
@@ -166,7 +167,8 @@ func NewAccount(db *oodb.DB, opening int64) (oid.OID, error) {
 	return a, db.BindInstance(a, "Account")
 }
 
-func queueMethods() []*oodb.Method {
+func queueMethods(m *compat.Matrix) []*oodb.Method {
+	unenqueue, _ := m.ID(QUnenqueue)
 	return []*oodb.Method{
 		{
 			// Enqueue(v) returns the ticket under which v was stored.
@@ -202,7 +204,7 @@ func queueMethods() []*oodb.Method {
 				return ticket, nil
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				c := compat.Inv(inv.Object, QUnenqueue, result)
+				c := compat.Inv(inv.Object, unenqueue, result)
 				return &c
 			},
 		},
@@ -292,7 +294,9 @@ func queueMethods() []*oodb.Method {
 	}
 }
 
-func counterMethods() []*oodb.Method {
+func counterMethods(m *compat.Matrix) []*oodb.Method {
+	inc, _ := m.ID(CInc)
+	dec, _ := m.ID(CDec)
 	addBody := func(sign int64) oodb.MethodFunc {
 		return func(ctx *oodb.Ctx, recv oid.OID, args []val.V) (val.V, error) {
 			if len(args) != 1 {
@@ -314,7 +318,7 @@ func counterMethods() []*oodb.Method {
 			Name: CInc,
 			Body: addBody(+1),
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				c := compat.Inv(inv.Object, CDec, inv.Args[0])
+				c := compat.Inv(inv.Object, dec, inv.Args[0])
 				return &c
 			},
 		},
@@ -322,7 +326,7 @@ func counterMethods() []*oodb.Method {
 			Name: CDec,
 			Body: addBody(-1),
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				c := compat.Inv(inv.Object, CInc, inv.Args[0])
+				c := compat.Inv(inv.Object, inc, inv.Args[0])
 				return &c
 			},
 		},
@@ -340,7 +344,9 @@ func counterMethods() []*oodb.Method {
 	}
 }
 
-func accountMethods() []*oodb.Method {
+func accountMethods(m *compat.Matrix) []*oodb.Method {
+	deposit, _ := m.ID(ADeposit)
+	undeposit, _ := m.ID(AUndeposit)
 	balanceOf := func(ctx *oodb.Ctx, recv oid.OID) (oid.OID, val.V, error) {
 		bAtom, err := ctx.Component(recv, "Balance")
 		if err != nil {
@@ -370,7 +376,7 @@ func accountMethods() []*oodb.Method {
 				return addBalance(ctx, recv, args[0].Int())
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				c := compat.Inv(inv.Object, AUndeposit, inv.Args[0])
+				c := compat.Inv(inv.Object, undeposit, inv.Args[0])
 				return &c
 			},
 		},
@@ -399,7 +405,7 @@ func accountMethods() []*oodb.Method {
 				return val.NullV, ctx.Put(bAtom, val.OfInt(b.Int()-args[0].Int()))
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				c := compat.Inv(inv.Object, ADeposit, inv.Args[0])
+				c := compat.Inv(inv.Object, deposit, inv.Args[0])
 				return &c
 			},
 		},

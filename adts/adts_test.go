@@ -300,7 +300,8 @@ func TestBalanceConflictsWithUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2 := db.Begin()
-	waits := db.Engine().ProbeConflicts(tx2.Root(), compat.Inv(a, ABalance))
+	balance, _ := AccountMatrix().ID(ABalance)
+	waits := db.Engine().ProbeConflicts(tx2.Root(), compat.Inv(a, balance))
 	if len(waits) != 1 || waits[0] != tx1.Root() {
 		t.Fatalf("Balance vs Deposit waits = %v, want [tx1]", waits)
 	}

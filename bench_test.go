@@ -19,6 +19,7 @@ import (
 
 	"semcc"
 	"semcc/adts"
+	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/oodb"
 	"semcc/internal/orderentry"
@@ -387,8 +388,9 @@ func BenchmarkConflictTestDepth(b *testing.B) {
 			// Probe a conflicting leaf write from a commuting method
 			// context; the engine walks both ancestor chains.
 			node := probeTx.Root()
+			dec, _ := adts.CounterMatrix().ID(adts.CDec)
 			for d := 0; d < depth; d++ {
-				n, err := db.Engine().BeginChild(node, semcc.Invocation{Object: c, Method: adts.CDec, Args: []semcc.Value{semcc.Int(1)}})
+				n, err := db.Engine().BeginChild(node, semcc.Invocation{Object: c, Method: dec, Args: []semcc.Value{semcc.Int(1)}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -396,7 +398,7 @@ func BenchmarkConflictTestDepth(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				db.Engine().ProbeConflicts(node, semcc.Invocation{Object: nAtom, Method: "Put", Args: []semcc.Value{semcc.Int(1)}})
+				db.Engine().ProbeConflicts(node, semcc.Invocation{Object: nAtom, Method: compat.OpPut, Args: []semcc.Value{semcc.Int(1)}})
 			}
 			b.StopTimer()
 			_ = probeTx.Abort()

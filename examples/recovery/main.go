@@ -63,7 +63,7 @@ func main() {
 	for _, l := range analysis.Losers {
 		fmt.Printf("loser tx %d: %d pending compensations:\n", l.Root, len(l.Pending))
 		for _, inv := range l.Pending {
-			fmt.Printf("  %s\n", inv)
+			fmt.Printf("  %s\n", inv.Format(db2.Engine().Table().Name(inv)))
 		}
 	}
 

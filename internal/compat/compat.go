@@ -2,7 +2,7 @@
 // based compatibility relation between them (paper §2.2, §3).
 //
 // Each lock in the semantic protocol is associated with an invocation
-// — a method name, the receiver object, and the actual parameters. Two
+// — a method, the receiver object, and the actual parameters. Two
 // invocations *on the same object* are compatible iff the specified
 // semantics of the two operations commute: the two sequential
 // executions are behaviourally indistinguishable to the callers and to
@@ -15,60 +15,85 @@ package compat
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"semcc/internal/oid"
 	"semcc/internal/val"
 )
 
-// Generic operation names (paper §2.2: operations provided for the
+// Method identifies a method from registration to the journal; names
+// survive only at the edges (the DML, figure output, observability
+// labels, error text). The generic operations have fixed ids; a type's
+// methods are numbered from FirstMethod in its matrix's declaration
+// order, so only the receiver's type names them (Table.Name).
+type Method uint8
+
+// Generic operation ids (paper §2.2: operations provided for the
 // generic type constructors set and tuple and for atomic objects).
 const (
 	// OpGet reads an atomic object's value.
-	OpGet = "Get"
+	OpGet Method = iota
 	// OpPut replaces an atomic object's value.
-	OpPut = "Put"
-	// OpSelect looks up a set member by primary key.
-	OpSelect = "Select"
-	// OpInsert adds a member to a set under a key.
-	OpInsert = "Insert"
-	// OpRemove deletes the member under a key from a set.
-	OpRemove = "Remove"
-	// OpScan enumerates all members of a set.
-	OpScan = "Scan"
+	OpPut
 	// OpAdd adds a signed delta to an atomic integer — a blind
 	// read-modify-write that commutes with itself (addition is
 	// commutative) but conflicts with Get and Put. Counters and the
 	// order status atom update through it, so two updates that their
 	// matrix declares commuting also commute at the leaves.
-	OpAdd = "Add"
+	OpAdd
+	// OpSelect looks up a set member by primary key.
+	OpSelect
+	// OpInsert adds a member to a set under a key.
+	OpInsert
+	// OpRemove deletes the member under a key from a set.
+	OpRemove
+	// OpScan enumerates all members of a set.
+	OpScan
 	// OpRoot labels transaction roots (actions on the database
 	// pseudo-object). Roots never commute with each other.
-	OpRoot = "Tx"
+	OpRoot
+	// FirstMethod is the id of a type's first declared method.
+	FirstMethod
 )
+
+var opNames = [FirstMethod]string{"Get", "Put", "Add", "Select", "Insert", "Remove", "Scan", "Tx"}
+
+// String names a generic operation, and a type's method by its id
+// ("#8").
+func (m Method) String() string {
+	if m < FirstMethod {
+		return opNames[m]
+	}
+	return fmt.Sprintf("#%d", m)
+}
 
 // Invocation identifies one action of an open nested transaction: a
 // method (or generic operation) applied to an object with actual
 // parameters.
 type Invocation struct {
 	Object oid.OID
-	Method string
+	Method Method
 	Args   []val.V
 }
 
 // Inv is a convenience constructor.
-func Inv(object oid.OID, method string, args ...val.V) Invocation {
+func Inv(object oid.OID, method Method, args ...val.V) Invocation {
 	return Invocation{Object: object, Method: method, Args: args}
 }
 
-// String renders the invocation like "ShipOrder(tuple:3, 7)".
-func (in Invocation) String() string {
+// String renders the invocation with Method.String's name.
+func (in Invocation) String() string { return in.Format(in.Method.String()) }
+
+// Format renders the invocation under the method name given, like
+// "ShipOrder(tuple:3, 7)".
+func (in Invocation) Format(name string) string {
 	parts := make([]string, 0, len(in.Args)+1)
 	parts = append(parts, in.Object.String())
 	for _, a := range in.Args {
 		parts = append(parts, a.String())
 	}
-	return fmt.Sprintf("%s(%s)", in.Method, strings.Join(parts, ", "))
+	return fmt.Sprintf("%s(%s)", name, strings.Join(parts, ", "))
 }
 
 // Rule decides compatibility of two invocations on the same object,
@@ -94,67 +119,97 @@ func ArgsDiffer(i int) Rule {
 	}
 }
 
-// Matrix is a symmetric compatibility matrix over method names with
-// per-entry rules. Missing entries default to conflict, the safe
-// direction.
+// Matrix is a symmetric compatibility matrix over one type's methods:
+// a dense table of rules indexed by method id, filled by Set. A nil
+// entry conflicts, the safe direction.
 type Matrix struct {
 	typeName string
+	first    Method
 	methods  []string
-	rules    map[[2]string]Rule
+	rules    []Rule // len(methods)², row-major by id − first
 }
 
-// NewMatrix returns an empty matrix for the named object type, with
-// the given method universe (used for printing and validation).
+// NewMatrix returns an empty matrix for the named object type. Its
+// methods get the ids FirstMethod, FirstMethod+1, … in the order given.
 func NewMatrix(typeName string, methods ...string) *Matrix {
+	if int(FirstMethod)+len(methods) > 1<<8 {
+		panic(fmt.Sprintf("compat: type %s declares more methods than ids", typeName))
+	}
 	return &Matrix{
 		typeName: typeName,
+		first:    FirstMethod,
 		methods:  append([]string(nil), methods...),
-		rules:    make(map[[2]string]Rule),
+		rules:    make([]Rule, len(methods)*len(methods)),
 	}
 }
 
 // TypeName returns the object type the matrix describes.
 func (m *Matrix) TypeName() string { return m.typeName }
 
-// Methods returns the method universe in declaration order.
+// Methods returns the method names in id order.
 func (m *Matrix) Methods() []string { return append([]string(nil), m.methods...) }
 
-func pairKey(a, b string) [2]string {
-	if a <= b {
-		return [2]string{a, b}
-	}
-	return [2]string{b, a}
+// ID returns the id of the named method.
+func (m *Matrix) ID(name string) (Method, bool) {
+	i := slices.Index(m.methods, name)
+	return m.first + Method(i), i >= 0
 }
 
-// Set installs a rule for the (symmetric) method pair.
+// Name returns the name of method id (Method.String's outside the
+// matrix).
+func (m *Matrix) Name(id Method) string {
+	if i := int(id) - int(m.first); i >= 0 && i < len(m.methods) {
+		return m.methods[i]
+	}
+	return id.String()
+}
+
+// Set installs a rule for the (symmetric) pair of declared methods.
 func (m *Matrix) Set(a, b string, r Rule) *Matrix {
-	m.rules[pairKey(a, b)] = r
+	i, j, n := slices.Index(m.methods, a), slices.Index(m.methods, b), len(m.methods)
+	if i < 0 || j < 0 {
+		panic(fmt.Sprintf("compat: matrix %s has no method pair %s/%s", m.typeName, a, b))
+	}
+	m.rules[i*n+j], m.rules[j*n+i] = r, r
 	return m
 }
 
-// Compatible applies the matrix to two invocations (which must carry
-// methods from this matrix's universe; unknown pairs conflict).
+// Rule returns the rule Set for the named pair, nil if none was.
+func (m *Matrix) Rule(a, b string) Rule {
+	i, j := slices.Index(m.methods, a), slices.Index(m.methods, b)
+	if i < 0 || j < 0 {
+		return nil
+	}
+	return m.rules[i*len(m.methods)+j]
+}
+
+// Compatible applies the matrix to two invocations, indexing the table
+// by their ids (no string is hashed or compared); a method outside the
+// matrix conflicts.
 func (m *Matrix) Compatible(a, b Invocation) bool {
-	r, ok := m.rules[pairKey(a.Method, b.Method)]
-	if !ok {
+	n, i, j := len(m.methods), int(a.Method)-int(m.first), int(b.Method)-int(m.first)
+	if i < 0 || j < 0 || i >= n || j >= n {
 		return false
 	}
-	return r(a, b)
+	r := m.rules[i*n+j]
+	return r != nil && r(a, b)
 }
 
 // Entry reports the static classification of a method pair for
 // rendering: "ok", "conflict", or "param" for parameter-dependent
 // rules.
 func (m *Matrix) Entry(a, b string) string {
-	r, ok := m.rules[pairKey(a, b)]
-	if !ok {
+	r := m.Rule(a, b)
+	if r == nil {
 		return "conflict"
 	}
 	// Probe the rule with distinguishable argument vectors to
 	// classify it. Rules must be pure.
-	x := Invocation{Method: a, Args: []val.V{val.OfStr("α"), val.OfStr("α")}}
-	y := Invocation{Method: b, Args: []val.V{val.OfStr("α"), val.OfStr("α")}}
-	z := Invocation{Method: b, Args: []val.V{val.OfStr("β"), val.OfStr("β")}}
+	ia, _ := m.ID(a)
+	ib, _ := m.ID(b)
+	x := Invocation{Method: ia, Args: []val.V{val.OfStr("α"), val.OfStr("α")}}
+	y := Invocation{Method: ib, Args: []val.V{val.OfStr("α"), val.OfStr("α")}}
+	z := Invocation{Method: ib, Args: []val.V{val.OfStr("β"), val.OfStr("β")}}
 	same, diff := r(x, y), r(x, z)
 	switch {
 	case same && diff:
@@ -205,44 +260,33 @@ func (m *Matrix) Render() string {
 //   - Add/Add compatible (addition commutes); Add conflicts with Get
 //     and Put (the observing operations).
 func GenericMatrix() *Matrix {
-	m := NewMatrix("generic", OpGet, OpPut, OpAdd, OpSelect, OpInsert, OpRemove, OpScan)
-	m.Set(OpGet, OpGet, Always)
-	m.Set(OpAdd, OpAdd, Always)
-	m.Set(OpSelect, OpSelect, Always)
-	m.Set(OpScan, OpScan, Always)
-	m.Set(OpSelect, OpScan, Always)
-	m.Set(OpSelect, OpInsert, ArgsDiffer(0))
-	m.Set(OpSelect, OpRemove, ArgsDiffer(0))
-	m.Set(OpInsert, OpInsert, ArgsDiffer(0))
-	m.Set(OpInsert, OpRemove, ArgsDiffer(0))
-	m.Set(OpRemove, OpRemove, ArgsDiffer(0))
+	m := NewMatrix("generic", opNames[:OpRoot]...)
+	m.first = OpGet
+	m.Set("Get", "Get", Always)
+	m.Set("Add", "Add", Always)
+	m.Set("Select", "Select", Always)
+	m.Set("Scan", "Scan", Always)
+	m.Set("Select", "Scan", Always)
+	m.Set("Select", "Insert", ArgsDiffer(0))
+	m.Set("Select", "Remove", ArgsDiffer(0))
+	m.Set("Insert", "Insert", ArgsDiffer(0))
+	m.Set("Insert", "Remove", ArgsDiffer(0))
+	m.Set("Remove", "Remove", ArgsDiffer(0))
 	// Get/Put, Put/Put, Get/Add, Put/Add, Scan/Insert, Scan/Remove:
 	// default conflict.
 	return m
 }
 
-// writeOps classifies the generic writes for the read/write baseline
-// protocols.
-var writeOps = map[string]bool{OpPut: true, OpAdd: true, OpInsert: true, OpRemove: true}
-
 // IsGenericOp reports whether method is one of the generic leaf
 // operations (Get/Put/Add/Select/Insert/Remove/Scan).
-func IsGenericOp(method string) bool { return IsReadOp(method) || writeOps[method] }
+func IsGenericOp(method Method) bool { return method < OpRoot }
 
 // IsReadOp reports whether method is a generic read (Get/Select/Scan).
-// A switch, not a map: the engine asks once per subtransaction begin
-// and end.
-func IsReadOp(method string) bool {
-	switch method {
-	case OpGet, OpSelect, OpScan:
-		return true
-	}
-	return false
-}
+func IsReadOp(method Method) bool { return method == OpGet || method == OpSelect || method == OpScan }
 
 // IsWriteOp reports whether method is a generic write
 // (Put/Add/Insert/Remove).
-func IsWriteOp(method string) bool { return writeOps[method] }
+func IsWriteOp(method Method) bool { return IsGenericOp(method) && !IsReadOp(method) }
 
 // Table maps object OIDs (or object types) to compatibility rules. The
 // engine registers one Compat per encapsulated type plus the generic
@@ -252,4 +296,6 @@ type Table interface {
 	// Compatible reports whether invocations a and b — guaranteed to
 	// have the same receiver object — commute.
 	Compatible(a, b Invocation) bool
+	// Name returns the name of inv's method.
+	Name(inv Invocation) string
 }

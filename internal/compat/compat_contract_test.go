@@ -40,9 +40,12 @@ func matrices() []struct {
 	}
 }
 
-// probePairs builds invocation pairs that exercise both branches of
-// parameter-dependent rules: equal arguments and differing arguments.
-func probePairs(a, b string) [][2]compat.Invocation {
+// probePairs builds invocation pairs of m's methods a and b that
+// exercise both branches of parameter-dependent rules: equal arguments
+// and differing arguments.
+func probePairs(m *compat.Matrix, a, b string) [][2]compat.Invocation {
+	ia, _ := m.ID(a)
+	ib, _ := m.ID(b)
 	args := func(vs ...int64) []val.V {
 		out := make([]val.V, len(vs))
 		for i, v := range vs {
@@ -51,10 +54,10 @@ func probePairs(a, b string) [][2]compat.Invocation {
 		return out
 	}
 	return [][2]compat.Invocation{
-		{{Method: a, Args: args(1, 1)}, {Method: b, Args: args(1, 1)}},
-		{{Method: a, Args: args(1, 1)}, {Method: b, Args: args(2, 2)}},
-		{{Method: a, Args: args(7)}, {Method: b, Args: args(7)}},
-		{{Method: a, Args: args(7)}, {Method: b, Args: args(8)}},
+		{{Method: ia, Args: args(1, 1)}, {Method: ib, Args: args(1, 1)}},
+		{{Method: ia, Args: args(1, 1)}, {Method: ib, Args: args(2, 2)}},
+		{{Method: ia, Args: args(7)}, {Method: ib, Args: args(7)}},
+		{{Method: ia, Args: args(7)}, {Method: ib, Args: args(8)}},
 	}
 }
 
@@ -67,7 +70,7 @@ func TestMatrixContractSymmetry(t *testing.T) {
 			methods := entry.m.Methods()
 			for _, a := range methods {
 				for _, b := range methods {
-					for _, pair := range probePairs(a, b) {
+					for _, pair := range probePairs(entry.m, a, b) {
 						x, y := pair[0], pair[1]
 						if got, mirror := entry.m.Compatible(x, y), entry.m.Compatible(y, x); got != mirror {
 							t.Fatalf("%s: Compatible(%s, %s)=%t but Compatible(%s, %s)=%t",
@@ -87,7 +90,7 @@ func TestMatrixContractSymmetry(t *testing.T) {
 // (the selection would observe the insertion).
 func TestMatrixContractDistinctKeySetOps(t *testing.T) {
 	g := compat.GenericMatrix()
-	inv := func(op string, key int64) compat.Invocation {
+	inv := func(op compat.Method, key int64) compat.Invocation {
 		return compat.Invocation{Method: op, Args: []val.V{val.OfInt(key)}}
 	}
 	cases := []struct {
@@ -113,7 +116,7 @@ func TestMatrixContractDistinctKeySetOps(t *testing.T) {
 // compatibleOnProbes reports whether m lets a run next to b for some
 // probe arguments.
 func compatibleOnProbes(m *compat.Matrix, a, b string) bool {
-	for _, pair := range probePairs(a, b) {
+	for _, pair := range probePairs(m, a, b) {
 		if m.Compatible(pair[0], pair[1]) {
 			return true
 		}
@@ -259,5 +262,84 @@ func TestMatrixContractCommutingLeaves(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// arity is the real argument count of every method of matrices(), by
+// type and method name.
+var arity = map[string]int{
+	"generic.Get": 0, "generic.Put": 1, "generic.Add": 1, "generic.Select": 1,
+	"generic.Insert": 2, "generic.Remove": 1, "generic.Scan": 0,
+
+	"Item.NewOrder": 2, "Item.ShipOrder": 1, "Item.PayOrder": 1, "Item.TotalPayment": 0,
+	"Item.RemoveOrder": 1, "Item.UnshipOrder": 1, "Item.UnpayOrder": 1,
+	"Item.DebitStock": 1, "Item.CreditStock": 1, "Item.UncreditStock": 1,
+	"Order.ChangeStatus": 1, "Order.TestStatus": 1, "Order.UnchangeStatus": 1,
+
+	"Queue.Enqueue": 1, "Queue.Dequeue": 0, "Queue.Size": 0, "Queue.Unenqueue": 1,
+	"Counter.Inc": 1, "Counter.Dec": 1, "Counter.Value": 0,
+	"Account.Deposit": 1, "Account.Withdraw": 1, "Account.Balance": 0, "Account.Undeposit": 1,
+}
+
+// TestDenseMatrixMatchesDeclaredRules is the differential test of the
+// dense matrix, over the generic matrix and every type the repository
+// registers (the figures register orderentry's Item and Order). For
+// every ordered pair of methods, a method with itself included,
+// Compatible — which finds its rule by the invocations' ids — must
+// answer what the rule declared for the pair by name (Matrix.Rule)
+// answers, and a pair never declared must conflict; and it must answer
+// the same with the two invocations swapped. The probes are Entry's
+// argument vectors and vectors of each method's real arity, on equal
+// and on differing arguments.
+func TestDenseMatrixMatchesDeclaredRules(t *testing.T) {
+	vec := func(n int, v val.V) []val.V {
+		out := make([]val.V, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	obj := oid.OID{K: oid.Tuple, N: 9}
+	undeclared := 0
+	for _, entry := range matrices() {
+		m := entry.m
+		for _, a := range m.Methods() {
+			for _, b := range m.Methods() {
+				na, okA := arity[m.TypeName()+"."+a]
+				nb, okB := arity[m.TypeName()+"."+b]
+				if !okA || !okB {
+					t.Fatalf("%s.%s/%s: no arity on record", m.TypeName(), a, b)
+				}
+				ia, _ := m.ID(a)
+				ib, _ := m.ID(b)
+				rule := m.Rule(a, b)
+				if rule == nil {
+					undeclared++
+					if m.Entry(a, b) != "conflict" {
+						t.Errorf("%s: undeclared %s/%s renders %s", m.TypeName(), a, b, m.Entry(a, b))
+					}
+				}
+				probes := [][2][]val.V{
+					{vec(2, val.OfStr("α")), vec(2, val.OfStr("α"))},
+					{vec(2, val.OfStr("α")), vec(2, val.OfStr("β"))},
+					{vec(na, val.OfInt(1)), vec(nb, val.OfInt(1))},
+					{vec(na, val.OfInt(1)), vec(nb, val.OfInt(2))},
+				}
+				for _, p := range probes {
+					x := compat.Invocation{Object: obj, Method: ia, Args: p[0]}
+					y := compat.Invocation{Object: obj, Method: ib, Args: p[1]}
+					want := rule != nil && rule(x, y)
+					if got := m.Compatible(x, y); got != want {
+						t.Errorf("%s: Compatible(%s, %s) = %t, declared rule says %t", m.TypeName(), x.Format(a), y.Format(b), got, want)
+					}
+					if m.Compatible(y, x) != m.Compatible(x, y) {
+						t.Errorf("%s: Compatible is not symmetric on %s, %s", m.TypeName(), x.Format(a), y.Format(b))
+					}
+				}
+			}
+		}
+	}
+	if undeclared == 0 {
+		t.Error("no undeclared pair: the default-conflict check checked nothing")
 	}
 }

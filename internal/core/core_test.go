@@ -12,28 +12,48 @@ import (
 	"semcc/internal/val"
 )
 
-// testTable is a compat.Table for protocol unit tests: methods "A" and
-// "B" commute with themselves but not each other; "C" commutes with
+// The methods of testTable, and the compensations the tests journal.
+const (
+	mA compat.Method = compat.FirstMethod + iota
+	mB
+	mC
+	mP
+	mUndoA
+	mUndoB
+	mUndoC
+)
+
+var testNames = []string{"A", "B", "C", "P", "UndoA", "UndoB", "UndoC"}
+
+// testTable is a compat.Table for protocol unit tests: methods A and B
+// commute with themselves and with each other; C commutes with
 // nothing; generic Get/Put/etc. use the generic matrix; parameterised
-// method "P" commutes iff first arguments differ.
+// method P commutes iff first arguments differ.
 type testTable struct {
 	generic *compat.Matrix
 }
 
 func newTestTable() *testTable { return &testTable{generic: compat.GenericMatrix()} }
 
+func (t *testTable) Name(inv compat.Invocation) string {
+	if i := int(inv.Method - compat.FirstMethod); inv.Method >= compat.FirstMethod && i < len(testNames) {
+		return testNames[i]
+	}
+	return inv.Method.String()
+}
+
 func (t *testTable) Compatible(a, b compat.Invocation) bool {
 	if compat.IsGenericOp(a.Method) && compat.IsGenericOp(b.Method) {
 		return t.generic.Compatible(a, b)
 	}
 	switch {
-	case a.Method == "A" && b.Method == "A":
+	case a.Method == mA && b.Method == mA:
 		return true
-	case a.Method == "B" && b.Method == "B":
+	case a.Method == mB && b.Method == mB:
 		return true
-	case a.Method == "P" && b.Method == "P":
+	case a.Method == mP && b.Method == mP:
 		return compat.ArgsDiffer(0)(a, b)
-	case (a.Method == "A" && b.Method == "B") || (a.Method == "B" && b.Method == "A"):
+	case (a.Method == mA && b.Method == mB) || (a.Method == mB && b.Method == mA):
 		return true
 	default:
 		return false
@@ -72,12 +92,12 @@ func TestCompatibleMethodsDoNotConflict(t *testing.T) {
 	e := newTestEngine(Semantic)
 	o := obj()
 	r1, r2 := e.BeginRoot(), e.BeginRoot()
-	a := begin(t, e, r1, compat.Inv(o, "A"))
+	a := begin(t, e, r1, compat.Inv(o, mA))
 	// A/A commute: r2's A on the same object is granted immediately.
-	if waits := e.ProbeConflicts(r2, compat.Inv(o, "A")); len(waits) != 0 {
+	if waits := e.ProbeConflicts(r2, compat.Inv(o, mA)); len(waits) != 0 {
 		t.Fatalf("A vs A waits = %v, want none", waits)
 	}
-	b := begin(t, e, r2, compat.Inv(o, "A"))
+	b := begin(t, e, r2, compat.Inv(o, mA))
 	complete(t, e, a)
 	complete(t, e, b)
 	if err := e.CommitRoot(r1); err != nil {
@@ -96,11 +116,11 @@ func TestConflictingMethodBlocksUntilRootCommit(t *testing.T) {
 	e := newTestEngine(Semantic)
 	o := obj()
 	r1 := e.BeginRoot()
-	c1 := begin(t, e, r1, compat.Inv(o, "C"))
+	c1 := begin(t, e, r1, compat.Inv(o, mC))
 	complete(t, e, c1) // retained
 
 	r2 := e.BeginRoot()
-	waits := e.ProbeConflicts(r2, compat.Inv(o, "C"))
+	waits := e.ProbeConflicts(r2, compat.Inv(o, mC))
 	if len(waits) != 1 || waits[0] != r1 {
 		t.Fatalf("waits = %v, want [r1]", waits)
 	}
@@ -108,7 +128,7 @@ func TestConflictingMethodBlocksUntilRootCommit(t *testing.T) {
 	// Live: blocks until r1 commits.
 	done := make(chan *Tx)
 	go func() {
-		n := begin(t, e, r2, compat.Inv(o, "C"))
+		n := begin(t, e, r2, compat.Inv(o, mC))
 		done <- n
 	}()
 	select {
@@ -130,12 +150,12 @@ func TestParameterDependentCompatibility(t *testing.T) {
 	e := newTestEngine(Semantic)
 	o := obj()
 	r1, r2 := e.BeginRoot(), e.BeginRoot()
-	p1 := begin(t, e, r1, compat.Inv(o, "P", val.OfInt(1)))
+	p1 := begin(t, e, r1, compat.Inv(o, mP, val.OfInt(1)))
 	complete(t, e, p1)
-	if waits := e.ProbeConflicts(r2, compat.Inv(o, "P", val.OfInt(2))); len(waits) != 0 {
+	if waits := e.ProbeConflicts(r2, compat.Inv(o, mP, val.OfInt(2))); len(waits) != 0 {
 		t.Errorf("P(1) vs P(2) waits = %v, want none", waits)
 	}
-	if waits := e.ProbeConflicts(r2, compat.Inv(o, "P", val.OfInt(1))); len(waits) != 1 {
+	if waits := e.ProbeConflicts(r2, compat.Inv(o, mP, val.OfInt(1))); len(waits) != 1 {
 		t.Errorf("P(1) vs P(1) waits = %v, want [r1]", waits)
 	}
 	_ = e.CommitRoot(r1)
@@ -150,13 +170,13 @@ func TestCase1CommittedCommutativeAncestor(t *testing.T) {
 	o, leaf := obj(), atom()
 
 	r1 := e.BeginRoot()
-	a1 := begin(t, e, r1, compat.Inv(o, "A"))
+	a1 := begin(t, e, r1, compat.Inv(o, mA))
 	w := begin(t, e, a1, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	complete(t, e, w)
 	complete(t, e, a1) // A subtree committed; Put lock retained
 
 	r2 := e.BeginRoot()
-	b2 := begin(t, e, r2, compat.Inv(o, "B")) // B commutes with A
+	b2 := begin(t, e, r2, compat.Inv(o, mB)) // B commutes with A
 	if waits := e.ProbeConflicts(b2, compat.Inv(leaf, compat.OpGet)); len(waits) != 0 {
 		t.Fatalf("case 1 not applied: waits = %v", waits)
 	}
@@ -178,13 +198,13 @@ func TestCase2ActiveCommutativeAncestor(t *testing.T) {
 	o, leaf := obj(), atom()
 
 	r1 := e.BeginRoot()
-	a1 := begin(t, e, r1, compat.Inv(o, "A"))
+	a1 := begin(t, e, r1, compat.Inv(o, mA))
 	w := begin(t, e, a1, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	complete(t, e, w)
 	// a1 still active.
 
 	r2 := e.BeginRoot()
-	b2 := begin(t, e, r2, compat.Inv(o, "B"))
+	b2 := begin(t, e, r2, compat.Inv(o, mB))
 	waits := e.ProbeConflicts(b2, compat.Inv(leaf, compat.OpGet))
 	if len(waits) != 1 || waits[0] != a1 {
 		t.Fatalf("case 2: waits = %v, want [a1]", waits)
@@ -218,13 +238,13 @@ func TestNoAncestorRelief(t *testing.T) {
 	o, leaf := obj(), atom()
 
 	r1 := e.BeginRoot()
-	a1 := begin(t, e, r1, compat.Inv(o, "A"))
+	a1 := begin(t, e, r1, compat.Inv(o, mA))
 	w := begin(t, e, a1, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	complete(t, e, w)
 	complete(t, e, a1)
 
 	r2 := e.BeginRoot()
-	b2 := begin(t, e, r2, compat.Inv(o, "B"))
+	b2 := begin(t, e, r2, compat.Inv(o, mB))
 	waits := e.ProbeConflicts(b2, compat.Inv(leaf, compat.OpGet))
 	if len(waits) != 1 || waits[0] != r1 {
 		t.Fatalf("relief-off: waits = %v, want [r1]", waits)
@@ -261,14 +281,14 @@ func TestReadWriteBaselineConflicts(t *testing.T) {
 			o, leaf := obj(), atom()
 			r1 := e.BeginRoot()
 			// Method invocations take no lock under R/W baselines.
-			m := begin(t, e, r1, compat.Inv(o, "C"))
+			m := begin(t, e, r1, compat.Inv(o, mC))
 			g := begin(t, e, m, compat.Inv(leaf, compat.OpGet))
 			complete(t, e, g)
 			complete(t, e, m)
 
 			r2 := e.BeginRoot()
 			// Another C on the same object: NOT blocked (no method locks).
-			if waits := e.ProbeConflicts(r2, compat.Inv(o, "C")); len(waits) != 0 {
+			if waits := e.ProbeConflicts(r2, compat.Inv(o, mC)); len(waits) != 0 {
 				t.Errorf("method invocation blocked under %s: %v", kind, waits)
 			}
 			// Read/read compatible.
@@ -290,7 +310,7 @@ func TestOpenNoRetainReleasesAtSubcommit(t *testing.T) {
 	e := newTestEngine(OpenNoRetain)
 	o, leaf := obj(), atom()
 	r1 := e.BeginRoot()
-	c := begin(t, e, r1, compat.Inv(o, "C"))
+	c := begin(t, e, r1, compat.Inv(o, mC))
 	w := begin(t, e, c, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	complete(t, e, w)
 
@@ -305,7 +325,7 @@ func TestOpenNoRetainReleasesAtSubcommit(t *testing.T) {
 	if waits := e.ProbeConflicts(r2, compat.Inv(leaf, compat.OpGet)); len(waits) != 0 {
 		t.Errorf("leaf lock survived subcommit under open-noretain: %v", waits)
 	}
-	if waits := e.ProbeConflicts(r2, compat.Inv(o, "C")); len(waits) == 0 {
+	if waits := e.ProbeConflicts(r2, compat.Inv(o, mC)); len(waits) == 0 {
 		t.Error("method lock must still be held by the parent")
 	}
 	_ = e.CommitRoot(r1)
@@ -437,20 +457,20 @@ func TestFCFSOrdering(t *testing.T) {
 
 func TestCompensationOnAbort(t *testing.T) {
 	e := New(Config{Kind: Semantic, Table: newTestTable(), Record: true})
-	var executed []string
+	var executed []compat.Method
 	e.SetExec(func(parent *Tx, inv compat.Invocation) error {
 		executed = append(executed, inv.Method)
 		return nil
 	})
 	o := obj()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
-	invA := compat.Inv(o, "UndoA")
+	a := begin(t, e, r, compat.Inv(o, mA))
+	invA := compat.Inv(o, mUndoA)
 	if err := e.CompleteChild(a, &invA); err != nil {
 		t.Fatal(err)
 	}
-	b := begin(t, e, r, compat.Inv(o, "B"))
-	invB := compat.Inv(o, "UndoB")
+	b := begin(t, e, r, compat.Inv(o, mB))
+	invB := compat.Inv(o, mUndoB)
 	if err := e.CompleteChild(b, &invB); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +478,7 @@ func TestCompensationOnAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reverse chronological order.
-	if len(executed) != 2 || executed[0] != "UndoB" || executed[1] != "UndoA" {
+	if len(executed) != 2 || executed[0] != mUndoB || executed[1] != mUndoA {
 		t.Fatalf("compensations = %v, want [UndoB UndoA]", executed)
 	}
 	if st := e.Stats(); st.Compensations != 2 || st.RootsAborted != 1 {
@@ -468,14 +488,14 @@ func TestCompensationOnAbort(t *testing.T) {
 
 func TestUndoSpliceForNilInverse(t *testing.T) {
 	e := New(Config{Kind: Semantic, Table: newTestTable()})
-	var executed []string
+	var executed []compat.Method
 	e.SetExec(func(parent *Tx, inv compat.Invocation) error {
 		executed = append(executed, inv.Method)
 		return nil
 	})
 	o, leaf := obj(), atom()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
+	a := begin(t, e, r, compat.Inv(o, mA))
 	w := begin(t, e, a, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	inv := compat.Inv(leaf, compat.OpPut, val.OfInt(0))
 	if err := e.CompleteChild(w, &inv); err != nil {
@@ -495,23 +515,23 @@ func TestUndoSpliceForNilInverse(t *testing.T) {
 
 func TestAbortChildCompensatesItsChildren(t *testing.T) {
 	e := New(Config{Kind: Semantic, Table: newTestTable()})
-	var executed []string
+	var executed []compat.Method
 	e.SetExec(func(parent *Tx, inv compat.Invocation) error {
 		executed = append(executed, inv.Method)
 		return nil
 	})
 	o := obj()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
-	c := begin(t, e, a, compat.Inv(o, "B"))
-	invC := compat.Inv(o, "UndoB")
+	a := begin(t, e, r, compat.Inv(o, mA))
+	c := begin(t, e, a, compat.Inv(o, mB))
+	invC := compat.Inv(o, mUndoB)
 	if err := e.CompleteChild(c, &invC); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.AbortChild(a); err != nil {
 		t.Fatal(err)
 	}
-	if len(executed) != 1 || executed[0] != "UndoB" {
+	if len(executed) != 1 || executed[0] != mUndoB {
 		t.Fatalf("compensations = %v, want [UndoB]", executed)
 	}
 	// Parent keeps going; no inverse of A reaches the root's undo.
@@ -529,10 +549,10 @@ func TestLocksReleasedAtCommitAndAbort(t *testing.T) {
 			e := newTestEngine(Semantic)
 			o := obj()
 			r1 := e.BeginRoot()
-			c := begin(t, e, r1, compat.Inv(o, "C"))
+			c := begin(t, e, r1, compat.Inv(o, mC))
 			complete(t, e, c)
 			r2 := e.BeginRoot()
-			if waits := e.ProbeConflicts(r2, compat.Inv(o, "C")); len(waits) != 1 {
+			if waits := e.ProbeConflicts(r2, compat.Inv(o, mC)); len(waits) != 1 {
 				t.Fatalf("pre: waits = %v", waits)
 			}
 			if finish == "commit" {
@@ -544,7 +564,7 @@ func TestLocksReleasedAtCommitAndAbort(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if waits := e.ProbeConflicts(r2, compat.Inv(o, "C")); len(waits) != 0 {
+			if waits := e.ProbeConflicts(r2, compat.Inv(o, mC)); len(waits) != 0 {
 				t.Fatalf("post-%s: waits = %v, want none", finish, waits)
 			}
 			_ = e.CommitRoot(r2)
@@ -555,7 +575,7 @@ func TestLocksReleasedAtCommitAndAbort(t *testing.T) {
 func TestEngineStateErrors(t *testing.T) {
 	e := newTestEngine(Semantic)
 	r := e.BeginRoot()
-	c := begin(t, e, r, compat.Inv(obj(), "A"))
+	c := begin(t, e, r, compat.Inv(obj(), mA))
 	if err := e.CommitRoot(c); err == nil {
 		t.Error("CommitRoot on child must fail")
 	}
@@ -572,10 +592,10 @@ func TestEngineStateErrors(t *testing.T) {
 	if err := e.CommitRoot(r); err == nil {
 		t.Error("double CommitRoot must fail")
 	}
-	if _, err := e.BeginChild(r, compat.Inv(obj(), "A")); err == nil {
+	if _, err := e.BeginChild(r, compat.Inv(obj(), mA)); err == nil {
 		t.Error("BeginChild on committed root must fail")
 	}
-	if _, err := e.BeginChild(nil, compat.Inv(obj(), "A")); err == nil {
+	if _, err := e.BeginChild(nil, compat.Inv(obj(), mA)); err == nil {
 		t.Error("BeginChild(nil) must fail")
 	}
 }
@@ -584,7 +604,7 @@ func TestForestSnapshot(t *testing.T) {
 	e := newTestEngine(Semantic)
 	o, leaf := obj(), atom()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
+	a := begin(t, e, r, compat.Inv(o, mA))
 	w := begin(t, e, a, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	complete(t, e, w)
 	complete(t, e, a)
@@ -637,7 +657,7 @@ func TestClosedNestedInheritance(t *testing.T) {
 	e := newTestEngine(ClosedNested)
 	o, leaf := obj(), atom()
 	r := e.BeginRoot()
-	m := begin(t, e, r, compat.Inv(o, "A"))
+	m := begin(t, e, r, compat.Inv(o, mA))
 	w := begin(t, e, m, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 	complete(t, e, w)
 	complete(t, e, m)
@@ -676,7 +696,7 @@ func TestDumpLocks(t *testing.T) {
 	e := newTestEngine(Semantic)
 	o := obj()
 	r := e.BeginRoot()
-	c := begin(t, e, r, compat.Inv(o, "C"))
+	c := begin(t, e, r, compat.Inv(o, mC))
 	complete(t, e, c)
 	dump := e.DumpLocks()
 	if dump == "" {

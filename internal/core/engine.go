@@ -59,6 +59,11 @@ const (
 	// is the commit point); an abort decision falls back to the
 	// ordinary loser path.
 	JDecide
+	// JSchema names a type's method ids: its Inv's arguments are the
+	// type name, then the method names in id order. The database
+	// journals one per registered type before any record uses it; each
+	// epoch repeats them (wal.Log.Reset); recovery checks them.
+	JSchema
 )
 
 // JournalRecord is one write-ahead-log record. The engine emits them
@@ -447,7 +452,7 @@ func (e *Engine) BeginChild(parent *Tx, inv compat.Invocation) (*Tx, error) {
 	// formatted only for a span that will carry it: without a parent
 	// span (collection off) the cost is this one pointer check.
 	if parent.span != nil {
-		t.span = parent.span.NewChild(t.id, inv.String())
+		t.span = parent.span.NewChild(t.id, inv.Format(e.table.Name(inv)))
 	}
 
 	lockInv, need := e.lm.LockFor(inv)
@@ -704,12 +709,12 @@ func (e *Engine) abortNode(t *Tx) error {
 	var firstErr error
 	for i := len(undo) - 1; i >= 0; i-- {
 		if e.exec == nil {
-			firstErr = fmt.Errorf("core: no compensation executor installed, cannot undo %s", undo[i])
+			firstErr = fmt.Errorf("core: no compensation executor installed, cannot undo %s", undo[i].Format(e.table.Name(undo[i])))
 			break
 		}
 		err := e.exec(t, undo[i])
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: compensation %s failed: %w", undo[i], err)
+			firstErr = fmt.Errorf("core: compensation %s failed: %w", undo[i].Format(e.table.Name(undo[i])), err)
 		}
 		if err == nil && journaled {
 			e.journalAppend(t, JournalRecord{Kind: JCompensated, Node: t.id})
@@ -765,6 +770,9 @@ func (e *Engine) ProbeConflicts(parent *Tx, inv compat.Invocation) []*Tx {
 	return e.lm.Probe(parent, inv)
 }
 
+// Describe renders t as Tx.String does, with its method's name.
+func (e *Engine) Describe(t *Tx) string { return t.describe(e.table) }
+
 // DumpLocks renders the lock table for diagnostics, ordered by object.
 func (e *Engine) DumpLocks() string { return e.lm.Dump() }
 
@@ -778,22 +786,23 @@ func (e *Engine) Forest() *history.Forest {
 	f := &history.Forest{}
 	for _, r := range e.roots {
 		r.treeMu.Lock()
-		f.Roots = append(f.Roots, snapNode(r))
+		f.Roots = append(f.Roots, e.snapNode(r))
 		r.treeMu.Unlock()
 	}
 	return f
 }
 
-func snapNode(t *Tx) *history.Node {
+func (e *Engine) snapNode(t *Tx) *history.Node {
 	n := &history.Node{
 		ID:        t.id,
 		Inv:       t.inv,
+		Name:      e.table.Name(t.inv),
 		Begin:     t.beginSeq,
 		End:       t.endSeq,
 		Committed: t.State() == Committed,
 	}
 	for _, c := range t.children {
-		n.Children = append(n.Children, snapNode(c))
+		n.Children = append(n.Children, e.snapNode(c))
 	}
 	return n
 }

@@ -65,7 +65,7 @@ func TestUncontendedRootEmitsNoEvent(t *testing.T) {
 	oe := newObservedEngine()
 	o, leaf := obj(), atom()
 	r := oe.BeginRoot()
-	a := begin(t, oe.Engine, r, compat.Inv(o, "A"))
+	a := begin(t, oe.Engine, r, compat.Inv(o, mA))
 	complete(t, oe.Engine, begin(t, oe.Engine, a, compat.Inv(leaf, compat.OpPut, val.OfInt(1))))
 	complete(t, oe.Engine, a)
 	if err := oe.CommitRoot(r); err != nil {
@@ -138,13 +138,13 @@ func TestConflictEvents(t *testing.T) {
 		oe := newObservedEngine()
 		o, leaf := obj(), atom()
 		r1 := oe.BeginRoot()
-		a1 := begin(t, oe.Engine, r1, compat.Inv(o, "A"))
+		a1 := begin(t, oe.Engine, r1, compat.Inv(o, mA))
 		w := begin(t, oe.Engine, a1, compat.Inv(leaf, compat.OpPut, val.OfInt(1)))
 		complete(t, oe.Engine, w)
 		complete(t, oe.Engine, a1) // A subtree committed; Put lock retained
 
 		r2 := oe.BeginRoot()
-		b2 := begin(t, oe.Engine, r2, compat.Inv(o, "B")) // B commutes with A
+		b2 := begin(t, oe.Engine, r2, compat.Inv(o, mB)) // B commutes with A
 		g := begin(t, oe.Engine, b2, compat.Inv(leaf, compat.OpGet))
 		want := obs.Event{Kind: obs.EvCase1, Node: g.ID(), Root: r2.ID(), Obj: leaf, Peer: w.ID()}
 		if got := oe.events(); len(got) != 1 || got[0] != want {

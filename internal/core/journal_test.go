@@ -41,8 +41,8 @@ func TestJournalEmissionOrder(t *testing.T) {
 
 	o := obj()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
-	inv := compat.Inv(o, "UndoA", val.OfInt(1))
+	a := begin(t, e, r, compat.Inv(o, mA))
+	inv := compat.Inv(o, mUndoA, val.OfInt(1))
 	if err := e.CompleteChild(a, &inv); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestJournalEmissionOrder(t *testing.T) {
 		}
 	}
 	j.mu.Lock()
-	if j.recs[2].Inv == nil || j.recs[2].Inv.Method != "UndoA" {
+	if j.recs[2].Inv == nil || j.recs[2].Inv.Method != mUndoA {
 		t.Errorf("subcommit inverse = %v", j.recs[2].Inv)
 	}
 	if j.recs[1].Parent != r.ID() || j.recs[1].Node != a.ID() {
@@ -77,8 +77,8 @@ func TestJournalAbortSequence(t *testing.T) {
 
 	o := obj()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
-	inv := compat.Inv(o, "UndoA")
+	a := begin(t, e, r, compat.Inv(o, mA))
+	inv := compat.Inv(o, mUndoA)
 	if err := e.CompleteChild(a, &inv); err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,9 @@ func TestJournalWriteAheadOfStateTransitions(t *testing.T) {
 	o := obj()
 	r := e.BeginRoot()
 	byID[r.ID()] = r
-	a := begin(t, e, r, compat.Inv(o, "A"))
+	a := begin(t, e, r, compat.Inv(o, mA))
 	byID[a.ID()] = a
-	inv := compat.Inv(o, "UndoA")
+	inv := compat.Inv(o, mUndoA)
 	if err := e.CompleteChild(a, &inv); err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func TestJournalWriteAheadOfStateTransitions(t *testing.T) {
 	// observable.
 	r2 := e.BeginRoot()
 	byID[r2.ID()] = r2
-	b := begin(t, e, r2, compat.Inv(obj(), "A"))
+	b := begin(t, e, r2, compat.Inv(obj(), mA))
 	byID[b.ID()] = b
-	inv2 := compat.Inv(o, "UndoA")
+	inv2 := compat.Inv(o, mUndoA)
 	if err := e.CompleteChild(b, &inv2); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestJournalSpliceFlag(t *testing.T) {
 	e := New(Config{Kind: Semantic, Table: newTestTable(), Journal: j})
 	e.SetExec(func(parent *Tx, inv compat.Invocation) error { return nil })
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(obj(), "A"))
+	a := begin(t, e, r, compat.Inv(obj(), mA))
 	if err := e.CompleteChild(a, nil); err != nil {
 		t.Fatal(err)
 	}

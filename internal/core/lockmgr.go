@@ -64,7 +64,7 @@ type lock struct {
 	queued bool // still in the wait queue (not granted)
 }
 
-func (l *lock) String() string {
+func (l *lock) describe(table compat.Table) string {
 	// Both tags can apply at once: a queued request whose owner has
 	// already committed (e.g. a closed-nested parent queued elsewhere
 	// while a child's inherited lock is retained) must show both, not
@@ -76,7 +76,7 @@ func (l *lock) String() string {
 	if l.queued {
 		tag += " queued"
 	}
-	return fmt.Sprintf("%s by %s%s", l.inv, l.owner, tag)
+	return fmt.Sprintf("%s by %s%s", l.inv.Format(table.Name(l.inv)), l.owner.describe(table), tag)
 }
 
 // lockHead is the engine's per-object lock list instantiation.
@@ -262,7 +262,7 @@ func (m *lockMgr) Acquire(t *Tx, lockInv compat.Invocation) error {
 			if !first {
 				m.endWait(t, stripe, blockedAt, blockCause, obs.EvAborted)
 			}
-			return fmt.Errorf("core: %s aborted while acquiring %s", t, lockInv)
+			return fmt.Errorf("core: %s aborted while acquiring %s", t.describe(m.table), lockInv.Format(m.table.Name(lockInv)))
 		}
 		if granted {
 			t.locks = append(t.locks, l)
@@ -511,10 +511,10 @@ func (m *lockMgr) Dump() string {
 		}
 		var parts []string
 		for _, g := range h.Granted {
-			parts = append(parts, g.String())
+			parts = append(parts, g.describe(m.table))
 		}
 		for _, q := range h.Queue {
-			parts = append(parts, q.String())
+			parts = append(parts, q.describe(m.table))
 		}
 		lines = append(lines, fmt.Sprintf("%s: %s", h.Obj, strings.Join(parts, "; ")))
 	})

@@ -70,7 +70,7 @@ func TestFCFSGrantOrderStress(t *testing.T) {
 			// Holder: a retained "C" lock ("C" conflicts with itself),
 			// held until r0's top-level commit.
 			r0 := e.BeginRoot()
-			complete(t, e, begin(t, e, r0, compat.Inv(o, "C")))
+			complete(t, e, begin(t, e, r0, compat.Inv(o, mC)))
 
 			var (
 				orderMu sync.Mutex
@@ -85,7 +85,7 @@ func TestFCFSGrantOrderStress(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					c, err := e.BeginChild(r, compat.Inv(o, "C"))
+					c, err := e.BeginChild(r, compat.Inv(o, mC))
 					if err != nil {
 						t.Errorf("waiter %d: %v", i, err)
 						return
@@ -144,7 +144,7 @@ func TestFCFSConversionRule(t *testing.T) {
 		t.Run(layout.name, func(t *testing.T) {
 			item := obj()
 			ship := func(order int64) compat.Invocation {
-				return compat.Inv(item, "ShipOrder", val.OfInt(order))
+				return compat.Inv(item, mC, val.OfInt(order))
 			}
 			type block struct {
 				t     *Tx
@@ -212,19 +212,19 @@ func TestLockStringRendersBothTags(t *testing.T) {
 	e.SetExec(func(parent *Tx, inv compat.Invocation) error { return nil })
 	o := obj()
 	r := e.BeginRoot()
-	a := begin(t, e, r, compat.Inv(o, "A"))
+	a := begin(t, e, r, compat.Inv(o, mA))
 	complete(t, e, a) // a is Committed, so its locks are retained
 
-	both := &lock{inv: compat.Inv(o, "A"), owner: a, queued: true}
-	if s := both.String(); !strings.Contains(s, "retained") || !strings.Contains(s, "queued") {
+	both := &lock{inv: compat.Inv(o, mA), owner: a, queued: true}
+	if s := both.describe(e.table); !strings.Contains(s, "retained") || !strings.Contains(s, "queued") || !strings.HasPrefix(s, "A(") {
 		t.Errorf("retained+queued lock String() = %q, want both tags", s)
 	}
-	ret := &lock{inv: compat.Inv(o, "A"), owner: a}
-	if s := ret.String(); !strings.Contains(s, "retained") || strings.Contains(s, "queued") {
+	ret := &lock{inv: compat.Inv(o, mA), owner: a}
+	if s := ret.describe(e.table); !strings.Contains(s, "retained") || strings.Contains(s, "queued") {
 		t.Errorf("retained lock String() = %q, want only the retained tag", s)
 	}
-	q := &lock{inv: compat.Inv(o, "A"), owner: r, queued: true}
-	if s := q.String(); strings.Contains(s, "retained") || !strings.Contains(s, "queued") {
+	q := &lock{inv: compat.Inv(o, mA), owner: r, queued: true}
+	if s := q.describe(e.table); strings.Contains(s, "retained") || !strings.Contains(s, "queued") {
 		t.Errorf("queued lock String() = %q, want only the queued tag", s)
 	}
 	if err := e.CommitRoot(r); err != nil {
@@ -261,7 +261,7 @@ func TestOnBlockContract(t *testing.T) {
 				// mutex; they would self-deadlock if OnBlock ran under
 				// it.
 				dumpIn = e.DumpLocks()
-				probeIn = e.ProbeConflicts(probeR, compat.Inv(o, "C"))
+				probeIn = e.ProbeConflicts(probeR, compat.Inv(o, mC))
 				close(fired)
 			}}
 			e = newEngineWithShards(Config{Kind: Semantic, Table: newTestTable(), Hooks: hooks}, layout.shards)
@@ -269,12 +269,12 @@ func TestOnBlockContract(t *testing.T) {
 			probeR = e.BeginRoot()
 
 			r1 := e.BeginRoot()
-			complete(t, e, begin(t, e, r1, compat.Inv(o, "C")))
+			complete(t, e, begin(t, e, r1, compat.Inv(o, mC)))
 
 			r2 := e.BeginRoot()
 			done := make(chan *Tx, 1)
 			go func() {
-				c, err := e.BeginChild(r2, compat.Inv(o, "C"))
+				c, err := e.BeginChild(r2, compat.Inv(o, mC))
 				if err != nil {
 					t.Errorf("BeginChild: %v", err)
 				}
@@ -325,10 +325,10 @@ func TestWaitCountsOnlyKeptWaits(t *testing.T) {
 	e := newTestEngine(Semantic)
 	o := obj()
 	holder := e.BeginRoot()
-	complete(t, e, begin(t, e, holder, compat.Inv(o, "C")))
+	complete(t, e, begin(t, e, holder, compat.Inv(o, mC)))
 	holder.setState(Aborted)
 
-	begin(t, e, e.BeginRoot(), compat.Inv(o, "C"))
+	begin(t, e, e.BeginRoot(), compat.Inv(o, mC))
 	if s := e.Stats(); s.RootWaits != 0 || s.Case2Waits != 0 || s.Blocks != 0 || s.ImmediateGrants != 2 {
 		t.Fatalf("request granted past a completed holder counted a wait: %+v", s)
 	}

@@ -104,13 +104,13 @@ func TestOutcomeObservableAtSubmitAckedWhenDurable(t *testing.T) {
 			// T1 does C(o), subcommits (lock retained until the root's
 			// outcome) and starts its outcome call.
 			r1 := e.BeginRoot()
-			c1 := begin(t, e, r1, compat.Inv(o, "C"))
-			undo := compat.Inv(o, "UndoC")
+			c1 := begin(t, e, r1, compat.Inv(o, mC))
+			undo := compat.Inv(o, mUndoC)
 			if err := e.CompleteChild(c1, &undo); err != nil {
 				t.Fatal(err)
 			}
 			r2 := e.BeginRoot()
-			if waits := e.ProbeConflicts(r2, compat.Inv(o, "C")); len(waits) != 1 || waits[0] != r1 {
+			if waits := e.ProbeConflicts(r2, compat.Inv(o, mC)); len(waits) != 1 || waits[0] != r1 {
 				t.Fatalf("before T1's outcome: waits = %v, want [T1]", waits)
 			}
 			t1 := make(chan error, 1)
@@ -127,7 +127,7 @@ func TestOutcomeObservableAtSubmitAckedWhenDurable(t *testing.T) {
 			}
 
 			// T2's conflicting request sails through.
-			c2, err := e.BeginChild(r2, compat.Inv(o, "C"))
+			c2, err := e.BeginChild(r2, compat.Inv(o, mC))
 			if err != nil {
 				t.Fatalf("T2's request after T1's submission: %v", err)
 			}
@@ -233,8 +233,8 @@ func TestReleaseToDurableObserved(t *testing.T) {
 
 	// A root with something to compensate really prepares.
 	r = e.BeginRoot()
-	c := begin(t, e, r, compat.Inv(obj(), "C"))
-	undo := compat.Inv(c.Invocation().Object, "UndoC")
+	c := begin(t, e, r, compat.Inv(obj(), mC))
+	undo := compat.Inv(c.Invocation().Object, mUndoC)
 	if err := e.CompleteChild(c, &undo); err != nil {
 		t.Fatal(err)
 	}

@@ -149,9 +149,16 @@ func (t *Tx) Done() <-chan struct{} { return t.done }
 // *obs.Span methods are nil-safe.
 func (t *Tx) Span() *obs.Span { return t.span }
 
-// String renders the node for diagnostics.
-func (t *Tx) String() string {
-	return fmt.Sprintf("tx%d[%s]", t.id, t.inv)
+// String renders the node for diagnostics; a type's method shows as
+// its id (Engine.Describe names it).
+func (t *Tx) String() string { return t.describe(nil) }
+
+// describe renders the node with its method named by table, if any.
+func (t *Tx) describe(table compat.Table) string {
+	if table == nil {
+		return fmt.Sprintf("tx%d[%s]", t.id, t.inv)
+	}
+	return fmt.Sprintf("tx%d[%s]", t.id, t.inv.Format(table.Name(t.inv)))
 }
 
 // ancestors returns the strict ancestor chain bottom-up:

@@ -362,9 +362,10 @@ func (t *Tx) invoke(inv compat.Invocation) (val.V, error) {
 }
 
 // Call invokes a method on an encapsulated object (routed to the
-// object's node).
+// object's node, whose type registry resolves the name).
 func (t *Tx) Call(obj oid.OID, method string, args ...val.V) (val.V, error) {
-	return t.invoke(compat.Inv(obj, method, args...))
+	resp := t.hop(t.c.Owner(obj), Request{Op: OpInvoke, GID: t.gid, Inv: compat.Invocation{Object: obj, Args: args}, Method: method})
+	return resp.Val, resp.Err
 }
 
 // Get reads an atomic object directly (bypass).

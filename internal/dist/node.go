@@ -143,6 +143,10 @@ func (n *Node) Handle(req Request) (resp Response) {
 	}
 	switch req.Op {
 	case OpInvoke:
+		if req.Method != "" {
+			v, err := tx.Call(req.Inv.Object, req.Method, req.Inv.Args...)
+			return Response{Val: v, Err: err}
+		}
 		v, err := tx.Exec(req.Inv)
 		return Response{Val: v, Err: err}
 	case OpScan:

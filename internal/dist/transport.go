@@ -98,6 +98,7 @@ type Request struct {
 	Op     OpKind
 	GID    uint64
 	Inv    compat.Invocation // OpInvoke; Inv.Object is the set for OpScan
+	Method string            // OpInvoke by name (Tx.Call): Inv's method is resolved on the node
 	Commit bool              // OpDecide: true = commit, false = abort
 }
 

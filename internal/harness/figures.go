@@ -241,9 +241,10 @@ func figure5(w io.Writer) error {
 	if _, err := tx1b.Call(item1b, orderentry.MShipOrder, val.OfInt(nos1[0])); err != nil {
 		return err
 	}
+	testStatus, _ := orderentry.OrderMatrix().ID(orderentry.MTestStatus)
 	waits := app2.DB.Engine().ProbeConflicts(app2.DB.Begin().Root(),
-		compat.Inv(order1b, orderentry.MTestStatus, val.OfStr(string(orderentry.EventShipped))))
-	fmt.Fprintf(w, "semantic protocol: T3's TestStatus(o1,shipped) would wait for %v\n", waits)
+		compat.Inv(order1b, testStatus, val.OfStr(string(orderentry.EventShipped))))
+	fmt.Fprintf(w, "semantic protocol: T3's TestStatus(o1,shipped) would wait for %v\n", describe(app2.DB.Engine(), waits))
 	fmt.Fprintln(w, "  → the retained ChangeStatus(o1,shipped) lock has no commutative ancestor")
 	fmt.Fprintln(w, "    pair with T3's chain, so T3 waits for T1's top-level commit (worst case).")
 	return tx1b.Commit()
@@ -313,7 +314,7 @@ func figure7(w io.Writer) error {
 	}()
 	select {
 	case waits := <-blockCh:
-		fmt.Fprintf(w, "T5 blocked on: %v\n", waits)
+		fmt.Fprintf(w, "T5 blocked on: %v\n", describe(app.DB.Engine(), waits))
 		fmt.Fprintln(w, "  → exactly the ShipOrder(i1,o1) subtransaction (commutative ancestor pair")
 		fmt.Fprintln(w, "    ShipOrder/TotalPayment on i1), NOT T1's top-level commit.")
 	case <-time.After(2 * time.Second):
@@ -333,4 +334,13 @@ func figure7(w io.Writer) error {
 	st := app.DB.Engine().Stats()
 	fmt.Fprintf(w, "case-2 waits recorded: %d\n", st.Case2Waits)
 	return tx1.Commit()
+}
+
+// describe renders a waits-for set with its methods' names.
+func describe(e *core.Engine, waits []*core.Tx) []string {
+	out := make([]string, len(waits))
+	for i, t := range waits {
+		out[i] = e.Describe(t)
+	}
+	return out
 }

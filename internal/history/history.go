@@ -16,8 +16,10 @@ import (
 type Node struct {
 	// ID is the engine-assigned node id.
 	ID uint64
-	// Inv is the invocation the node executed.
-	Inv compat.Invocation
+	// Inv is the invocation the node executed, and Name its method's
+	// name (for rendering).
+	Inv  compat.Invocation
+	Name string
 	// Begin and End are logical timestamps from the engine's global
 	// clock: Begin is assigned when the node is created, End when it
 	// completes. For any two nodes, Begin/End values are unique, so
@@ -114,7 +116,7 @@ func renderNode(b *strings.Builder, n *Node, depth int) {
 	if !n.Committed {
 		status = "aborted"
 	}
-	fmt.Fprintf(b, "%s%s [%d,%d] %s\n", strings.Repeat("  ", depth), n.Inv, n.Begin, n.End, status)
+	fmt.Fprintf(b, "%s%s [%d,%d] %s\n", strings.Repeat("  ", depth), n.Inv.Format(n.Name), n.Begin, n.End, status)
 	for _, c := range n.Children {
 		renderNode(b, c, depth+1)
 	}

@@ -64,6 +64,8 @@ type DB struct {
 	// clk times the store operations charged to spans: the engine's
 	// clock, Options.Clock or the wall clock.
 	clk clock.Clock
+	// journal is Options.Journal: the schema records go there.
+	journal core.Journal
 
 	mu    sync.RWMutex
 	named map[string]oid.OID
@@ -120,6 +122,7 @@ func Reopen(old *DB, opts Options) *DB {
 // export.
 func (db *DB) finishOpen(opts Options) {
 	db.clk = clock.Or(opts.Clock)
+	db.journal = opts.Journal
 	db.engine = core.New(core.Config{
 		Kind:             opts.Protocol,
 		Table:            db.reg,
@@ -140,6 +143,22 @@ func (db *DB) finishOpen(opts Options) {
 	}
 	db.obs.SetConst("protocol", db.engine.Kind().String())
 	db.obs.Section("stats", func(obs.Params) any { return db.engine.Stats() })
+	for _, t := range (*db.reg.types.Load())[1:] {
+		db.journalSchema(t)
+	}
+}
+
+// journalSchema writes t's schema record (core.JSchema) to the journal:
+// the type name, then its method names in id order.
+func (db *DB) journalSchema(t *Type) {
+	if db.journal == nil {
+		return
+	}
+	args := []val.V{val.OfStr(t.Name)}
+	for _, m := range t.Matrix.Methods() {
+		args = append(args, val.OfStr(m))
+	}
+	db.journal.Append(core.JournalRecord{Kind: core.JSchema, Inv: &compat.Invocation{Object: oid.DB, Method: compat.OpRoot, Args: args}})
 }
 
 // Protocol returns the concurrency control protocol in effect.
@@ -154,8 +173,15 @@ func (db *DB) Engine() *core.Engine { return db.engine }
 // code must access objects through Tx/Ctx.
 func (db *DB) Store() *objstore.Store { return db.store }
 
-// RegisterType installs an encapsulated type in the schema.
-func (db *DB) RegisterType(t *Type) error { return db.reg.register(t) }
+// RegisterType installs an encapsulated type in the schema and
+// journals its schema record.
+func (db *DB) RegisterType(t *Type) error {
+	err := db.reg.register(t)
+	if err == nil {
+		db.journalSchema(t)
+	}
+	return err
+}
 
 // TypeByName returns a registered type.
 func (db *DB) TypeByName(name string) (*Type, bool) { return db.reg.typeByName(name) }

@@ -38,7 +38,8 @@ func registerPair(t testing.TB, db *DB) (regType *Type) {
 	}
 	typ, err := NewType("Reg", m,
 		&Method{Name: "AddN", Body: addBody(1), Inverse: func(inv compat.Invocation, _ val.V) *compat.Invocation {
-			c := compat.Inv(inv.Object, "SubN", inv.Args[0])
+			sub, _ := m.ID("SubN")
+			c := compat.Inv(inv.Object, sub, inv.Args[0])
 			return &c
 		}},
 		&Method{Name: "SubN", Body: addBody(-1)},
@@ -197,19 +198,19 @@ func TestGenericOpArgValidation(t *testing.T) {
 	a, _ := db.Store().NewAtomic(val.OfInt(1))
 	set, _ := db.Store().NewSet()
 	tx := db.Begin()
-	if _, err := tx.db.invoke(tx.root, compat.Inv(a, compat.OpPut)); err == nil {
+	if _, err := tx.db.invoke(tx.node, compat.Inv(a, compat.OpPut)); err == nil {
 		t.Error("Put without value must fail")
 	}
-	if _, err := tx.db.invoke(tx.root, compat.Inv(set, compat.OpSelect)); err == nil {
+	if _, err := tx.db.invoke(tx.node, compat.Inv(set, compat.OpSelect)); err == nil {
 		t.Error("Select without key must fail")
 	}
-	if _, err := tx.db.invoke(tx.root, compat.Inv(set, compat.OpInsert, val.OfInt(1))); err == nil {
+	if _, err := tx.db.invoke(tx.node, compat.Inv(set, compat.OpInsert, val.OfInt(1))); err == nil {
 		t.Error("Insert without member must fail")
 	}
 	if err := tx.Remove(set, val.OfInt(7)); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("Remove absent key err = %v", err)
 	}
-	if _, err := tx.db.invoke(tx.root, compat.Inv(set, compat.OpScan)); err == nil {
+	if _, err := tx.db.invoke(tx.node, compat.Inv(set, compat.OpScan)); err == nil {
 		t.Error("Scan through invoke must fail (dedicated path)")
 	}
 	_ = tx.Abort()

@@ -15,6 +15,14 @@ import (
 // set member.
 var ErrNoSuchKey = errors.New("oodb: no such key")
 
+// actions are the operations a transaction node invokes as its child
+// actions: methods, by name, and the generic operations. Tx has them
+// for its root, Ctx for a method's subtransaction.
+type actions struct {
+	db   *DB
+	node *core.Tx
+}
+
 // Tx is a top-level transaction. A Tx must be used from a single
 // goroutine; different Txs run fully concurrently.
 //
@@ -22,127 +30,32 @@ var ErrNoSuchKey = errors.New("oodb: no such key")
 // Get/Put/Select/Insert/Remove/Scan are the *bypass* operations of the
 // paper's §4 — top-level actions on implementation objects that skip
 // the encapsulated interface.
-type Tx struct {
-	db   *DB
-	root *core.Tx
-}
+type Tx struct{ actions }
 
 // Begin starts a top-level transaction.
 func (db *DB) Begin() *Tx {
-	return &Tx{db: db, root: db.engine.BeginRoot()}
+	return &Tx{actions{db: db, node: db.engine.BeginRoot()}}
 }
 
 // Root exposes the underlying transaction node (for probes and
 // figure tests).
-func (tx *Tx) Root() *core.Tx { return tx.root }
+func (tx *Tx) Root() *core.Tx { return tx.node }
 
-// Call invokes a method on an encapsulated object as a top-level
-// action of this transaction.
-func (tx *Tx) Call(obj oid.OID, method string, args ...val.V) (val.V, error) {
-	return tx.db.invoke(tx.root, compat.Inv(obj, method, args...))
+// Call invokes a method on an object as a child action: a top-level
+// action of a Tx; in a method body, a method implemented in terms of
+// other encapsulated objects (paper §1.1 objective 2).
+func (a *actions) Call(obj oid.OID, method string, args ...val.V) (val.V, error) {
+	return a.db.call(a.node, obj, method, args)
 }
 
-// Get reads an atomic object directly (bypass).
-func (tx *Tx) Get(obj oid.OID) (val.V, error) {
-	return tx.db.invoke(tx.root, compat.Inv(obj, compat.OpGet))
+// Get reads an atomic object (from a Tx, directly: bypass).
+func (a *actions) Get(obj oid.OID) (val.V, error) {
+	return a.db.invoke(a.node, compat.Inv(obj, compat.OpGet))
 }
 
-// Put writes an atomic object directly (bypass).
-func (tx *Tx) Put(obj oid.OID, v val.V) error {
-	_, err := tx.db.invoke(tx.root, compat.Inv(obj, compat.OpPut, v))
-	return err
-}
-
-// Add atomically adds delta to an atomic integer object directly
-// (bypass) and returns the new value. Add commutes with Add, so
-// concurrent increments never conflict; it conflicts with Get and Put.
-func (tx *Tx) Add(obj oid.OID, delta int64) (val.V, error) {
-	return tx.db.invoke(tx.root, compat.Inv(obj, compat.OpAdd, val.OfInt(delta)))
-}
-
-// Select looks up a set member by key directly (bypass).
-func (tx *Tx) Select(set oid.OID, key val.V) (oid.OID, bool, error) {
-	r, err := tx.db.invoke(tx.root, compat.Inv(set, compat.OpSelect, key))
-	if err != nil {
-		return oid.Nil, false, err
-	}
-	if r.IsNull() {
-		return oid.Nil, false, nil
-	}
-	return r.Ref(), true, nil
-}
-
-// Insert adds a member to a set directly (bypass).
-func (tx *Tx) Insert(set oid.OID, key val.V, member oid.OID) error {
-	_, err := tx.db.invoke(tx.root, compat.Inv(set, compat.OpInsert, key, val.OfRef(member)))
-	return err
-}
-
-// Remove deletes a member from a set directly (bypass).
-func (tx *Tx) Remove(set oid.OID, key val.V) error {
-	_, err := tx.db.invoke(tx.root, compat.Inv(set, compat.OpRemove, key))
-	return err
-}
-
-// Scan enumerates a set directly (bypass).
-func (tx *Tx) Scan(set oid.OID) ([]objstore.SetEntry, error) {
-	return tx.db.scan(tx.root, set)
-}
-
-// Component navigates tuple structure (pure addressing, no lock).
-func (tx *Tx) Component(tuple oid.OID, name string) (oid.OID, error) {
-	return tx.db.Component(tuple, name)
-}
-
-// Exec runs an arbitrary invocation (method or generic operation) as
-// a top-level action — used by the DML layer and by restart recovery,
-// which replays compensating invocations from the log.
-func (tx *Tx) Exec(inv compat.Invocation) (val.V, error) {
-	return tx.db.invoke(tx.root, inv)
-}
-
-// Commit commits the transaction and releases all its locks. The locks
-// go as soon as the commit record is submitted to the journal; Commit
-// itself returns only once that record is durable (sync and group
-// journals). Until it has returned, every value the transaction's
-// calls returned is tentative: it may rest on a predecessor whose own
-// outcome is not durable yet, and a crash then takes both.
-func (tx *Tx) Commit() error { return tx.db.engine.CommitRoot(tx.root) }
-
-// Abort rolls the transaction back, compensating committed top-level
-// actions in reverse order. Like Commit it releases at submission and
-// returns when the abort record is durable.
-func (tx *Tx) Abort() error { return tx.db.engine.AbortRoot(tx.root) }
-
-// Ctx is the execution context of a running method body: all database
-// access from inside a method goes through it, creating child actions
-// of the method's subtransaction.
-type Ctx struct {
-	db   *DB
-	node *core.Tx
-}
-
-// DB returns the database.
-func (c *Ctx) DB() *DB { return c.db }
-
-// Node returns the subtransaction this context belongs to.
-func (c *Ctx) Node() *core.Tx { return c.node }
-
-// Call invokes a method on an object as a child action — methods
-// implemented in terms of other encapsulated objects (paper §1.1
-// objective 2).
-func (c *Ctx) Call(obj oid.OID, method string, args ...val.V) (val.V, error) {
-	return c.db.invoke(c.node, compat.Inv(obj, method, args...))
-}
-
-// Get reads an atomic implementation object.
-func (c *Ctx) Get(obj oid.OID) (val.V, error) {
-	return c.db.invoke(c.node, compat.Inv(obj, compat.OpGet))
-}
-
-// Put writes an atomic implementation object.
-func (c *Ctx) Put(obj oid.OID, v val.V) error {
-	_, err := c.db.invoke(c.node, compat.Inv(obj, compat.OpPut, v))
+// Put writes an atomic object.
+func (a *actions) Put(obj oid.OID, v val.V) error {
+	_, err := a.db.invoke(a.node, compat.Inv(obj, compat.OpPut, v))
 	return err
 }
 
@@ -150,14 +63,14 @@ func (c *Ctx) Put(obj oid.OID, v val.V) error {
 // the new value. A blind update: two Adds commute, so methods whose
 // matrix declares them commuting (counter increments, status events)
 // do not also conflict at their leaves, as a Get followed by a Put
-// would.
-func (c *Ctx) Add(obj oid.OID, delta int64) (val.V, error) {
-	return c.db.invoke(c.node, compat.Inv(obj, compat.OpAdd, val.OfInt(delta)))
+// would. It conflicts with Get and Put.
+func (a *actions) Add(obj oid.OID, delta int64) (val.V, error) {
+	return a.db.invoke(a.node, compat.Inv(obj, compat.OpAdd, val.OfInt(delta)))
 }
 
 // Select looks up a set member by key.
-func (c *Ctx) Select(set oid.OID, key val.V) (oid.OID, bool, error) {
-	r, err := c.db.invoke(c.node, compat.Inv(set, compat.OpSelect, key))
+func (a *actions) Select(set oid.OID, key val.V) (oid.OID, bool, error) {
+	r, err := a.db.invoke(a.node, compat.Inv(set, compat.OpSelect, key))
 	if err != nil {
 		return oid.Nil, false, err
 	}
@@ -168,26 +81,58 @@ func (c *Ctx) Select(set oid.OID, key val.V) (oid.OID, bool, error) {
 }
 
 // Insert adds a member to a set.
-func (c *Ctx) Insert(set oid.OID, key val.V, member oid.OID) error {
-	_, err := c.db.invoke(c.node, compat.Inv(set, compat.OpInsert, key, val.OfRef(member)))
+func (a *actions) Insert(set oid.OID, key val.V, member oid.OID) error {
+	_, err := a.db.invoke(a.node, compat.Inv(set, compat.OpInsert, key, val.OfRef(member)))
 	return err
 }
 
 // Remove deletes a member from a set.
-func (c *Ctx) Remove(set oid.OID, key val.V) error {
-	_, err := c.db.invoke(c.node, compat.Inv(set, compat.OpRemove, key))
+func (a *actions) Remove(set oid.OID, key val.V) error {
+	_, err := a.db.invoke(a.node, compat.Inv(set, compat.OpRemove, key))
 	return err
 }
 
 // Scan enumerates a set.
-func (c *Ctx) Scan(set oid.OID) ([]objstore.SetEntry, error) {
-	return c.db.scan(c.node, set)
+func (a *actions) Scan(set oid.OID) ([]objstore.SetEntry, error) {
+	return a.db.scan(a.node, set)
 }
 
-// Component navigates tuple structure (no lock; structure immutable).
-func (c *Ctx) Component(tuple oid.OID, name string) (oid.OID, error) {
-	return c.db.Component(tuple, name)
+// Component navigates tuple structure (pure addressing, no lock:
+// structure is immutable).
+func (a *actions) Component(tuple oid.OID, name string) (oid.OID, error) {
+	return a.db.Component(tuple, name)
 }
+
+// Exec runs an arbitrary invocation (method or generic operation) as
+// a top-level action — used by the DML layer and by restart recovery,
+// which replays compensating invocations from the log.
+func (tx *Tx) Exec(inv compat.Invocation) (val.V, error) {
+	return tx.db.invoke(tx.node, inv)
+}
+
+// Commit commits the transaction and releases all its locks. The locks
+// go as soon as the commit record is submitted to the journal; Commit
+// itself returns only once that record is durable (sync and group
+// journals). Until it has returned, every value the transaction's
+// calls returned is tentative: it may rest on a predecessor whose own
+// outcome is not durable yet, and a crash then takes both.
+func (tx *Tx) Commit() error { return tx.db.engine.CommitRoot(tx.node) }
+
+// Abort rolls the transaction back, compensating committed top-level
+// actions in reverse order. Like Commit it releases at submission and
+// returns when the abort record is durable.
+func (tx *Tx) Abort() error { return tx.db.engine.AbortRoot(tx.node) }
+
+// Ctx is the execution context of a running method body: all database
+// access from inside a method goes through it, creating child actions
+// of the method's subtransaction.
+type Ctx struct{ actions }
+
+// DB returns the database.
+func (c *Ctx) DB() *DB { return c.db }
+
+// Node returns the subtransaction this context belongs to.
+func (c *Ctx) Node() *core.Tx { return c.node }
 
 // NewAtomic creates a fresh atomic object. Creation takes no lock:
 // the object is unreachable until linked into locked structure (set
@@ -209,6 +154,20 @@ func (c *Ctx) NewSet() (oid.OID, error) {
 // BindInstance declares obj an instance of an encapsulated type.
 func (c *Ctx) BindInstance(obj oid.OID, typeName string) error {
 	return c.db.BindInstance(obj, typeName)
+}
+
+// call invokes the method called name — a generic operation's or one
+// of obj's type — on obj as a child of parent: the edge where a
+// method's name becomes its id.
+func (db *DB) call(parent *core.Tx, obj oid.OID, name string, args []val.V) (val.V, error) {
+	id, ok := generic.ID(name)
+	if t, typed := db.reg.typeOf(obj); !ok && typed {
+		id, ok = t.Matrix.ID(name)
+	}
+	if !ok {
+		return val.NullV, fmt.Errorf("oodb: object %s has no method %q", obj, name)
+	}
+	return db.invoke(parent, compat.Inv(obj, id, args...))
 }
 
 // invoke executes one invocation as a child of parent: it creates the
@@ -240,8 +199,7 @@ func (db *DB) invoke(parent *core.Tx, inv compat.Invocation) (val.V, error) {
 // to it as storage time (method bodies are not bracketed — their cost
 // shows up as the child actions they spawn).
 func (db *DB) run(node *core.Tx, inv compat.Invocation) (val.V, error) {
-	switch inv.Method {
-	case compat.OpGet, compat.OpPut, compat.OpAdd, compat.OpSelect, compat.OpInsert, compat.OpRemove, compat.OpScan:
+	if compat.IsGenericOp(inv.Method) {
 		if sp := node.Span(); sp != nil {
 			start := db.clk.Now()
 			v, err := db.runGeneric(inv)
@@ -249,13 +207,12 @@ func (db *DB) run(node *core.Tx, inv compat.Invocation) (val.V, error) {
 			return v, err
 		}
 		return db.runGeneric(inv)
-	default:
-		m, ok := db.reg.methodOf(inv.Object, inv.Method)
-		if !ok {
-			return val.NullV, fmt.Errorf("oodb: object %s has no method %q", inv.Object, inv.Method)
-		}
-		return m.Body(&Ctx{db: db, node: node}, inv.Object, inv.Args)
 	}
+	m, ok := db.reg.methodOf(inv.Object, inv.Method)
+	if !ok {
+		return val.NullV, fmt.Errorf("oodb: object %s has no method %s", inv.Object, inv.Method)
+	}
+	return m.Body(&Ctx{actions{db: db, node: node}}, inv.Object, inv.Args)
 }
 
 // runGeneric executes one of the paper's generic operations against
@@ -323,7 +280,7 @@ func (db *DB) runGeneric(inv compat.Invocation) (val.V, error) {
 	case compat.OpScan:
 		return val.NullV, fmt.Errorf("oodb: Scan must go through Tx.Scan/Ctx.Scan")
 	default:
-		return val.NullV, fmt.Errorf("oodb: %q is not a generic operation", inv.Method)
+		return val.NullV, fmt.Errorf("oodb: %s is not a generic operation", inv.Method)
 	}
 }
 

@@ -46,38 +46,36 @@ type Method struct {
 type Type struct {
 	// Name is the type name, unique within a DB.
 	Name string
-	// Methods by name.
-	Methods map[string]*Method
+	// Methods by id − compat.FirstMethod: the matrix's declaration
+	// order, nil where the matrix declares a method without a body.
+	Methods []*Method
 	// Matrix is the type's compatibility matrix. Every method must
-	// appear in it; absent pairs conflict.
+	// appear in it; absent pairs conflict. It numbers the methods.
 	Matrix *compat.Matrix
 }
 
-// NewType builds a Type from a matrix and methods. It validates that
-// each method appears in the matrix universe.
+// NewType builds a Type from a matrix and methods. Each method must
+// appear in the matrix universe, whose declaration order fixes its id.
 func NewType(name string, matrix *compat.Matrix, methods ...*Method) (*Type, error) {
-	universe := make(map[string]bool)
-	for _, m := range matrix.Methods() {
-		universe[m] = true
-	}
-	t := &Type{Name: name, Methods: make(map[string]*Method, len(methods)), Matrix: matrix}
+	t := &Type{Name: name, Methods: make([]*Method, len(matrix.Methods())), Matrix: matrix}
 	for _, m := range methods {
 		if m.Name == "" || m.Body == nil {
 			return nil, fmt.Errorf("oodb: type %s: method needs name and body", name)
 		}
-		if compat.IsGenericOp(m.Name) || m.Name == compat.OpRoot {
+		if _, gen := generic.ID(m.Name); gen || m.Name == compat.OpRoot.String() {
 			// Generic operation names are reserved: invocation dispatch
 			// routes them to the object store, so a method of the same
 			// name could never be called.
 			return nil, fmt.Errorf("oodb: type %s: method name %s is a reserved generic operation", name, m.Name)
 		}
-		if !universe[m.Name] {
+		id, ok := matrix.ID(m.Name)
+		if !ok {
 			return nil, fmt.Errorf("oodb: type %s: method %s missing from compatibility matrix", name, m.Name)
 		}
-		if _, dup := t.Methods[m.Name]; dup {
+		if t.Methods[id-compat.FirstMethod] != nil {
 			return nil, fmt.Errorf("oodb: type %s: duplicate method %s", name, m.Name)
 		}
-		t.Methods[m.Name] = m
+		t.Methods[id-compat.FirstMethod] = m
 	}
 	return t, nil
 }
@@ -91,6 +89,10 @@ func MustType(name string, matrix *compat.Matrix, methods ...*Method) *Type {
 	return t
 }
 
+// generic is the matrix of the generic operations, shared by every
+// registry; it also numbers the generic operations' names.
+var generic = compat.GenericMatrix()
+
 // typeRegistry maps encapsulated object instances to their types and
 // answers the engine's compatibility queries (compat.Table). A type's
 // tag is its index in types; an instance's binding is that tag, kept in
@@ -98,18 +100,16 @@ func MustType(name string, matrix *compat.Matrix, methods ...*Method) *Type {
 // takes no registry-wide lock: types is immutable and replaced on
 // register.
 type typeRegistry struct {
-	store   *objstore.Store
-	mu      sync.RWMutex      // guards tags; serialises register
-	tags    map[string]uint32 // type name -> tag
-	types   atomic.Pointer[[]*Type]
-	generic *compat.Matrix
+	store *objstore.Store
+	mu    sync.RWMutex      // guards tags; serialises register
+	tags  map[string]uint32 // type name -> tag
+	types atomic.Pointer[[]*Type]
 }
 
 func newTypeRegistry(store *objstore.Store) *typeRegistry {
 	r := &typeRegistry{
-		store:   store,
-		tags:    make(map[string]uint32),
-		generic: compat.GenericMatrix(),
+		store: store,
+		tags:  make(map[string]uint32),
 	}
 	r.types.Store(&[]*Type{nil}) // tag 0: no type
 	return r
@@ -150,32 +150,33 @@ func (r *typeRegistry) typeOf(obj oid.OID) (*Type, bool) {
 	return t, t != nil
 }
 
-func (r *typeRegistry) methodOf(obj oid.OID, name string) (*Method, bool) {
+func (r *typeRegistry) methodOf(obj oid.OID, id compat.Method) (*Method, bool) {
 	t, ok := r.typeOf(obj)
-	if !ok {
-		return nil, false
+	if i := int(id) - int(compat.FirstMethod); ok && i >= 0 && i < len(t.Methods) && t.Methods[i] != nil {
+		return t.Methods[i], true
 	}
-	m, ok := t.Methods[name]
-	return m, ok
+	return nil, false
+}
+
+// Name implements compat.Table: the receiver's type names its methods.
+func (r *typeRegistry) Name(inv compat.Invocation) string {
+	if t, ok := r.typeOf(inv.Object); ok {
+		return t.Matrix.Name(inv.Method)
+	}
+	return inv.Method.String()
 }
 
 // Compatible implements compat.Table. Both invocations address the
 // same object (the lock manager guarantees it); dispatch is:
 // encapsulated methods through the instance's type matrix, generic
-// operations through the generic matrix, anything else conflicts.
+// operations through the generic matrix. Anything else conflicts — a
+// method and a generic operation on the same object (e.g. a DML program
+// doing raw Puts against an encapsulated object's own OID) too, since
+// each lies outside the other's matrix.
 func (r *typeRegistry) Compatible(a, b compat.Invocation) bool {
-	aGen, bGen := compat.IsGenericOp(a.Method), compat.IsGenericOp(b.Method)
-	if aGen && bGen {
-		return r.generic.Compatible(a, b)
+	if compat.IsGenericOp(a.Method) {
+		return generic.Compatible(a, b)
 	}
-	if aGen != bGen {
-		// A method and a generic operation on the same object (e.g. a
-		// DML program doing raw Puts against an encapsulated object's
-		// own OID): no commutativity is known — conflict.
-		return false
-	}
-	if t, ok := r.typeOf(a.Object); ok {
-		return t.Matrix.Compatible(a, b)
-	}
-	return false
+	t, ok := r.typeOf(a.Object)
+	return ok && t.Matrix.Compatible(a, b)
 }

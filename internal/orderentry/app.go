@@ -117,11 +117,12 @@ func SetupNode(db *oodb.DB, cfg Config, node, nodes int) (*App, error) {
 		return nil, fmt.Errorf("orderentry: invalid node %d of %d", node, nodes)
 	}
 	a := &App{DB: db}
-	itemType, err := oodb.NewType("Item", ItemMatrix(), a.itemMethods()...)
+	im, om := ItemMatrix(), OrderMatrix()
+	itemType, err := oodb.NewType("Item", im, a.itemMethods(im)...)
 	if err != nil {
 		return nil, err
 	}
-	orderType, err := oodb.NewType("Order", OrderMatrix(), a.orderMethods()...)
+	orderType, err := oodb.NewType("Order", om, a.orderMethods(om)...)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +395,7 @@ func statusCount(status val.V, e Event) int64 {
 }
 
 // invOn builds an invocation on obj (helper for inverse functions).
-func invOn(obj oid.OID, method string, args ...val.V) *compat.Invocation {
+func invOn(obj oid.OID, method compat.Method, args ...val.V) *compat.Invocation {
 	c := compat.Inv(obj, method, args...)
 	return &c
 }

@@ -120,16 +120,16 @@ func TestFigure3OrderMatrix(t *testing.T) {
 		want bool
 	}{
 		// ChangeStatus self-commutes for every event combination.
-		{compat.Inv(o, MChangeStatus, sh), compat.Inv(o, MChangeStatus, sh), true},
-		{compat.Inv(o, MChangeStatus, sh), compat.Inv(o, MChangeStatus, paid), true},
+		{compat.Inv(o, mid(MChangeStatus), sh), compat.Inv(o, mid(MChangeStatus), sh), true},
+		{compat.Inv(o, mid(MChangeStatus), sh), compat.Inv(o, mid(MChangeStatus), paid), true},
 		// ChangeStatus(e) vs TestStatus(e'): conflict iff e = e'.
-		{compat.Inv(o, MChangeStatus, sh), compat.Inv(o, MTestStatus, sh), false},
-		{compat.Inv(o, MChangeStatus, sh), compat.Inv(o, MTestStatus, paid), true},
-		{compat.Inv(o, MChangeStatus, paid), compat.Inv(o, MTestStatus, paid), false},
-		{compat.Inv(o, MChangeStatus, paid), compat.Inv(o, MTestStatus, sh), true},
+		{compat.Inv(o, mid(MChangeStatus), sh), compat.Inv(o, mid(MTestStatus), sh), false},
+		{compat.Inv(o, mid(MChangeStatus), sh), compat.Inv(o, mid(MTestStatus), paid), true},
+		{compat.Inv(o, mid(MChangeStatus), paid), compat.Inv(o, mid(MTestStatus), paid), false},
+		{compat.Inv(o, mid(MChangeStatus), paid), compat.Inv(o, mid(MTestStatus), sh), true},
 		// TestStatus self-commutes.
-		{compat.Inv(o, MTestStatus, sh), compat.Inv(o, MTestStatus, sh), true},
-		{compat.Inv(o, MTestStatus, sh), compat.Inv(o, MTestStatus, paid), true},
+		{compat.Inv(o, mid(MTestStatus), sh), compat.Inv(o, mid(MTestStatus), sh), true},
+		{compat.Inv(o, mid(MTestStatus), sh), compat.Inv(o, mid(MTestStatus), paid), true},
 	}
 	for _, c := range cases {
 		if got := m.Compatible(c.a, c.b); got != c.want {
@@ -295,7 +295,7 @@ func TestFigure5BlockedUnderSemantic(t *testing.T) {
 	// ChangeStatus(o1, shipped) lock; no commutative ancestor pair
 	// exists, so T3 must wait for T1's root.
 	tx3 := app.DB.Begin()
-	waits := app.DB.Engine().ProbeConflicts(tx3.Root(), compat.Inv(order1, MTestStatus, evArg(EventShipped)))
+	waits := app.DB.Engine().ProbeConflicts(tx3.Root(), compat.Inv(order1, mid(MTestStatus), evArg(EventShipped)))
 	if len(waits) != 1 || waits[0] != tx1.Root() {
 		t.Fatalf("semantic probe: T3 waits for %v, want [T1 root]", waits)
 	}
@@ -451,7 +451,7 @@ func TestFigure7Case2WaitForSubtransaction(t *testing.T) {
 	// read must wait exactly for the ShipOrder node (depth 1, same
 	// method, T1's tree) — not for T1's root.
 	txp := db.Begin()
-	probeNode, err := db.Engine().BeginChild(txp.Root(), compat.Inv(item1, MTotalPayment))
+	probeNode, err := db.Engine().BeginChild(txp.Root(), compat.Inv(item1, mid(MTotalPayment)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestFigure7Case2WaitForSubtransaction(t *testing.T) {
 	if len(waits) != 1 {
 		t.Fatalf("probe waits = %v, want exactly the ShipOrder subtransaction", waits)
 	}
-	if got := waits[0].Invocation().Method; got != MShipOrder {
+	if got := waits[0].Invocation().Method; got != mid(MShipOrder) {
 		t.Fatalf("probe waits for %s, want ShipOrder", got)
 	}
 	if waits[0].Root() != tx1.Root() {
@@ -489,7 +489,7 @@ func TestFigure7Case2WaitForSubtransaction(t *testing.T) {
 		select {
 		case ev := <-blockCh:
 			if ev.t.Root() == tx5.Root() {
-				if len(ev.waits) != 1 || ev.waits[0].Invocation().Method != MShipOrder {
+				if len(ev.waits) != 1 || ev.waits[0].Invocation().Method != mid(MShipOrder) {
 					t.Fatalf("T5 blocked on %v, want the ShipOrder subtransaction", ev.waits)
 				}
 				blocked = true

@@ -13,7 +13,12 @@ import (
 // bodies produce exactly the invocation subtrees shown in the paper's
 // figures (plus the Select and Get(Quantity) actions the paper omits
 // "for brevity", §2.2).
-func (a *App) itemMethods() []*oodb.Method {
+func (a *App) itemMethods(m *compat.Matrix) []*oodb.Method {
+	removeOrder, _ := m.ID(MRemoveOrder)
+	unship, _ := m.ID(MUnshipOrder)
+	unpay, _ := m.ID(MUnpayOrder)
+	credit, _ := m.ID(MCreditStock)
+	uncredit, _ := m.ID(MUncreditStock)
 	return []*oodb.Method{
 		{
 			// NewOrder(i, CustomerNo, Quantity) returns OrderNo:
@@ -42,7 +47,7 @@ func (a *App) itemMethods() []*oodb.Method {
 				return val.OfInt(orderNo), nil
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				return invOn(inv.Object, MRemoveOrder, result)
+				return invOn(inv.Object, removeOrder, result)
 			},
 		},
 		{
@@ -106,7 +111,7 @@ func (a *App) itemMethods() []*oodb.Method {
 				return val.NullV, ctx.Put(qohAtom, val.OfInt(qoh.Int()-qty.Int()))
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				return invOn(inv.Object, MUnshipOrder, inv.Args[0])
+				return invOn(inv.Object, unship, inv.Args[0])
 			},
 		},
 		{
@@ -159,7 +164,7 @@ func (a *App) itemMethods() []*oodb.Method {
 				return val.NullV, err
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				return invOn(inv.Object, MUnpayOrder, inv.Args[0])
+				return invOn(inv.Object, unpay, inv.Args[0])
 			},
 		},
 		{
@@ -199,7 +204,7 @@ func (a *App) itemMethods() []*oodb.Method {
 				return val.NullV, ctx.Put(qohAtom, val.OfInt(qoh.Int()-amt))
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				return invOn(inv.Object, MCreditStock, inv.Args[0])
+				return invOn(inv.Object, credit, inv.Args[0])
 			},
 		},
 		{
@@ -218,7 +223,7 @@ func (a *App) itemMethods() []*oodb.Method {
 				return val.NullV, ctx.Put(qohAtom, val.OfInt(qoh.Int()+amt))
 			},
 			Inverse: func(inv compat.Invocation, result val.V) *compat.Invocation {
-				return invOn(inv.Object, MUncreditStock, inv.Args[0])
+				return invOn(inv.Object, uncredit, inv.Args[0])
 			},
 		},
 		{
@@ -294,7 +299,8 @@ func (a *App) itemMethods() []*oodb.Method {
 }
 
 // orderMethods builds the method set of type Order (paper §2.2).
-func (a *App) orderMethods() []*oodb.Method {
+func (a *App) orderMethods(m *compat.Matrix) []*oodb.Method {
+	unchange, _ := m.ID(MUnchangeStatus)
 	return []*oodb.Method{
 		{
 			// ChangeStatus(o, event): records that an event occurred.
@@ -315,7 +321,7 @@ func (a *App) orderMethods() []*oodb.Method {
 				// here — a commuting ChangeStatus of another
 				// transaction may have recorded a different event in
 				// between (DESIGN.md §3.3).
-				return invOn(inv.Object, MUnchangeStatus, inv.Args[0])
+				return invOn(inv.Object, unchange, inv.Args[0])
 			},
 		},
 		{

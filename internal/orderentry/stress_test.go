@@ -182,8 +182,8 @@ func TestInverseProfileProperty(t *testing.T) {
 	objID := testOID()
 	for _, p := range itemPairs {
 		for _, x := range others {
-			fwd := m.Compatible(compat.Inv(objID, p.forward, o), compat.Inv(objID, x, o))
-			inv := m.Compatible(compat.Inv(objID, p.inverse, o), compat.Inv(objID, x, o))
+			fwd := m.Compatible(compat.Inv(objID, mid(p.forward), o), compat.Inv(objID, mid(x), o))
+			inv := m.Compatible(compat.Inv(objID, mid(p.inverse), o), compat.Inv(objID, mid(x), o))
 			if fwd && !inv {
 				t.Errorf("Item: %s commutes with %s but inverse %s does not", p.forward, x, p.inverse)
 			}
@@ -193,8 +193,8 @@ func TestInverseProfileProperty(t *testing.T) {
 	ev := evArg(EventShipped)
 	for _, x := range om.Methods() {
 		for _, xev := range []val.V{evArg(EventShipped), evArg(EventPaid)} {
-			fwd := om.Compatible(compat.Inv(objID, MChangeStatus, ev), compat.Inv(objID, x, xev))
-			inv := om.Compatible(compat.Inv(objID, MUnchangeStatus, ev), compat.Inv(objID, x, xev))
+			fwd := om.Compatible(compat.Inv(objID, mid(MChangeStatus), ev), compat.Inv(objID, mid(x), xev))
+			inv := om.Compatible(compat.Inv(objID, mid(MUnchangeStatus), ev), compat.Inv(objID, mid(x), xev))
 			if fwd && !inv {
 				t.Errorf("Order: ChangeStatus(%s) commutes with %s(%s) but UnchangeStatus does not", ev, x, xev)
 			}
@@ -281,4 +281,17 @@ func TestConcurrentStressAllProtocols(t *testing.T) {
 func a1Ship(app *App, i1, k1, i2, k2 int64) error {
 	return app.T1(OrderRef{ItemNo: i1, OrderNo: (i1-1)*120 + k1 + 1},
 		OrderRef{ItemNo: i2, OrderNo: (i2-1)*120 + k2 + 1})
+}
+
+// mid is the id of the named Item or Order method (the two types
+// declare no name in common).
+func mid(name string) compat.Method {
+	if id, ok := ItemMatrix().ID(name); ok {
+		return id
+	}
+	id, ok := OrderMatrix().ID(name)
+	if !ok {
+		panic("orderentry: no method " + name)
+	}
+	return id
 }

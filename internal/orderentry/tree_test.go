@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"semcc/internal/compat"
 	"semcc/internal/core"
 	"semcc/internal/history"
 	"semcc/internal/val"
@@ -14,7 +13,7 @@ import (
 // shape renders a node's invocation tree as nested method names,
 // eliding object ids, e.g. "Tx(Ship(Select Change(Add) Get Get Put))".
 func shape(n *history.Node) string {
-	name := n.Inv.Method
+	name := n.Name
 	switch name {
 	case MChangeStatus:
 		name = "Change"
@@ -30,8 +29,6 @@ func shape(n *history.Node) string {
 		name = "Total"
 	case MTestStatus:
 		name = "Test"
-	case compat.OpRoot:
-		name = "Tx"
 	}
 	if len(n.Children) == 0 {
 		return name

@@ -84,7 +84,7 @@ func TestCheckThreeTransactions(t *testing.T) {
 
 // --- conflict graph ---------------------------------------------------
 
-func leafNode(id uint64, object oid.OID, op string, end int64) *history.Node {
+func leafNode(id uint64, object oid.OID, op compat.Method, end int64) *history.Node {
 	return &history.Node{ID: id, Inv: compat.Inv(object, op), Begin: end - 1, End: end, Committed: true}
 }
 
@@ -151,7 +151,7 @@ func TestConflictGraphSkipsAbortedAndMethods(t *testing.T) {
 	aborted.Committed = false
 	// Method nodes (non-generic op) never appear as leaves of the
 	// conventional test.
-	m := &history.Node{ID: 22, Inv: compat.Inv(oid.OID{K: oid.Tuple, N: 9}, "Ship"), Begin: 19, End: 21, Committed: true}
+	m := &history.Node{ID: 22, Inv: compat.Inv(oid.OID{K: oid.Tuple, N: 9}, compat.FirstMethod), Begin: 19, End: 21, Committed: true}
 	t2 := rootWith(2, m, leafNode(23, x, compat.OpPut, 30))
 	res := ConflictGraph(&history.Forest{Roots: []*history.Node{aborted, t2}})
 	if !res.Serializable || res.Edges != 0 {

@@ -19,7 +19,7 @@ import (
 // memory stays bounded; Reset keeps the buffers, so steady state does
 // not regrow them.
 func BenchmarkJournalAppend(b *testing.B) {
-	inv := &compat.Invocation{Object: oid.OID{K: oid.Atomic, N: 7}, Method: "Put", Args: []val.V{val.OfInt(42)}}
+	inv := &compat.Invocation{Object: oid.OID{K: oid.Atomic, N: 7}, Method: compat.OpPut, Args: []val.V{val.OfInt(42)}}
 	for _, mode := range Modes() {
 		b.Run(mode.String(), func(b *testing.B) {
 			j := New(Config{Mode: mode})
@@ -38,9 +38,10 @@ func BenchmarkJournalAppend(b *testing.B) {
 }
 
 // BenchmarkRecordCodec is the record codec's per-layer micro-benchmark
-// on the 75 records of testdata/golden/flat.bin — the dryRun
-// order-entry scenario as the engine journaled it when the image was
-// written, invocations on every JBegin. One op of encode writes them
+// on the 77 records of testdata/golden/flat.bin — two schema records,
+// then the dryRun order-entry scenario as the engine journaled it when
+// the image was written, invocations on every JBegin. It reports the
+// mean encoded size as B/record. One op of encode writes them
 // as one chain (appendRecords, the flat format and the body of a batch
 // frame) into a reused buffer, what a flush does; one op of decode
 // reads that chain back with decodeRecord, what recovery does. No
@@ -54,6 +55,7 @@ func BenchmarkRecordCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf = appendRecords(buf[:0], recs)
 		}
+		b.ReportMetric(float64(len(buf))/float64(len(recs)), "B/record")
 	})
 	b.Run("decode", func(b *testing.B) {
 		buf := appendRecords(nil, recs)
@@ -72,6 +74,7 @@ func BenchmarkRecordCodec(b *testing.B) {
 				b.Fatalf("decoded %d records ending at %d, want %d ending at %d", n, p, len(recs), len(buf))
 			}
 		}
+		b.ReportMetric(float64(len(buf))/float64(len(recs)), "B/record")
 	})
 }
 

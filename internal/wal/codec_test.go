@@ -23,12 +23,12 @@ import (
 // against near and far neighbours, and zero/one/many-argument methods
 // are covered, record by record and as one sequence.
 func TestRecordBytesExact(t *testing.T) {
-	noArgs := compat.Inv(oid.OID{K: oid.Atomic, N: 1}, "Inc")
-	multi := compat.Inv(oid.OID{K: oid.Tuple, N: 1 << 40}, "TransferFunds",
+	noArgs := compat.Inv(oid.OID{K: oid.Atomic, N: 1}, compat.FirstMethod)
+	multi := compat.Inv(oid.OID{K: oid.Tuple, N: 1 << 40}, compat.FirstMethod+200,
 		val.OfInt(-7), val.OfStr(strings.Repeat("x", 300)), val.OfFloat(3.25),
 		val.OfBool(true), val.OfRef(oid.OID{K: oid.Set, N: 1 << 21}),
 		val.OfInt(1+1<<32), val.NullV)
-	splice := compat.Inv(oid.OID{K: oid.Set, N: 2}, "Insert",
+	splice := compat.Inv(oid.OID{K: oid.Set, N: 2}, compat.OpInsert,
 		val.OfRef(oid.OID{K: oid.Tuple, N: 9}))
 
 	cases := []core.JournalRecord{
@@ -81,7 +81,7 @@ func TestRecordBytesExact(t *testing.T) {
 // Node moving down as well as up from one record to the next, as when
 // two clients' trees interleave in one frame.
 func genRecords(rng *rand.Rand, n int) []core.JournalRecord {
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "UnshipOrder", val.OfInt(3), val.OfStr("x"))
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, mUnship, val.OfInt(3), val.OfStr("x"))
 	edges := []uint64{0, 1, 2, 127, 128, 1 << 21, 1<<21 - 1, 1 << 40, 1<<63 - 1, 1 << 63, 1<<63 + 1,
 		math.MaxUint64 - 1, math.MaxUint64}
 	pick := func(near uint64) uint64 {
@@ -174,7 +174,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 // seed only, never on base.
 func engineHistory(seed int64, base uint64, n int) []core.JournalRecord {
 	rng := rand.New(rand.NewSource(seed))
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "ShipOrder", val.OfInt(3))
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, mShip, val.OfInt(3))
 	next := base
 	type client struct {
 		root uint64
@@ -263,7 +263,7 @@ func TestCodecSizeIndependentOfIDMagnitude(t *testing.T) {
 
 // buildBigLog appends n synthetic records.
 func buildBigLog(n int) *Log {
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "UnshipOrder", val.OfInt(3))
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, mUnship, val.OfInt(3))
 	l := NewLog()
 	for i := 0; i < n; i++ {
 		l.Append(core.JournalRecord{Kind: core.JBegin, Node: uint64(i + 2), Parent: 1, Inv: &inv})
@@ -298,3 +298,12 @@ func BenchmarkLogSnapshot(b *testing.B) {
 		}
 	})
 }
+
+// Method ids of a type the codec tests journal (any id round-trips).
+const (
+	mShip   = compat.FirstMethod + 1
+	mUnship = compat.FirstMethod + 5
+	mUndoA  = compat.FirstMethod
+	mUndoB  = compat.FirstMethod + 1
+	mUndoC  = compat.FirstMethod + 2
+)

@@ -19,7 +19,9 @@ var errCrash = errors.New("wal: injected crash")
 // by panicking once the limit-th record is durable: the record IS in
 // the log, and the instruction after the Append call never runs —
 // exactly the window the engine's write-ahead ordering must make
-// recoverable. limit 0 never crashes.
+// recoverable. limit 0 never crashes. The schema records the database
+// writes while it is set up are no crash point: a limit among them
+// crashes at the first record after them.
 type crashJournal struct {
 	limit int
 	recs  []core.JournalRecord
@@ -27,6 +29,9 @@ type crashJournal struct {
 
 func (j *crashJournal) Append(r core.JournalRecord) {
 	j.recs = append(j.recs, r)
+	if r.Kind == core.JSchema && len(j.recs) == j.limit {
+		j.limit++
+	}
 	if j.limit > 0 && len(j.recs) == j.limit {
 		panic(errCrash)
 	}

@@ -56,8 +56,9 @@ func acctType() *oodb.Type {
 		}
 	}
 	inverse := func(method string) oodb.InverseFunc {
+		id, _ := m.ID(method)
 		return func(inv compat.Invocation, _ val.V) *compat.Invocation {
-			c := compat.Inv(inv.Object, method, inv.Args[0])
+			c := compat.Inv(inv.Object, id, inv.Args[0])
 			return &c
 		}
 	}
@@ -213,9 +214,14 @@ func newCutJournal(maxBatch, limit int) *cutJournal {
 	}
 }
 
-func (j *cutJournal) count() {
+// count counts one record; like crashJournal's, a limit among the
+// schema records crashes at the first record after them.
+func (j *cutJournal) count(schema bool) {
 	j.mu.Lock()
 	j.n++
+	if schema && j.n == j.limit {
+		j.limit++
+	}
 	hit := j.limit > 0 && j.n == j.limit
 	j.mu.Unlock()
 	if hit {
@@ -226,7 +232,7 @@ func (j *cutJournal) count() {
 
 func (j *cutJournal) Append(r core.JournalRecord) {
 	j.g.Append(r)
-	j.count()
+	j.count(r.Kind == core.JSchema)
 }
 
 // AppendAck waits for the group writer's own flush before it returns,
@@ -234,7 +240,7 @@ func (j *cutJournal) Append(r core.JournalRecord) {
 // driver does next; the ack it hands the engine is the gate.
 func (j *cutJournal) AppendAck(r core.JournalRecord) core.Ack {
 	j.g.AppendAck(r).Wait()
-	j.count()
+	j.count(false)
 	return core.Ack{C: j.gate}
 }
 

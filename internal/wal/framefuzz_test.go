@@ -25,8 +25,9 @@ func frameOf(buf []byte, recs []core.JournalRecord) []byte {
 // frames from the sync log, coalesced multi-record frames like the
 // group writer emits, torn tails, and a checksum-corrupt frame.
 func frameSeeds() [][]byte {
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "UnshipOrder", val.OfInt(3), val.OfStr("x"))
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, mUnship, val.OfInt(3), val.OfStr("x"))
 	recs := []core.JournalRecord{
+		schemaRecord(),
 		{Kind: core.JBeginRoot, Node: 1},
 		{Kind: core.JBegin, Node: 2, Parent: 1, Inv: &inv},
 		{Kind: core.JSubCommit, Node: 2, Splice: true},

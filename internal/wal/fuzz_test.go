@@ -18,11 +18,12 @@ import (
 // so the interesting inputs are exercised even when the fuzz engine is
 // not running.
 func seedLogs() [][]byte {
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "UnshipOrder", val.OfInt(3), val.OfStr("x"))
-	splice := compat.Inv(oid.OID{K: oid.Set, N: 2}, "Insert",
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, mUnship, val.OfInt(3), val.OfStr("x"))
+	splice := compat.Inv(oid.OID{K: oid.Set, N: 2}, compat.OpInsert,
 		val.OfRef(oid.OID{K: oid.Tuple, N: 9}), val.OfInt(1+1<<32))
 
 	full := NewLog()
+	full.Append(schemaRecord())
 	full.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 1})
 	full.Append(core.JournalRecord{Kind: core.JBegin, Node: 2, Parent: 1, Inv: &inv})
 	full.Append(core.JournalRecord{Kind: core.JSubCommit, Node: 2, Inv: &splice})
@@ -49,11 +50,22 @@ func seedLogs() [][]byte {
 	return seeds
 }
 
+// schemaRecord is the schema record of a type whose methods include
+// the mShip and mUnship the seeds invoke, as a database journals it.
+func schemaRecord() core.JournalRecord {
+	names := []val.V{val.OfStr("Item")}
+	for _, m := range []string{"NewOrder", "ShipOrder", "PayOrder", "TotalPayment", "RemoveOrder", "UnshipOrder"} {
+		names = append(names, val.OfStr(m))
+	}
+	inv := compat.Inv(oid.DB, compat.OpRoot, names...)
+	return core.JournalRecord{Kind: core.JSchema, Inv: &inv}
+}
+
 // interleavedLog is a seed for the id codes' other branches: two
 // roots' records interleaved, so Node steps down as well as up, and a
 // prepare/decide pair whose Parent is a gid unrelated to any node id.
 func interleavedLog() *Log {
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, "ShipOrder", val.OfInt(3))
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 5}, mShip, val.OfInt(3))
 	const gid = 1<<64 - 2
 	l := NewLog()
 	l.Append(core.JournalRecord{Kind: core.JBeginRoot, Node: 300})

@@ -27,6 +27,7 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -505,8 +506,9 @@ func (l *Log) Stats() JournalStats {
 func (l *Log) Reset() {
 	l.Sync()
 	l.mu.Lock()
-	clear(l.recs) // drop the invocations the records point to
-	l.recs = l.recs[:0]
+	// The schema records stay to head the new epoch's image, as they
+	// must; the rest go, their invocations cleared with them.
+	l.recs = slices.DeleteFunc(l.recs, func(r core.JournalRecord) bool { return r.Kind != core.JSchema })
 	l.durable = l.durable[:0]
 	l.durableRecs = 0
 	l.flushCount = 0

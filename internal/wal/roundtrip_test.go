@@ -13,7 +13,7 @@ import (
 // roundtripRecords is a record sequence exercising every kind and
 // every optional field (invocation with args, splice flag).
 func roundtripRecords() []core.JournalRecord {
-	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 7}, "shipOrder", val.OfInt(42))
+	inv := compat.Inv(oid.OID{K: oid.Tuple, N: 7}, mShip, val.OfInt(42))
 	return []core.JournalRecord{
 		{Kind: core.JBeginRoot, Node: 1},
 		{Kind: core.JBegin, Node: 2, Parent: 1, Inv: &inv},

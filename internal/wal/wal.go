@@ -16,7 +16,9 @@
 // leaf writes reach it synchronously, i.e. a steal/force buffer
 // policy at leaf granularity); the log's job is purely the undo of
 // losers. Redo logging for a no-force buffer pool is orthogonal and
-// out of scope, as is logging of schema (method bodies are code).
+// out of scope. Method bodies are code; of the schema the journal logs
+// only names (core.JSchema), so that the method ids its records carry
+// can be read back.
 //
 // There is one journal type, Log (group.go), whose durability mode
 // decides who flushes and when an append is acknowledged, and one
@@ -31,6 +33,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -97,7 +100,7 @@ func recordBytes(prev uint64, r core.JournalRecord) uint64 {
 	node, parent := idCodes(prev, r.Node, r.Parent)
 	n := 1 + uvarintLen(node) + uvarintLen(parent) + 2
 	if r.Inv != nil {
-		n += 1 + uvarintLen(r.Inv.Object.N) + uvarintLen(uint64(len(r.Inv.Method))) + len(r.Inv.Method)
+		n += 1 + uvarintLen(r.Inv.Object.N) + uvarintLen(uint64(r.Inv.Method))
 		n += uvarintLen(uint64(len(r.Inv.Args)))
 		for _, a := range r.Inv.Args {
 			s := a.Size()
@@ -132,8 +135,7 @@ func appendRecord(buf []byte, prev uint64, r core.JournalRecord) []byte {
 		buf = append(buf, 1)
 		buf = append(buf, byte(r.Inv.Object.K))
 		buf = binary.AppendUvarint(buf, r.Inv.Object.N)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Inv.Method)))
-		buf = append(buf, r.Inv.Method...)
+		buf = binary.AppendUvarint(buf, uint64(r.Inv.Method))
 		buf = binary.AppendUvarint(buf, uint64(len(r.Inv.Args)))
 		for _, a := range r.Inv.Args {
 			buf = binary.AppendUvarint(buf, uint64(a.Size()))
@@ -157,7 +159,7 @@ func appendRecords(buf []byte, recs []core.JournalRecord) []byte {
 
 // Unmarshal reconstructs a log serialised by Marshal. It is hardened
 // against corrupt or adversarial input: every length-carrying varint
-// (record count, method length, argument count and sizes) is validated
+// (record count, argument count and sizes) is validated
 // against the bytes actually remaining before it is converted to an
 // int or used to size an allocation, and record kinds outside the
 // JournalKind range are rejected.
@@ -217,7 +219,7 @@ func decodeRecord(b []byte, p int, i uint64, prev uint64) (core.JournalRecord, i
 		return r, p, fmt.Errorf("wal: truncated record %d", i)
 	}
 	r.Kind = core.JournalKind(b[p])
-	if r.Kind > core.JDecide {
+	if r.Kind > core.JSchema {
 		return r, p, fmt.Errorf("wal: record %d has invalid kind %d", i, b[p])
 	}
 	p++
@@ -248,18 +250,13 @@ func decodeRecord(b []byte, p int, i uint64, prev uint64) (core.JournalRecord, i
 		if err != nil {
 			return r, p, err
 		}
-		mlen, err := next()
+		method, err := next()
 		if err != nil {
 			return r, p, err
 		}
-		// Compare in uint64 space before converting: a huge mlen
-		// must not overflow the int addition (or the slice bound)
-		// on its way to the range check.
-		if mlen > uint64(len(b)-p) {
-			return r, p, fmt.Errorf("wal: truncated method in record %d", i)
+		if method > math.MaxUint8 {
+			return r, p, fmt.Errorf("wal: method id %d out of range in record %d", method, i)
 		}
-		method := string(b[p : p+int(mlen)])
-		p += int(mlen)
 		argc, err := next()
 		if err != nil {
 			return r, p, err
@@ -285,7 +282,7 @@ func decodeRecord(b []byte, p int, i uint64, prev uint64) (core.JournalRecord, i
 			p += int(alen)
 			args = append(args, v)
 		}
-		inv := compat.Invocation{Object: oid.OID{K: kind, N: objN}, Method: method, Args: args}
+		inv := compat.Invocation{Object: oid.OID{K: kind, N: objN}, Method: compat.Method(method), Args: args}
 		r.Inv = &inv
 	}
 	return r, p, nil
@@ -328,6 +325,9 @@ type Analysis struct {
 	// unknown global ids). Recover resolves them through its decided
 	// callback; plain Analyze only reports them.
 	InDoubt []InDoubt
+	// Schema holds each schema record's type name and method names in
+	// id order (core.JSchema); Recover checks them before any undo.
+	Schema [][]string
 }
 
 // InDoubt is one prepared-but-undecided distributed transaction
@@ -364,10 +364,22 @@ func Analyze(l RecordSource) (*Analysis, error) {
 	var roots []*replayNode
 	committed := make(map[uint64]bool)
 	fullyAborted := make(map[uint64]bool)
+	a := &Analysis{}
 
 	seq := 0
 	for pos, r := range l.RecordsFrom(0) {
 		switch r.Kind {
+		case core.JSchema:
+			// Not a root: it names the method ids the other records carry.
+			if r.Inv == nil || len(r.Inv.Args) == 0 {
+				return nil, fmt.Errorf("wal: schema record %d names no type", pos)
+			}
+			names := make([]string, len(r.Inv.Args))
+			for i, v := range r.Inv.Args {
+				names[i] = v.Str()
+			}
+			a.Schema = append(a.Schema, names)
+			continue
 		case core.JBeginRoot:
 			n := &replayNode{id: r.Node, state: core.Active, seq: seq}
 			seq++
@@ -485,7 +497,6 @@ func Analyze(l RecordSource) (*Analysis, error) {
 		}
 	}
 
-	a := &Analysis{}
 	for _, r := range roots {
 		if committed[r.id] {
 			a.Committed = append(a.Committed, r.id)
@@ -597,6 +608,9 @@ func RecoverDecided(db *oodb.DB, l RecordSource, decided func(gid uint64) bool) 
 	}
 	sort.Slice(a.Committed, func(i, j int) bool { return a.Committed[i] < a.Committed[j] })
 	sortLosers(a.Losers)
+	if err := checkSchema(db, a.Schema); err != nil {
+		return a, err
+	}
 	for _, loser := range a.Losers {
 		tx := db.Begin()
 		for _, inv := range loser.Pending {
@@ -610,4 +624,30 @@ func RecoverDecided(db *oodb.DB, l RecordSource, decided func(gid uint64) bool) 
 		}
 	}
 	return a, nil
+}
+
+// checkSchema holds the journal's schema records to db's registry: each
+// must name a registered type and its methods in the same id order, or
+// the ids the journal carries would call other methods.
+func checkSchema(db *oodb.DB, schema [][]string) error {
+	for _, s := range schema {
+		var have []string
+		if t, ok := db.TypeByName(s[0]); ok {
+			have = t.Matrix.Methods()
+		}
+		for i := 1; i < max(len(s), len(have)+1); i++ {
+			if j, h := nameAt(s, i), nameAt(have, i-1); j != h {
+				return fmt.Errorf("wal: type %s: method %d is %q in the journal's schema, %q in the registry", s[0], int(compat.FirstMethod)+i-1, j, h)
+			}
+		}
+	}
+	return nil
+}
+
+// nameAt is names[i], or "" past its end.
+func nameAt(names []string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return ""
 }

@@ -180,7 +180,7 @@ func TestRecoveryCompletesPartialAbort(t *testing.T) {
 	}
 	// The pending compensation is the first ShipOrder's inverse
 	// (undo runs in reverse order: second ship was compensated first).
-	if m := a.Losers[0].Pending[0].Method; m != orderentry.MUnshipOrder {
+	if m := orderentry.ItemMatrix().Name(a.Losers[0].Pending[0].Method); m != orderentry.MUnshipOrder {
 		t.Errorf("pending = %s, want UnshipOrder", m)
 	}
 }
@@ -273,9 +273,9 @@ func TestUnmarshalErrors(t *testing.T) {
 // position of each tree's last record — the root that wrote last is
 // undone first, whatever its id (see sortLosers).
 func TestAnalyzeLoserOrderDeterministic(t *testing.T) {
-	invA := compat.Inv(oid.OID{K: oid.Tuple, N: 100}, "UndoA", val.OfInt(1))
-	invB := compat.Inv(oid.OID{K: oid.Tuple, N: 200}, "UndoB", val.OfInt(2))
-	invC := compat.Inv(oid.OID{K: oid.Tuple, N: 300}, "UndoC", val.OfInt(3))
+	invA := compat.Inv(oid.OID{K: oid.Tuple, N: 100}, mUndoA, val.OfInt(1))
+	invB := compat.Inv(oid.OID{K: oid.Tuple, N: 200}, mUndoB, val.OfInt(2))
+	invC := compat.Inv(oid.OID{K: oid.Tuple, N: 300}, mUndoC, val.OfInt(3))
 
 	// Root 1 with two in-flight children at depth 1: node 2 (older,
 	// holds inverse A via its committed child 4) and node 3 (younger,
@@ -310,7 +310,7 @@ func TestAnalyzeLoserOrderDeterministic(t *testing.T) {
 			t.Fatalf("run %d: losers %v at positions %v, want [6 9 1] at [10 8 7]", i, order, last)
 		}
 		pend := a.Losers[2].Pending
-		if len(pend) != 2 || pend[0].Method != "UndoB" || pend[1].Method != "UndoA" {
+		if len(pend) != 2 || pend[0].Method != mUndoB || pend[1].Method != mUndoA {
 			t.Fatalf("run %d: pending = %v, want [UndoB UndoA]", i, pend)
 		}
 	}
@@ -321,7 +321,7 @@ func TestAnalyzeLoserOrderDeterministic(t *testing.T) {
 // instead of panicking or allocating unbounded memory.
 func TestUnmarshalCorruptLengths(t *testing.T) {
 	// Helper: the fixed prefix of a single record carrying an
-	// invocation, up to (not including) the method length.
+	// invocation, up to (not including) the method id.
 	invPrefix := func() []byte {
 		b := binary.AppendUvarint(nil, 1)    // record count
 		b = append(b, byte(core.JSubCommit)) // kind
@@ -335,13 +335,13 @@ func TestUnmarshalCorruptLengths(t *testing.T) {
 	}
 
 	cases := map[string][]byte{
-		"huge record count":  binary.AppendUvarint(nil, 1<<40),
-		"invalid kind":       append(binary.AppendUvarint(nil, 1), 200),
-		"huge method length": binary.AppendUvarint(invPrefix(), 1<<40),
-		"huge argument count": binary.AppendUvarint(append(
-			binary.AppendUvarint(invPrefix(), 1), 'M'), 1<<40),
-		"huge argument length": binary.AppendUvarint(binary.AppendUvarint(append(
-			binary.AppendUvarint(invPrefix(), 1), 'M'), 1), 1<<40),
+		"huge record count":       binary.AppendUvarint(nil, 1<<40),
+		"invalid kind":            append(binary.AppendUvarint(nil, 1), 200),
+		"method id past one byte": binary.AppendUvarint(invPrefix(), 256),
+		"huge argument count": binary.AppendUvarint(
+			binary.AppendUvarint(invPrefix(), 8), 1<<40),
+		"huge argument length": binary.AppendUvarint(binary.AppendUvarint(
+			binary.AppendUvarint(invPrefix(), 8), 1), 1<<40),
 	}
 	for name, b := range cases {
 		if _, err := Unmarshal(b); err == nil {

@@ -54,7 +54,8 @@ func TestPublicAPISchemaDefinition(t *testing.T) {
 				return semcc.Int(seq.Int()), nil
 			},
 			Inverse: func(inv semcc.Invocation, result semcc.Value) *semcc.Invocation {
-				c := semcc.Invocation{Object: inv.Object, Method: "Unappend", Args: []semcc.Value{result}}
+				unappend, _ := m.ID("Unappend")
+				c := semcc.Invocation{Object: inv.Object, Method: unappend, Args: []semcc.Value{result}}
 				return &c
 			},
 		},
